@@ -1,10 +1,20 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz-smoke fmt-check advise-demo bench obs-demo serve-demo statusz-demo bench-server bench-maintain update-demo bench-join gate-join views-demo bench-views
+.PHONY: check bench-check build vet test race fuzz-smoke fmt-check advise-demo bench obs-demo serve-demo statusz-demo bench-server update-demo bench-join gate-join views-demo bench-views
 
 # check is the full local gate: static checks, build, the race-enabled
-# test suite, and a short fuzz smoke of the XPath parser.
-check: vet build race fuzz-smoke
+# test suite, a short fuzz smoke of the XPath parser, and the benchmark
+# module.
+check: vet build race fuzz-smoke bench-check
+
+# bench-check compiles, vets, tests and smoke-runs bench/, a nested
+# module that imports internal/* packages which `./...` at the root never
+# builds: a signature change there must break this, not the next
+# benchmark run.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+	bash bench/run.sh -smoke
 
 build:
 	$(GO) build ./...
@@ -30,7 +40,6 @@ fmt-check:
 bench:
 	$(GO) test -run='^$$' -bench='AnswerPlanCache|AnswerParallel' -benchmem -count=1 .
 	XPV_BENCH_REPORT=1 $(GO) test -run=TestServingBenchReport -count=1 -v .
-	$(MAKE) bench-maintain
 
 # bench-join runs the holistic-join kernel microbenchmarks (virtual-tree
 # build, sequential join, prefix-partitioned parallel join) with a
@@ -45,14 +54,6 @@ bench-join:
 # BENCH_serving.json baseline. CI runs this on every push.
 gate-join:
 	XPV_JOIN_GATE=1 $(GO) test -run=TestJoinRegressionGate -count=1 -v .
-
-# bench-maintain runs the view-maintenance benchmark (incremental
-# maintenance vs full rematerialization across inserted-subtree sizes,
-# plus the scoped-vs-global invalidation update storm) and refreshes the
-# machine-readable report in BENCH_maintain.json. Interactive variant:
-# `go run ./cmd/xpvbench -maintain`.
-bench-maintain:
-	XPV_BENCH_MAINTAIN=1 $(GO) test -run=TestMaintainBenchReport -count=1 -v .
 
 # obs-demo exercises the observability surface end to end: an -explain
 # run of the paper's running example (Figure 2 document, Table I views,

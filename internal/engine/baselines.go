@@ -112,71 +112,80 @@ func (e *BN) EvalBudget(q *pattern.Pattern, b *budget.B) ([]*xmltree.Node, error
 	return out, nil
 }
 
-// matchNodeNav checks label, attributes and all off-spine predicate
-// branches of spine[step] at dn, navigationally.
-func matchNodeNav(pn *pattern.Node, dn *xmltree.Node, spine []*pattern.Node, step int) bool {
-	if pn.Label != pattern.Wildcard && pn.Label != dn.Label {
-		return false
-	}
+// NodeTest checks pn's own constraints at dn: label and attribute
+// predicates, no structure.
+func NodeTest(pn *pattern.Node, dn *xmltree.Node) bool {
+	return labelOK(pn, dn) && attrsOK(pn, dn)
+}
+
+func labelOK(pn *pattern.Node, dn *xmltree.Node) bool {
+	return pn.Label == pattern.Wildcard || pn.Label == dn.Label
+}
+
+func attrsOK(pn *pattern.Node, dn *xmltree.Node) bool {
 	for _, a := range pn.Attrs {
 		v, ok := dn.Attr(a.Name)
 		if !ok || !pattern.CompareAttr(a.Op, v, a.Value) {
 			return false
 		}
 	}
+	return true
+}
+
+// matchNodeNav checks label, attributes and all off-spine predicate
+// branches of spine[step] at dn, navigationally.
+func matchNodeNav(pn *pattern.Node, dn *xmltree.Node, spine []*pattern.Node, step int) bool {
+	if !NodeTest(pn, dn) {
+		return false
+	}
 	for _, pc := range pn.Children {
 		if step+1 < len(spine) && pc == spine[step+1] {
 			continue // the spine continuation is handled by the walk
 		}
-		if !existsEmbedNav(pc, dn) {
+		if !ExistsUnder(pc, dn, nil) {
 			return false
 		}
 	}
 	return true
 }
 
-// existsEmbedNav checks a predicate branch by exhaustive navigation.
-func existsEmbedNav(pn *pattern.Node, dn *xmltree.Node) bool {
-	var matches func(pn *pattern.Node, dn *xmltree.Node) bool
-	matches = func(pn *pattern.Node, dn *xmltree.Node) bool {
-		if pn.Label != pattern.Wildcard && pn.Label != dn.Label {
+// embedsAt reports whether the pattern subtree rooted at pn embeds with
+// image dn, whose label the caller has checked, by exhaustive
+// navigation that never enters the subtree rooted at mask.
+func embedsAt(pn *pattern.Node, dn, mask *xmltree.Node) bool {
+	if !attrsOK(pn, dn) {
+		return false
+	}
+	for _, pc := range pn.Children {
+		if !ExistsUnder(pc, dn, mask) {
 			return false
 		}
-		for _, a := range pn.Attrs {
-			v, ok := dn.Attr(a.Name)
-			if !ok || !pattern.CompareAttr(a.Op, v, a.Value) {
-				return false
-			}
-		}
-		for _, pc := range pn.Children {
-			if !existsUnder(pc, dn, matches) {
-				return false
-			}
-		}
-		return true
 	}
-	return existsUnder(pn, dn, matches)
+	return true
 }
 
-func existsUnder(pn *pattern.Node, dn *xmltree.Node, matches func(*pattern.Node, *xmltree.Node) bool) bool {
-	if pn.Axis == pattern.Child {
-		for _, c := range dn.Children {
-			if matches(pn, c) {
-				return true
-			}
+// ExistsUnder reports whether the predicate branch pn has a witness
+// below dn — among dn's children for a Child-axis branch, among its
+// proper descendants otherwise — stopping at the first one. A non-nil
+// mask hides the subtree rooted there: the answer is the one the
+// document would give with that subtree detached, which is how view
+// maintenance asks whether a predicate's truth depends on a mutated
+// subtree (maintain.DirtyDepth).
+func ExistsUnder(pn *pattern.Node, dn, mask *xmltree.Node) bool {
+	deep := pn.Axis == pattern.Descendant
+	for _, c := range dn.Children {
+		if c == mask {
+			continue
 		}
-		return false
-	}
-	var rec func(d *xmltree.Node) bool
-	rec = func(d *xmltree.Node) bool {
-		for _, c := range d.Children {
-			if matches(pn, c) || rec(c) {
-				return true
-			}
+		// Most candidates fail on the label: test it before any call.
+		if labelOK(pn, c) && embedsAt(pn, c, mask) {
+			return true
 		}
-		return false
+		if deep && ExistsUnder(pn, c, mask) {
+			return true
+		}
 	}
-	return rec(dn)
+	return false
 }
 
 // BF is the fully indexed baseline evaluator.

@@ -12,25 +12,7 @@ import (
 // node matched. Fragments are small, so this is a direct navigational
 // check rather than the DP matcher.
 func MatchesAtRoot(t *xmltree.Tree, q *pattern.Pattern) bool {
-	return matchesPinned(q.Root, t.Root())
-}
-
-func matchesPinned(pn *pattern.Node, dn *xmltree.Node) bool {
-	if pn.Label != pattern.Wildcard && pn.Label != dn.Label {
-		return false
-	}
-	for _, a := range pn.Attrs {
-		v, ok := dn.Attr(a.Name)
-		if !ok || !pattern.CompareAttr(a.Op, v, a.Value) {
-			return false
-		}
-	}
-	for _, pc := range pn.Children {
-		if !existsUnder(pc, dn, matchesPinned) {
-			return false
-		}
-	}
-	return true
+	return labelOK(q.Root, t.Root()) && embedsAt(q.Root, t.Root(), nil)
 }
 
 // AnswersAtRoot returns the images of q's answer node over embeddings of

@@ -10,7 +10,6 @@ import (
 
 	"xpathviews/internal/dewey"
 	"xpathviews/internal/engine"
-	"xpathviews/internal/pattern"
 	"xpathviews/internal/views"
 	"xpathviews/internal/xmltree"
 )
@@ -26,21 +25,22 @@ type DeltaStats struct {
 	Changed bool
 	// Scanned reports that the pattern was re-evaluated over the dirty
 	// scope (false when the label prefilter proved membership could not
-	// change).
-	Scanned bool
+	// change); NodesScanned counts the document nodes that visited.
+	Scanned      bool
+	NodesScanned int
 }
 
 // ApplyDelta maintains v after a mutation rooted at mutCode. scope is
 // v's dirty root (an ancestor-or-self of the mutation root, computed
-// via DirtyDepth) resolved in the post-mutation document; it is nil
-// exactly when the dirty root was the deleted subtree itself, in which
-// case the scope's prefix range simply empties. mutLabels is the label
-// set of the mutated subtree, used to skip re-evaluation for views whose
-// patterns cannot touch it.
+// via DirtyDepth) in the post-mutation document; it is nil exactly when
+// the dirty root was the deleted subtree itself, in which case the
+// scope's prefix range simply empties. mutLabels is the label set of the
+// mutated subtree, used to skip re-evaluation for views whose patterns
+// cannot touch it.
 func ApplyDelta(v *views.View, doc *xmltree.Tree, enc *dewey.Encoding, scope *xmltree.Node, scopeCode, mutCode dewey.Code, mutLabels map[string]struct{}) (DeltaStats, error) {
 	var st DeltaStats
 
-	if !patternTouches(v.Pattern, mutLabels) {
+	if !touches(v.Pattern.Root, mutLabels) {
 		// Membership cannot change: every witness a membership flip needs
 		// would carry a label from the mutated subtree. Only fragments
 		// whose copied content contains the mutation point (roots at
@@ -54,56 +54,51 @@ func ApplyDelta(v *views.View, doc *xmltree.Tree, enc *dewey.Encoding, scope *xm
 	st.Scanned = true
 
 	// Re-evaluate the pattern inside the dirty scope against the full
-	// document and splice the result over the scope's prefix range.
+	// document and merge the answers (document order = code order) with
+	// the scope's prefix range of the store. An answer that already has a
+	// fragment keeps it unless the fragment's subtree contains or is
+	// contained in the mutated one (its copied content changed); only
+	// those and the new answers are copied out of the document.
 	lo, hi := v.PrefixRange(scopeCode)
 	var answers []*xmltree.Node
 	if scope != nil {
-		answers = engine.AnswersWithin(doc, v.Pattern, scope)
+		answers, st.NodesScanned = engine.AnswersWithin(doc, v.Pattern, scope)
 	}
+	old := v.Fragments[lo:hi]
 	fresh := make([]views.Fragment, 0, len(answers))
+	i := 0
 	for _, a := range answers {
+		code, ok := enc.CodeOf(a)
+		if !ok {
+			return st, fmt.Errorf("maintain: view %d: answer node %q has no dewey code", v.ID, a.Label)
+		}
+		for i < len(old) && dewey.Compare(old[i].Code, code) < 0 {
+			st.Removed++
+			i++
+		}
+		kept := i < len(old) && dewey.Compare(old[i].Code, code) == 0
+		if kept && !dewey.IsPrefix(code, mutCode) && !dewey.IsPrefix(mutCode, code) {
+			fresh = append(fresh, old[i])
+			i++
+			continue
+		}
 		f, err := views.BuildFragment(enc, a)
 		if err != nil {
 			return st, fmt.Errorf("maintain: view %d: %w", v.ID, err)
 		}
 		fresh = append(fresh, f)
-	}
-
-	// Merge-diff old range vs fresh (both code-sorted) to see whether the
-	// splice changes anything: differing codes always do; equal codes only
-	// when the fragment's subtree contains or is contained in the mutated
-	// one (its copied content changed).
-	old := v.Fragments[lo:hi]
-	i, j := 0, 0
-	changed := false
-	for i < len(old) && j < len(fresh) {
-		switch c := dewey.Compare(old[i].Code, fresh[j].Code); {
-		case c < 0:
-			st.Removed++
-			changed = true
+		if kept {
+			st.Refreshed++
 			i++
-		case c > 0:
+		} else {
 			st.Added++
-			changed = true
-			j++
-		default:
-			if dewey.IsPrefix(old[i].Code, mutCode) || dewey.IsPrefix(mutCode, old[i].Code) {
-				st.Refreshed++
-				changed = true
-			}
-			i++
-			j++
 		}
 	}
 	st.Removed += len(old) - i
-	st.Added += len(fresh) - j
-	if st.Added > 0 || st.Removed > 0 {
-		changed = true
-	}
-	if changed {
+	if st.Added+st.Removed+st.Refreshed > 0 {
 		v.ReplaceRange(lo, hi, fresh)
+		st.Changed = true
 	}
-	st.Changed = changed
 
 	// Fragments rooted above the splice range that contain the mutation
 	// point: membership unchanged, content re-copied. The scope root and
@@ -142,25 +137,6 @@ func refreshAncestors(v *views.View, doc *xmltree.Tree, enc *dewey.Encoding, mut
 		st.Refreshed++
 	}
 	return nil
-}
-
-// patternTouches reports whether any node of p could image a node of
-// the mutated subtree: a wildcard matches anything, otherwise some
-// pattern label must occur among the subtree's labels.
-func patternTouches(p *pattern.Pattern, mutLabels map[string]struct{}) bool {
-	touched := false
-	p.Walk(func(n *pattern.Node) bool {
-		if n.Label == pattern.Wildcard {
-			touched = true
-			return false
-		}
-		if _, ok := mutLabels[n.Label]; ok {
-			touched = true
-			return false
-		}
-		return true
-	})
-	return touched
 }
 
 // SubtreeLabels collects the label set of the subtree rooted at n.

@@ -14,10 +14,11 @@
 //     codes.
 //
 //   - Dirty-root detection (dirty.go): for downward patterns, an answer
-//     outside the mutated subtree can only change when some
-//     predicate-bearing spine node images a proper ancestor of the
-//     mutation root. The highest such ancestor bounds the re-evaluation
-//     scope; by default the scope is the mutation root itself.
+//     outside the mutated subtree can only change when a spine node's
+//     predicates, at a proper ancestor of the mutation root, hold with
+//     the mutated subtree and fail without it. The highest ancestor
+//     where that happens bounds the re-evaluation scope; when it happens
+//     nowhere the scope is the mutation root itself.
 //
 //   - Delta application (delta.go): re-evaluate the pattern inside the
 //     dirty scope (engine.AnswersWithin), splice the result over the
@@ -45,6 +46,7 @@ var ErrSchema = errors.New("maintain: label outside the FST child alphabet")
 var ErrNoSuchNode = errors.New("maintain: no node with that code")
 
 // FaultApply is the chaos-injection point for mutations. The owning
-// System fires it before any state changes, so an injected error or
-// panic always leaves document, encoding, indexes and views consistent.
+// System fires it after validation and the read-only dirty-root pass,
+// immediately before the first state change, so an injected error or
+// panic always leaves document, encoding, indexes and views untouched.
 var FaultApply = faults.New("maintain.apply")

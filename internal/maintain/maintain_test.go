@@ -208,44 +208,82 @@ func TestResolveCode(t *testing.T) {
 	}
 }
 
-// TestDirtyDepth pins the lift decisions on the paper's views: patterns
-// without predicates never lift above the mutation root, predicate-
-// bearing spine nodes lift exactly to the highest ancestor they can
-// structurally image.
+// TestDirtyDepth pins the lift decisions. Each row names a mutation
+// root R (a child-index path from the document root) in two documents
+// that differ only outside T(R): in `with`, every predicate R could
+// satisfy has another witness elsewhere, so nothing flips and the dirty
+// root stays at R; in `without`, T(R) holds the only witness, and the
+// dirty root lifts to the highest ancestor whose match flips — or stays
+// too, where the pattern cannot image that ancestor at all.
 func TestDirtyDepth(t *testing.T) {
 	cases := []struct {
-		query string
-		path  []string
-		want  int
+		query         string
+		with, without string
+		r             []int
+		lift          int // dirty depth in `without`; in `with` it is len(r)
 	}{
-		// No predicates: the mutation root itself is the dirty root.
-		{"//s/p", []string{"b", "s", "p"}, 2},
-		{"//s//p", []string{"b", "s", "s", "p"}, 3},
-		// V1 = //s[t]/p: s can image the depth-1 section above a
-		// mutated paragraph, so the dirty root lifts to depth 1.
-		{"//s[t]/p", []string{"b", "s", "p"}, 1},
-		// Nested sections: s images every ancestor section; the
-		// highest is depth 1.
-		{"//s[t]/p", []string{"b", "s", "s", "p"}, 1},
-		// Predicate on the document root's child: lifts all the way to
-		// depth 0.
-		{"/b[t]//p", []string{"b", "s", "s", "p"}, 0},
-		// Label mismatch: f cannot image any ancestor of a paragraph
-		// mutation, so no lift happens.
-		{"//f[i]", []string{"b", "s", "p"}, 2},
-		// Wildcard spine node images anything.
-		{"//*[t]/p", []string{"b", "s", "p"}, 0},
-		// Child-axis root: /s cannot image the b root and no ancestor
-		// matches, so no lift.
-		{"/s[t]/p", []string{"b", "s", "p"}, 2},
+		// No predicates: never above the mutation root.
+		{"//s/p", "<b><s><p/><p/></s></b>", "<b><s><p/></s></b>", []int{0, 0}, 2},
+		{"//s//p", "<b><s><s><p/><p/></s></s></b>", "<b><s><s><p/></s></s></b>", []int{0, 0, 0}, 3},
+		// V1 = //s[t]/p: deleting or inserting the section's only title
+		// changes its paragraphs; one title of two changes nothing.
+		{"//s[t]/p", "<b><s><t/><t/><p/></s></b>", "<b><s><t/><p/></s></b>", []int{0, 0}, 1},
+		// The same view under a mutated paragraph: p is no witness of [t],
+		// so no ancestor is even asked.
+		{"//s[t]/p", "<b><s><t/><p/><p/></s></b>", "<b><s><t/><p/></s></b>", []int{0, 1}, 2},
+		// Nested sections: only the section that loses its last title
+		// lifts, not the outer one that merely can image an ancestor.
+		{"//s[t]/p", "<b><s><t/><s><t/><t/><p/></s></s></b>", "<b><s><t/><s><t/><p/></s></s></b>", []int{0, 1, 0}, 2},
+		// Predicate on the document root's child: lifts all the way.
+		{"/b[t]//p", "<b><t/><t/><s><p/></s></b>", "<b><t/><s><p/></s></b>", []int{0}, 0},
+		// A wildcard images every ancestor, but only the one whose
+		// predicate flips counts: b has no t child either way.
+		{"//*[t]/p", "<b><s><t/><t/><p/></s></b>", "<b><s><t/><p/></s></b>", []int{0, 0}, 1},
+		// Descendant predicate under a wildcard, which images r, a and c:
+		// with a sibling x nothing flips; with the only other x under d, r
+		// keeps a witness while a (and c) lose theirs.
+		{"//*[.//x]/y", "<r><a><y/><c><x/><x/></c></a><y/></r>", "<r><a><y/><c><x/></c></a><y/><d><x/></d></r>", []int{0, 1, 0}, 1},
+		{"//*[.//x]/y", "<r><a><y/><c><x/></c><x/></a><y/></r>", "<r><a><y/><c><x/></c></a><y/></r>", []int{0, 1}, 0},
+		// Nested predicate: the witness of f/i is the i two levels down; a
+		// second f without an i does not stand in for it.
+		{"//s[f/i]/p", "<b><s><f><i/></f><f><i/></f><p/></s></b>", "<b><s><f><i/></f><f/><p/></s></b>", []int{0, 0, 0}, 1},
+		// Attribute predicate inside a branch: another t counts only with
+		// the right value.
+		{`//s[t[@k="1"]]/p`, `<b><s><t k="1"/><t k="1"/><p/></s></b>`, `<b><s><t k="1"/><t k="2"/><p/></s></b>`, []int{0, 0}, 1},
+		// Attribute on the spine node itself: the flip is moot where the
+		// node test fails.
+		{`//s[@k="1"][t]/p`, `<b><s k="1"><t/><t/><p/></s></b>`, `<b><s k="2"><t/><p/></s></b>`, []int{0, 0}, 2},
+		// A second predicate that fails with and without T(R): no flip.
+		{"//s[t][q]/p", "<b><s><t/><t/><p/></s></b>", "<b><s><t/><p/></s></b>", []int{0, 0}, 2},
+		// Label mismatch: f images no ancestor of the mutation.
+		{"//f[i]", "<b><s><i/><i/></s></b>", "<b><s><i/></s></b>", []int{0, 0}, 2},
+		// Child-axis root: /s cannot image the b root, so s[t] is never
+		// asked although its title goes.
+		{"/s[t]/p", "<b><s><t/><t/><p/></s></b>", "<b><s><t/><p/></s></b>", []int{0, 0}, 2},
+		// A whole section as the mutated subtree, witness of b's [s/t].
+		{"/b[s/t]//p", "<b><s><t/><p/></s><s><t/></s><p/></b>", "<b><s><t/><p/></s><s/><p/></b>", []int{0}, 0},
 	}
 	for _, tc := range cases {
 		p, err := xpath.Parse(tc.query)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.query, err)
 		}
-		if got := maintain.DirtyDepth(p, tc.path); got != tc.want {
-			t.Errorf("DirtyDepth(%s, %v) = %d, want %d", tc.query, tc.path, got, tc.want)
+		for _, doc := range []struct {
+			name, xml string
+			want      int
+		}{{"with", tc.with, len(tc.r)}, {"without", tc.without, tc.lift}} {
+			tree, err := xmltree.ParseString(doc.xml)
+			if err != nil {
+				t.Fatalf("%s: %v", doc.xml, err)
+			}
+			r := tree.Root()
+			for _, i := range tc.r {
+				r = r.Children[i]
+			}
+			if got := maintain.DirtyDepth(p, r.Chain(), maintain.SubtreeLabels(r)); got != doc.want {
+				t.Errorf("DirtyDepth(%s, %s in %s [%s another witness]) = %d, want %d",
+					tc.query, r.Label, doc.xml, doc.name, got, doc.want)
+			}
 		}
 	}
 }

@@ -221,6 +221,17 @@ func (n *Node) LabelPath() []string {
 	return path
 }
 
+// Chain returns the nodes from the root down to n, inclusive.
+func (n *Node) Chain() []*Node {
+	depth := n.Depth()
+	chain := make([]*Node, depth+1)
+	for m := n; m != nil; m = m.Parent {
+		chain[depth] = m
+		depth--
+	}
+	return chain
+}
+
 // Attr returns the value of the named attribute and whether it is present.
 func (n *Node) Attr(name string) (string, bool) {
 	v, ok := n.Attributes[name]

@@ -20,6 +20,8 @@ import (
 
 	"xpathviews"
 	"xpathviews/internal/dewey"
+	"xpathviews/internal/faults"
+	"xpathviews/internal/maintain"
 	"xpathviews/internal/paperdata"
 	"xpathviews/internal/storage"
 	"xpathviews/internal/views"
@@ -615,4 +617,321 @@ func TestMaintainHammer(t *testing.T) {
 	// must equal a clean materialization of the (net-unchanged) document.
 	freshEqual(t, sys, "hammer-final")
 	answersAgree(t, sys, queries, "hammer-final")
+}
+
+// flipSchema lets every label of the property tests nest under every
+// other, so any generated subtree is a schema-valid insert anywhere.
+func flipSchema(labels []string) *dewey.FST {
+	schema := map[string][]string{"root": labels}
+	for _, l := range labels {
+		schema[l] = labels
+	}
+	return dewey.BuildFSTFromSchema("root", schema)
+}
+
+// TestDirtyRootRegimes scripts the two regimes of the data-aware dirty
+// root on one small document and reads them off the mutation's
+// counters: a mutation that adds a further witness, or removes one of
+// several, re-evaluates nothing beyond the mutated subtree; the one that
+// adds the first witness, or removes the last, re-reads the ancestor
+// whose predicate flipped — and the views change exactly then.
+func TestDirtyRootRegimes(t *testing.T) {
+	doc, err := xmltree.ParseString("<root><a><b/></a><c/><y/><q><y/></q></root>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := xpathviews.OpenWithFST(doc, flipSchema([]string{"a", "b", "c", "x", "y", "q"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"//*[.//x]/y", "//*[a/b]/c"} {
+		if _, err := sys.AddView(v, xpathviews.DefaultFragmentLimit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := func() int { return sys.Document().Size() }
+	a := dewey.Code{0, sys.Encoding().MustCode(doc.Root().Children[0])[1]}
+
+	// First x in the document: root's [.//x] flips, root/y enters.
+	before := size()
+	first, err := sys.InsertSubtree(a, "<x/>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshEqual(t, sys, "first x")
+	if first.FragmentsAdded != 1 || first.NodesScanned < before {
+		t.Fatalf("first witness: added %d fragments scanning %d nodes, want 1 fragment and a scan of the %d-node document",
+			first.FragmentsAdded, first.NodesScanned, before)
+	}
+	// Second x: every predicate already held.
+	second, err := sys.InsertSubtree(a, "<x/>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshEqual(t, sys, "second x")
+	if second.DirtyViews != 0 || second.ViewsScanned == 0 || second.NodesScanned != second.ViewsScanned*second.NodesAdded {
+		t.Fatalf("further witness: %d dirty views, %d views scanned %d nodes for a %d-node insert; want scans of the inserted subtree only",
+			second.DirtyViews, second.ViewsScanned, second.NodesScanned, second.NodesAdded)
+	}
+	// One x of two goes: nothing to re-evaluate at all.
+	del, err := sys.DeleteSubtree(second.Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshEqual(t, sys, "one x of two deleted")
+	if del.DirtyViews != 0 || del.ViewsScanned == 0 || del.NodesScanned != 0 {
+		t.Fatalf("one witness of two deleted: %d dirty views, %d nodes scanned; want none", del.DirtyViews, del.NodesScanned)
+	}
+	// The last x goes: root's predicate flips back, root/y leaves.
+	del, err = sys.DeleteSubtree(first.Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshEqual(t, sys, "last x deleted")
+	if del.FragmentsRemoved != 1 || del.NodesScanned < size() {
+		t.Fatalf("last witness deleted: removed %d fragments scanning %d nodes, want 1 fragment and a scan of the %d-node document",
+			del.FragmentsRemoved, del.NodesScanned, size())
+	}
+}
+
+// randomFlipView writes a random view over labels: one to three spine
+// steps, wildcards, and predicates that may nest, descend or test the
+// attribute k.
+func randomFlipView(rng *rand.Rand, labels []string) string {
+	label := func() string {
+		if rng.Intn(5) == 0 {
+			return "*"
+		}
+		return labels[rng.Intn(len(labels))]
+	}
+	var pred func(depth int) string
+	pred = func(depth int) string {
+		var b strings.Builder
+		if rng.Intn(3) == 0 {
+			b.WriteString(".//")
+		}
+		b.WriteString(label())
+		switch rng.Intn(4) {
+		case 0:
+			fmt.Fprintf(&b, `[@k="%d"]`, 1+rng.Intn(2))
+		case 1:
+			if depth > 0 {
+				fmt.Fprintf(&b, "[%s]", pred(depth-1))
+			}
+		case 2:
+			b.WriteString([]string{"/", "//"}[rng.Intn(2)] + label())
+		}
+		return b.String()
+	}
+	var b strings.Builder
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		b.WriteString([]string{"/", "//", "//"}[rng.Intn(3)])
+		if i == 0 && rng.Intn(3) == 0 {
+			b.WriteString("root")
+		} else {
+			b.WriteString(label())
+		}
+		for rng.Intn(5) < 2 {
+			fmt.Fprintf(&b, "[%s]", pred(1))
+		}
+	}
+	return b.String()
+}
+
+// TestDirtyRootProperty: random small documents × fixed and generated
+// views × random insert/delete scripts over arbitrary nodes. After every
+// single mutation each view must equal a fresh materialization; over the
+// run, inserts and deletes must each have hit both regimes — scope left
+// at the mutation root, scope lifted to an ancestor.
+func TestDirtyRootProperty(t *testing.T) {
+	labels := []string{"a", "b", "c", "x", "y", "p", "q"}
+	fst := flipSchema(labels)
+	fixed := []string{
+		"//*[a/b]/c",
+		"//*[.//x]/y",
+		"/root[p]//q",
+		"//a[b[c][.//x]]/y",
+		`//*[a[@k="1"]]/c`,
+		`//a[@k="2"][x]//y`,
+		"//p[q]//*[x]",
+		"//p//q",
+	}
+	var subtree func(rng *rand.Rand, b *strings.Builder, depth int)
+	subtree = func(rng *rand.Rand, b *strings.Builder, depth int) {
+		l := labels[rng.Intn(len(labels))]
+		fmt.Fprintf(b, "<%s", l)
+		if rng.Intn(3) == 0 {
+			fmt.Fprintf(b, ` k="%d"`, 1+rng.Intn(2))
+		}
+		b.WriteString(">")
+		for i := rng.Intn(3); depth > 0 && i > 0; i-- {
+			subtree(rng, b, depth-1)
+		}
+		fmt.Fprintf(b, "</%s>", l)
+	}
+	var insertStay, insertLift, deleteStay, deleteLift int
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var b strings.Builder
+		b.WriteString("<root>")
+		for i := 0; i < 6; i++ {
+			subtree(rng, &b, 3)
+		}
+		b.WriteString("</root>")
+		doc, err := xmltree.ParseString(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := xpathviews.OpenWithFST(doc, fst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range fixed {
+			if _, err := sys.AddView(v, 0); err != nil {
+				t.Fatalf("seed %d: view %s: %v", seed, v, err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			v := randomFlipView(rng, labels)
+			if _, err := sys.AddView(v, 0); err != nil {
+				t.Fatalf("seed %d: view %s: %v", seed, v, err)
+			}
+		}
+		freshEqual(t, sys, fmt.Sprintf("seed %d", seed))
+		for step := 0; step < 40; step++ {
+			nodes := sys.Document().Nodes()
+			target := nodes[rng.Intn(len(nodes))]
+			code := sys.Encoding().MustCode(target).Clone()
+			tag := fmt.Sprintf("seed %d step %d", seed, step)
+			if target == sys.Document().Root() || len(nodes) < 30 || rng.Intn(2) == 0 {
+				var sub strings.Builder
+				subtree(rng, &sub, 2)
+				res, err := sys.InsertSubtree(code, sub.String())
+				if err != nil {
+					t.Fatalf("%s: insert %s under %s: %v", tag, sub.String(), code, err)
+				}
+				if res.NodesScanned > res.ViewsScanned*res.NodesAdded {
+					insertLift++
+				} else {
+					insertStay++
+				}
+				tag += " insert " + sub.String() + " under " + code.String()
+			} else {
+				res, err := sys.DeleteSubtree(code)
+				if err != nil {
+					t.Fatalf("%s: delete %s: %v", tag, code, err)
+				}
+				if res.NodesScanned > 0 {
+					deleteLift++
+				} else {
+					deleteStay++
+				}
+				tag += " delete " + code.String()
+			}
+			freshEqual(t, sys, tag)
+		}
+	}
+	t.Logf("inserts: %d stayed at the mutation root, %d lifted; deletes: %d stayed, %d lifted",
+		insertStay, insertLift, deleteStay, deleteLift)
+	if insertStay == 0 || insertLift == 0 || deleteStay == 0 || deleteLift == 0 {
+		t.Fatalf("a regime never occurred: inserts stay/lift %d/%d, deletes stay/lift %d/%d",
+			insertStay, insertLift, deleteStay, deleteLift)
+	}
+}
+
+// TestFaultedDeleteLeavesNoTrace: a delete reads the doomed subtree to
+// find the dirty roots before it detaches anything, and the
+// maintain.apply fault fires after that read. The delete below would
+// lift a dirty root (s3's only title goes, so //s[t]/p loses s3's
+// paragraph); faulted, it must leave document, codes, views and
+// generations exactly as an untouched twin's, and succeed once disarmed.
+func TestFaultedDeleteLeavesNoTrace(t *testing.T) {
+	for _, mode := range []faults.Mode{faults.Error, faults.Panic} {
+		sys, twin := chaosSystem(t), chaosSystem(t)
+		title := dewey.Code{0, 8, 6, 0}
+		if n, ok := maintain.ResolveCode(sys.Document(), sys.Encoding(), title); !ok || n.Label != paperdata.Title {
+			t.Fatalf("fixture drifted: %s is not s3's title", title)
+		}
+		gens := func(s *xpathviews.System) []uint64 {
+			var out []uint64
+			for _, v := range s.Registry().Views() {
+				out = append(out, v.Gen)
+			}
+			return out
+		}
+		faults.Arm("maintain.apply", mode)
+		_, err := sys.DeleteSubtree(title)
+		faults.DisarmAll()
+		if !errors.Is(err, xpathviews.ErrInternal) {
+			t.Fatalf("mode %v: faulted delete returned %v, want ErrInternal", mode, err)
+		}
+		sameState(t, sys, twin, "after faulted delete")
+		freshEqual(t, sys, "after faulted delete")
+		if !slices.Equal(gens(sys), gens(twin)) {
+			t.Fatalf("mode %v: generations moved: %v vs %v", mode, gens(sys), gens(twin))
+		}
+		if sys.Encoding().Len() != twin.Encoding().Len() {
+			t.Fatalf("mode %v: encoding lost codes: %d vs %d", mode, sys.Encoding().Len(), twin.Encoding().Len())
+		}
+		answersAgree(t, sys, []string{paperdata.QueryE, "//s[t]/p"}, "after faulted delete")
+
+		res, err := sys.DeleteSubtree(title)
+		if err != nil {
+			t.Fatalf("mode %v: disarmed delete: %v", mode, err)
+		}
+		if res.FragmentsRemoved == 0 || res.NodesScanned == 0 {
+			t.Fatalf("mode %v: delete of s3's only title removed %d fragments scanning %d nodes; want a lifted dirty root",
+				mode, res.FragmentsRemoved, res.NodesScanned)
+		}
+		freshEqual(t, sys, "after disarmed delete")
+	}
+}
+
+// TestMaintainScanObservability: the scan counters of a mutation reach
+// all three surfaces — MaintainResult, the maintain span's attributes
+// and the nodes-scanned counter — and an insert whose payload does not
+// parse is turned away before it is even addressed (it never takes the
+// write lock), counted as a failed mutation, with nothing changed.
+func TestMaintainScanObservability(t *testing.T) {
+	sys, twin := chaosSystem(t), chaosSystem(t)
+	reg := xpathviews.NewMetricsRegistry()
+	sys.SetMetricsRegistry(reg)
+
+	tr := xpathviews.NewTrace()
+	res, err := sys.InsertSubtreeOpts(dewey.Code{0, 8}, "<s><t/><p/></s>", xpathviews.MutateOptions{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ViewsScanned == 0 || res.NodesScanned < res.ViewsScanned*res.NodesAdded {
+		t.Fatalf("insert scanned %d views / %d nodes for a %d-node subtree", res.ViewsScanned, res.NodesScanned, res.NodesAdded)
+	}
+	var span *xpathviews.Span
+	for _, c := range tr.Root().Children() {
+		if c.Name() == "maintain" {
+			span = c
+		}
+	}
+	if span == nil {
+		t.Fatal("mutation trace has no maintain span")
+	}
+	for key, want := range map[string]int{"views_scanned": res.ViewsScanned, "nodes_scanned": res.NodesScanned} {
+		if got, ok := span.Attr(key); !ok || got != want {
+			t.Fatalf("maintain span %s = %v (present %v), want %d", key, got, ok, want)
+		}
+	}
+	if got := counterVal(reg, "xpv_maintain_nodes_scanned_total"); got != int64(res.NodesScanned) {
+		t.Fatalf("xpv_maintain_nodes_scanned_total = %d, want %d", got, res.NodesScanned)
+	}
+	if _, err := sys.DeleteSubtree(res.Code); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = sys.InsertSubtree(dewey.Code{0, 99, 99}, "<s><t></s>")
+	if err == nil || errors.Is(err, xpathviews.ErrNoSuchNode) {
+		t.Fatalf("malformed insert under a missing parent returned %v, want the parse error first", err)
+	}
+	if got := counterVal(reg, "xpv_maintain_errors_total"); got != 1 {
+		t.Fatalf("xpv_maintain_errors_total = %d, want 1", got)
+	}
+	sameState(t, sys, twin, "after insert, delete and a rejected insert")
 }

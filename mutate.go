@@ -6,16 +6,22 @@ package xpathviews
 // same RWMutex the view-set mutations use — and maintain every
 // materialized view incrementally:
 //
-//  1. The structural change is validated (schema, addressing) before any
+//  1. The structural change is validated (well-formedness before the
+//     write lock is taken; schema and addressing under it) before any
 //     state mutates, so a failed mutation has no side effects; the chaos
-//     point maintain.apply fires at the same boundary.
+//     point maintain.apply fires last, at the point of no return.
 //  2. Inserted nodes get gap-allocated extended Dewey codes: existing
 //     codes never shift, and allocation is deterministic from live state
 //     so WAL replay reproduces identical codes.
 //  3. Per view, the dirty root (maintain.DirtyDepth) bounds where
-//     answers can change; the pattern is re-evaluated only inside that
-//     subtree and the result spliced over the matching code-prefix range
-//     of the fragment store, preserving document order.
+//     answers can change: the mutation root, unless a predicate of the
+//     view on the root's ancestor chain holds with the mutated subtree
+//     and fails without it — then that ancestor. Both documents are read
+//     from the tree that has the subtree attached, so an insert computes
+//     the dirty roots after its graft and a delete before its detach.
+//     The pattern is re-evaluated only inside the dirty root's subtree
+//     and the result spliced over the matching code-prefix range of the
+//     fragment store, preserving document order.
 //  4. Plan invalidation is scoped: a maintenance pass that changes a
 //     view's fragments bumps that view's generation, and cached plans
 //     record the (view, generation) pairs they cover — only plans
@@ -71,6 +77,12 @@ type MaintainResult struct {
 	// ViewsChecked counts live views inspected; DirtyViews those whose
 	// fragment stores actually changed.
 	ViewsChecked, DirtyViews int
+	// ViewsScanned counts views whose pattern was re-evaluated over its
+	// dirty scope; NodesScanned sums the document nodes those
+	// re-evaluations visited. A mutation that lifts no dirty root scans
+	// the mutated subtree once per scanned view (nothing on a delete);
+	// a larger figure names a view that re-read part of the document.
+	ViewsScanned, NodesScanned int
 	// FragmentsAdded/FragmentsRemoved count membership changes across all
 	// views; FragmentsRefreshed counts fragments re-copied because their
 	// content contained the mutation point.
@@ -94,11 +106,27 @@ func (s *System) InsertSubtree(parentCode dewey.Code, xml string) (*MaintainResu
 // InsertSubtreeOpts is InsertSubtree with observability options.
 func (s *System) InsertSubtreeOpts(parentCode dewey.Code, xml string, opts MutateOptions) (*MaintainResult, error) {
 	co, t0 := s.startMutObs(opts)
+	// Parsing needs no state: a malformed payload is rejected, and a
+	// large one paid for, before readers are locked out.
+	sub, err := parseSubtree(xml)
+	if err != nil {
+		s.finishMaintain(co, t0, "insert", parentCode, nil, err)
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.insertLocked(parentCode, xml, co, true)
+	res, err := s.insertLocked(parentCode, sub, xml, co, true)
 	s.finishMaintain(co, t0, "insert", parentCode, res, err)
 	return res, err
+}
+
+// parseSubtree parses an insert's payload into a detached subtree.
+func parseSubtree(xml string) (*xmltree.Node, error) {
+	sub, err := xmltree.ParseString(xml)
+	if err != nil {
+		return nil, fmt.Errorf("xpathviews: insert: %w", err)
+	}
+	return sub.Root(), nil
 }
 
 // DeleteSubtree detaches the subtree rooted at the node addressed by
@@ -184,7 +212,10 @@ func (s *System) AttachWAL(st *storage.Store) (int, error) {
 		}
 		switch rec.Op {
 		case maintain.OpInsert:
-			_, err = s.insertLocked(rec.Code, rec.XML, callObs{}, false)
+			var sub *xmltree.Node
+			if sub, err = parseSubtree(rec.XML); err == nil {
+				_, err = s.insertLocked(rec.Code, sub, rec.XML, callObs{}, false)
+			}
 		case maintain.OpDelete:
 			_, err = s.deleteLocked(rec.Code, callObs{}, false)
 		}
@@ -211,14 +242,15 @@ func (s *System) DetachWAL() *storage.Store {
 	return st
 }
 
-// insertLocked applies one insert under the write lock, optionally
-// logging it. Panics and injected faults inside the apply are contained
-// as *InternalError; the fault point fires before any state changes.
-func (s *System) insertLocked(parentCode dewey.Code, xml string, co callObs, logWAL bool) (*MaintainResult, error) {
+// insertLocked applies one insert (sub parsed from xml) under the write
+// lock, optionally logging it. Panics and injected faults inside the
+// apply are contained as *InternalError; the fault point fires before
+// any state changes.
+func (s *System) insertLocked(parentCode dewey.Code, sub *xmltree.Node, xml string, co callObs, logWAL bool) (*MaintainResult, error) {
 	res := &MaintainResult{Op: "insert"}
 	sp := co.child("apply")
 	_, err := runStage("maintain.apply", func() (struct{}, error) {
-		return struct{}{}, s.applyInsertLocked(parentCode, xml, res, co)
+		return struct{}{}, s.applyInsertLocked(parentCode, sub, res, co)
 	})
 	if sp != nil {
 		sp.SetAttr("op", "insert")
@@ -288,19 +320,11 @@ func (s *System) logMutation(rec maintain.Record, res *MaintainResult, co callOb
 
 // applyInsertLocked does the structural insert: validate, graft, encode,
 // index, then maintain views. Validation precedes every state change.
-func (s *System) applyInsertLocked(parentCode dewey.Code, xml string, res *MaintainResult, co callObs) error {
-	if err := maintain.FaultApply.Fire(); err != nil {
-		return err
-	}
+func (s *System) applyInsertLocked(parentCode dewey.Code, subRoot *xmltree.Node, res *MaintainResult, co callObs) error {
 	parent, ok := maintain.ResolveCode(s.doc, s.enc, parentCode)
 	if !ok {
 		return fmt.Errorf("%w: parent %s", maintain.ErrNoSuchNode, parentCode)
 	}
-	sub, err := xmltree.ParseString(xml)
-	if err != nil {
-		return fmt.Errorf("xpathviews: insert: %w", err)
-	}
-	subRoot := sub.Root()
 	if err := maintain.ValidateSubtree(s.fst, parent.Label, subRoot); err != nil {
 		return err
 	}
@@ -312,6 +336,9 @@ func (s *System) applyInsertLocked(parentCode dewey.Code, xml string, res *Maint
 		return err
 	}
 	pos := maintain.ChildPos(s.enc, parent, probe[len(probe)-1])
+	if err := maintain.FaultApply.Fire(); err != nil {
+		return err
+	}
 	// Point of no return: everything below is infallible by construction
 	// (EncodeSubtree cannot fail on a validated subtree).
 	s.doc.GraftAt(parent, subRoot, pos)
@@ -324,15 +351,16 @@ func (s *System) applyInsertLocked(parentCode dewey.Code, xml string, res *Maint
 	s.resetEvalLocked()
 	res.Code = rootCode.Clone()
 	res.NodesAdded = added
-	return s.maintainViewsLocked(rootCode, subRoot.LabelPath(), maintain.SubtreeLabels(subRoot), res, co)
+	// The dirty roots compare the document with and without the new
+	// subtree; with it grafted, this tree holds both.
+	chain := subRoot.Chain()
+	mutLabels := maintain.SubtreeLabels(subRoot)
+	return s.maintainViewsLocked(rootCode, chain, s.dirtyDepthsLocked(chain, mutLabels), mutLabels, res, co)
 }
 
-// applyDeleteLocked does the structural delete: resolve, detach,
-// unindex, forget codes, then maintain views.
+// applyDeleteLocked does the structural delete: resolve, find the dirty
+// roots, detach, unindex, forget codes, then maintain views.
 func (s *System) applyDeleteLocked(code dewey.Code, res *MaintainResult, co callObs) error {
-	if err := maintain.FaultApply.Fire(); err != nil {
-		return err
-	}
 	n, ok := maintain.ResolveCode(s.doc, s.enc, code)
 	if !ok {
 		return fmt.Errorf("%w: %s", maintain.ErrNoSuchNode, code)
@@ -340,11 +368,16 @@ func (s *System) applyDeleteLocked(code dewey.Code, res *MaintainResult, co call
 	if n == s.doc.Root() {
 		return fmt.Errorf("xpathviews: cannot delete the document root")
 	}
-	// The label path and subtree labels must be captured before the node
-	// detaches; the dirty-root computation needs the pre-mutation chain.
-	path := n.LabelPath()
+	// Everything that reads the doomed subtree happens before it
+	// detaches: whether a predicate above it loses its last witness can
+	// only be asked while the witness is still there.
+	chain := n.Chain()
 	mutLabels := maintain.SubtreeLabels(n)
+	depths := s.dirtyDepthsLocked(chain, mutLabels)
 	removed := n.SubtreeSize()
+	if err := maintain.FaultApply.Fire(); err != nil {
+		return err
+	}
 	if err := s.doc.Detach(n); err != nil {
 		return fmt.Errorf("xpathviews: delete: %w", err)
 	}
@@ -353,28 +386,41 @@ func (s *System) applyDeleteLocked(code dewey.Code, res *MaintainResult, co call
 	s.resetEvalLocked()
 	res.Code = code.Clone()
 	res.NodesRemoved = removed
-	return s.maintainViewsLocked(code, path, mutLabels, res, co)
+	// A view whose dirty root is the deleted subtree itself has nothing
+	// left to re-evaluate: its scope's prefix range just empties.
+	chain[len(chain)-1] = nil
+	return s.maintainViewsLocked(code, chain, depths, mutLabels, res, co)
+}
+
+// dirtyDepthsLocked computes every live view's dirty depth for a
+// mutation rooted at the last node of chain, aligned with
+// registry.Views(). It only reads, and must run while the mutated
+// subtree is attached.
+func (s *System) dirtyDepthsLocked(chain []*xmltree.Node, mutLabels map[string]struct{}) []int {
+	vs := s.registry.Views()
+	depths := make([]int, len(vs))
+	for i, v := range vs {
+		depths[i] = maintain.DirtyDepth(v.Pattern, chain, mutLabels)
+	}
+	return depths
 }
 
 // maintainViewsLocked runs the per-view delta pass for a mutation rooted
-// at mutCode (path is the mutation root's pre-mutation label path) and
-// applies the configured plan-invalidation policy.
-func (s *System) maintainViewsLocked(mutCode dewey.Code, path []string, mutLabels map[string]struct{}, res *MaintainResult, co callObs) error {
+// at mutCode and applies the configured plan-invalidation policy. chain
+// is the post-mutation root-to-mutation-root node chain (its last entry
+// nil after a delete) and depths[i] the dirty depth of registry.Views()[i]
+// along it.
+func (s *System) maintainViewsLocked(mutCode dewey.Code, chain []*xmltree.Node, depths []int, mutLabels map[string]struct{}, res *MaintainResult, co callObs) error {
 	sp := co.child("maintain")
-	// Views sharing a dirty depth share the resolved scope node; a nil
-	// scope (the deleted root itself) is cached too.
-	scopeCache := make(map[int]*xmltree.Node)
 	vstats := s.vstats.Load()
-	for _, v := range s.registry.Views() {
+	for i, v := range s.registry.Views() {
 		res.ViewsChecked++
-		depth := maintain.DirtyDepth(v.Pattern, path)
-		scopeCode := mutCode[:depth+1]
-		scope, cached := scopeCache[depth]
-		if !cached {
-			scope, _ = maintain.ResolveCode(s.doc, s.enc, scopeCode)
-			scopeCache[depth] = scope
+		depth := depths[i]
+		st, err := maintain.ApplyDelta(v, s.doc, s.enc, chain[depth], mutCode[:depth+1], mutCode, mutLabels)
+		if st.Scanned {
+			res.ViewsScanned++
+			res.NodesScanned += st.NodesScanned
 		}
-		st, err := maintain.ApplyDelta(v, s.doc, s.enc, scope, scopeCode, mutCode, mutLabels)
 		if err != nil {
 			if sp != nil {
 				sp.Err(err)
@@ -410,6 +456,8 @@ func (s *System) maintainViewsLocked(mutCode dewey.Code, path []string, mutLabel
 		sp.SetAttr("fragments_added", res.FragmentsAdded)
 		sp.SetAttr("fragments_removed", res.FragmentsRemoved)
 		sp.SetAttr("fragments_refreshed", res.FragmentsRefreshed)
+		sp.SetAttr("views_scanned", res.ViewsScanned)
+		sp.SetAttr("nodes_scanned", res.NodesScanned)
 		sp.End()
 	}
 	return nil
@@ -465,6 +513,7 @@ func (s *System) finishMaintain(co callObs, t0 time.Time, op string, code dewey.
 			m.maintainDirty.Add(int64(res.DirtyViews))
 			m.maintainFragsAdd.Add(int64(res.FragmentsAdded))
 			m.maintainFragsDel.Add(int64(res.FragmentsRemoved))
+			m.maintainNodes.Add(int64(res.NodesScanned))
 		}
 	}
 	if th := s.slow.Threshold(); th > 0 && total >= th {

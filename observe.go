@@ -101,6 +101,7 @@ type servingMetrics struct {
 	maintainDirty    *telemetry.Counter // xpv_maintain_dirty_views_total
 	maintainFragsAdd *telemetry.Counter // xpv_maintain_fragments_added_total
 	maintainFragsDel *telemetry.Counter // xpv_maintain_fragments_removed_total
+	maintainNodes    *telemetry.Counter // xpv_maintain_nodes_scanned_total
 
 	latTotal   *telemetry.Histogram // xpv_answer_ns
 	latParse   *telemetry.Histogram // xpv_parse_ns
@@ -183,6 +184,7 @@ func labeledMetricsFor(reg *telemetry.Registry, tenant string) *servingMetrics {
 		maintainDirty:    reg.Counter(name("xpv_maintain_dirty_views_total")),
 		maintainFragsAdd: reg.Counter(name("xpv_maintain_fragments_added_total")),
 		maintainFragsDel: reg.Counter(name("xpv_maintain_fragments_removed_total")),
+		maintainNodes:    reg.Counter(name("xpv_maintain_nodes_scanned_total")),
 
 		latTotal:    reg.Histogram(name("xpv_answer_ns")),
 		latParse:    reg.Histogram(name("xpv_parse_ns")),
