@@ -25,8 +25,13 @@ vet:
 test:
 	$(GO) test ./...
 
+# race runs the whole suite under the race detector, then the rewrite-
+# memo tests (concurrent first executions of one plan, hits interleaved
+# with mutations) ten more times: a publication race shows up in a few
+# schedules, not in every one.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestMemo' . ./internal/rewrite
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/xpath

@@ -57,10 +57,6 @@ func runJoin(w io.Writer, quick bool) error {
 	if err != nil {
 		return err
 	}
-	jp, err := rewrite.PlanJoin(q, sel.Covers)
-	if err != nil {
-		return err
-	}
 
 	fmt.Fprintf(w, "%-12s %10s %10s %10s %10s %10s %8s\n",
 		"mode", "total/op", "refine", "join", "build", "extract", "workers")
@@ -72,8 +68,10 @@ func runJoin(w io.Writer, quick bool) error {
 		joinWorkers := 1
 		start := time.Now()
 		for i := 0; i < iters; i++ {
+			// No Plan: a reused one would remember the Δ-list after the
+			// first iteration and the loop would time extraction alone.
 			r, err := rewrite.ExecuteOptions(q, sel, fst, nil,
-				rewrite.Options{MaxWorkers: mode.workers, Plan: jp})
+				rewrite.Options{MaxWorkers: mode.workers})
 			if err != nil {
 				return err
 			}

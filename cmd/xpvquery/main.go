@@ -180,9 +180,9 @@ func dumpObs(sys *xpathviews.System, slowlog time.Duration, metrics, viewstats b
 		entries := sys.SlowQueries()
 		fmt.Printf("\nslow queries (>= %v): %d\n", slowlog, len(entries))
 		for _, e := range entries {
-			fmt.Printf("  %v  %s  strategy=%s total=%v parse=%v filter=%v select=%v rewrite=%v cache_hit=%t",
+			fmt.Printf("  %v  %s  strategy=%s total=%v parse=%v filter=%v select=%v rewrite=%v cache_hit=%t memo=%t",
 				e.Time.Format("15:04:05.000"), e.Query, e.Strategy,
-				e.Total, e.Parse, e.Filter, e.Select, e.Rewrite, e.CacheHit)
+				e.Total, e.Parse, e.Filter, e.Select, e.Rewrite, e.CacheHit, e.Memo)
 			if len(e.Views) > 0 {
 				fmt.Printf(" views=%v", e.Views)
 			}

@@ -127,6 +127,10 @@ type Explanation struct {
 	Selected   []ExplainCover `json:"selected_views,omitempty"`
 	// Homs counts homomorphism computations during selection.
 	Homs int `json:"homs_computed,omitempty"`
+	// Memo is "hit" when the rewrite skipped refine + join on the plan's
+	// remembered Δ-list, "miss" when it ran them; empty when no rewrite
+	// ran.
+	Memo string `json:"memo,omitempty"`
 	// Stages lists per-stage wall time. On a plan-cache hit, filter and
 	// select show what the cached plan originally cost to compute.
 	Stages []ExplainStage `json:"stages"`
@@ -184,6 +188,7 @@ func (s *System) ExplainContext(ctx context.Context, src string, opts Options) (
 		ex.TotalNanos = res.TotalNanos
 		ex.Stages = append(ex.Stages, ExplainStage{"parse", res.ParseNanos})
 		if sink.havePlan {
+			ex.Memo = cacheLabel(res.Memo, true)
 			ex.Stages = append(ex.Stages,
 				ExplainStage{"filter", sink.filterNanos},
 				ExplainStage{"select", sink.selectNanos},
@@ -228,6 +233,9 @@ func (e *Explanation) Text() string {
 			}
 			b.WriteByte('\n')
 		}
+	}
+	if e.Memo != "" {
+		fmt.Fprintf(&b, "memo:     %s\n", e.Memo)
 	}
 	fmt.Fprintf(&b, "answers:  %d\n", e.Answers)
 	if len(e.Stages) > 0 {

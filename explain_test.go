@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"regexp"
 	"sort"
+	"strings"
 	"testing"
 
 	"xpathviews"
@@ -36,6 +37,7 @@ views:    N survived filtering
 selected: N views, N homomorphisms
   vN: //s[p]/f — lands on f, covers {i, p}
   vN: //s[t]/p — lands on p, covers {Δ, p, t}
+memo:     miss
 answers:  N
 stages:
   parse    DUR
@@ -52,7 +54,7 @@ trace:
   ├─ plan DUR cache=miss negative=false candidates=N
   │  ├─ vfilter DUR views=N candidates=N query_paths=N
   │  └─ select DUR algo=selection.heuristic candidates=N covers=N leaves_covered=N homs=N
-  ├─ rewrite DUR views=N fragments_scanned=N
+  ├─ rewrite DUR views=N memo=miss fragments_scanned=N
   │  ├─ refine DUR workers=N
   │  ├─ join DUR fragments_joined=N workers=N
   │  └─ extract DUR workers=N
@@ -139,6 +141,9 @@ func TestExplainHit(t *testing.T) {
 	}
 	if ex.PlanCache != "hit" {
 		t.Fatalf("plan cache = %q, want hit", ex.PlanCache)
+	}
+	if ex.Memo != "hit" || !strings.Contains(ex.Text(), "\nmemo:     hit\n") || !strings.Contains(ex.Trace, "memo=hit") {
+		t.Fatalf("hit explain does not say the memo answered: memo=%q\n%s", ex.Memo, ex.Text())
 	}
 	for _, st := range ex.Stages {
 		switch st.Name {

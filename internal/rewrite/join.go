@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,11 +22,15 @@ import (
 // plan cache and every query that hits the plan skips the skeleton
 // rebuild (and its per-query map) entirely.
 type JoinPlan struct {
-	// q is the pattern the skeleton was computed against; ExecuteOptions
-	// recomputes the plan if handed a different pattern object (covers
-	// index into q's nodes, so identity is the correctness condition).
+	// q and covers are what the skeleton was computed against;
+	// ExecuteOptions recomputes the plan if handed a different pattern or
+	// cover object (covers index into q's nodes, and memo — the plan's one
+	// data-dependent part — into the Δ-cover's view: identity is the
+	// correctness condition).
 	q        *pattern.Pattern
+	covers   []*selection.Cover
 	deltaIdx int
+	memo     atomic.Pointer[deltaMemo]
 
 	rootIdx int
 	labels  []string       // query node labels by index
@@ -44,6 +49,69 @@ type JoinPlan struct {
 type pinRef struct {
 	y int32 // query-node index of Pin.Y
 	k int32 // Pin.K
+}
+
+// deltaMemo is the outcome of stages 1–3 for one JoinPlan, a pure
+// function of the plan and the covered views' fragments: while every view
+// is at the generation recorded here, an execution goes straight to
+// extraction. idx holds indices into the Δ-view's Fragments, not fragment
+// pointers, so a memo nobody reads again pins no fragment array that
+// maintenance has since replaced; it is nil when some view refined to
+// nothing (no answers, no stage 3), non-nil and possibly empty otherwise.
+// Answers are not remembered: extraction is §V's per-query residual and
+// callers own what it returns.
+type deltaMemo struct {
+	gens []uint64 // covers[i].View.Gen when idx was computed
+	idx  []int32
+}
+
+// plans reports whether p is the skeleton of exactly this pattern and
+// these cover objects. A nil plan plans nothing.
+func (p *JoinPlan) plans(q *pattern.Pattern, covers []*selection.Cover) bool {
+	return p != nil && p.q == q && slices.Equal(p.covers, covers)
+}
+
+// memoized returns the remembered Δ-list if every covered view is still
+// at the generation it was computed from. Maintenance bumps View.Gen and
+// executions read it under the two sides of the owning System's lock.
+func (p *JoinPlan) memoized() *deltaMemo {
+	m := p.memo.Load()
+	if m == nil {
+		return nil
+	}
+	for i, c := range p.covers {
+		if c.View.Gen != m.gens[i] {
+			return nil
+		}
+	}
+	return m
+}
+
+// remember wraps a freshly computed Δ-list and, on a caller-supplied plan
+// (publish), leaves it there for later executions; concurrent first
+// executions each store an equal memo and the last wins.
+func (p *JoinPlan) remember(idx []int32, publish bool) *deltaMemo {
+	m := &deltaMemo{idx: idx}
+	if publish {
+		m.gens = make([]uint64, len(p.covers))
+		for i, c := range p.covers {
+			m.gens[i] = c.View.Gen
+		}
+		p.memo.Store(m)
+	}
+	return m
+}
+
+// fragIndices maps frags — pointers into v.Fragments, in fragment order,
+// as refinement and the join produce them — to their indices.
+func fragIndices(v *views.View, frags []*views.Fragment) []int32 {
+	idx := make([]int32, 0, len(frags))
+	for i := 0; len(idx) < len(frags); i++ {
+		if &v.Fragments[i] == frags[len(idx)] {
+			idx = append(idx, int32(i))
+		}
+	}
+	return idx
 }
 
 // DeltaIndex exposes the chosen Δ-view's position in the selection's
@@ -66,6 +134,7 @@ func PlanJoin(q *pattern.Pattern, covers []*selection.Cover) (*JoinPlan, error) 
 	}
 	p := &JoinPlan{
 		q:         q,
+		covers:    append([]*selection.Cover(nil), covers...),
 		deltaIdx:  deltaIdx,
 		rootIdx:   idx[q.Root],
 		labels:    make([]string, n),

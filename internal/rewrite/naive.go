@@ -41,19 +41,14 @@ func ExecuteNaive(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) 
 		}
 	}
 
-	var joined []*views.Fragment
+	dfrags := refined[deltaIdx].frags
+	joins := make([]bool, len(dfrags)) // by position in the Δ-view's refined list
 	tuple := make([]int, len(covers))
-	seen := make(map[string]bool)
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(covers) {
 			if tupleJoins(jp, refined, tuple, fst) {
-				f := refined[deltaIdx].frags[tuple[deltaIdx]]
-				key := f.Code.String()
-				if !seen[key] {
-					seen[key] = true
-					joined = append(joined, f)
-				}
+				joins[tuple[deltaIdx]] = true
 			}
 			return
 		}
@@ -63,8 +58,14 @@ func ExecuteNaive(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) 
 		}
 	}
 	rec(0)
+	var joined []*views.Fragment
+	for fi, ok := range joins {
+		if ok {
+			joined = append(joined, dfrags[fi])
+		}
+	}
 	res.FragmentsJoined = len(joined)
-	if err := extract(q, covers[deltaIdx], joined, res, nil, 1); err != nil {
+	if err := extract(q, covers[deltaIdx], fragIndices(covers[deltaIdx].View, joined), res, nil, 1); err != nil {
 		return nil, err
 	}
 	return res, nil

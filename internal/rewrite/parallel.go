@@ -36,8 +36,11 @@ type Options struct {
 	MaxWorkers int
 	// Plan, when non-nil, supplies a precomputed join skeleton for
 	// exactly this call's (pattern, covers) pair — the serving layer
-	// caches one per query plan. A mismatched or nil Plan is recomputed
-	// on the fly, so passing it is purely an optimization.
+	// caches one per query plan. The first call through a Plan leaves the
+	// Δ-list of stages 1–3 on it; later calls, while no covered view's
+	// Gen has moved, go straight to extraction (Result.Memo). A
+	// mismatched or nil Plan is recomputed on the fly and remembers
+	// nothing, so passing it is purely an optimization.
 	Plan *JoinPlan
 }
 

@@ -56,6 +56,9 @@ type Answer struct {
 // Result is the outcome of rewriting.
 type Result struct {
 	Answers []Answer
+	// Memo reports that the Δ-list came from the caller's JoinPlan: stages
+	// 1–3 did not run, and their counters and times below stay zero.
+	Memo bool
 	// Stats for benchmarking/ablation.
 	FragmentsScanned int
 	FragmentsJoined  int
@@ -139,7 +142,9 @@ func ExecuteBudget(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST,
 // stage 4 fan out across a bounded worker pool (see Options.MaxWorkers),
 // sharing the (atomically charged) budget. Results are identical to the
 // sequential path — answers are merged in deterministic order and sorted
-// by extended Dewey code either way.
+// by extended Dewey code either way. A caller-supplied Options.Plan that
+// remembers the Δ-list skips stages 1–3 and their budget steps
+// (Result.Memo); extraction and every check between the stages still run.
 func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST, b *budget.B, opt Options) (*Result, error) {
 	if len(sel.Covers) == 0 {
 		return nil, fmt.Errorf("rewrite: empty selection")
@@ -153,42 +158,59 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 	// Options and skips the rebuild. Identity with this call's pattern
 	// and covers is the correctness condition — on mismatch, recompute.
 	jp := opt.Plan
-	if jp == nil || jp.q != q || len(jp.pins) != len(covers) {
+	if !jp.plans(q, covers) {
 		var err error
 		if jp, err = PlanJoin(q, covers); err != nil {
 			return nil, err
 		}
 	}
+	publish := jp == opt.Plan // a plan built here dies here: nothing to leave on it
 	deltaIdx := jp.deltaIdx
+	dc := covers[deltaIdx]
 	res := &Result{}
 
-	// Stage 1+2: refine fragments and filter by decoded root paths, one
-	// worker per view; any view refining to zero fragments cancels the
-	// others early (the query's answer is certainly empty).
+	// A caller's plan remembers the Δ-list stages 1–3 last produced for it
+	// (deltaMemo): while every cover is at the generation the list was
+	// computed from, m is that list and the stages' work below is skipped.
+	// Their fault points and seam checks are not — a hit fails and cancels
+	// exactly where a miss would.
 	if err := fpRefine.Fire(); err != nil {
 		return nil, err
 	}
-	refined := make([]refinedView, len(covers))
-	defer releaseRefined(refined)
-	refWorkers := opt.workersFor(len(covers))
-	if sel.TotalFragments() < minParallelFrags {
-		refWorkers = 1 // too little scan work to pay for the fan-out
-	}
-	res.RefineWorkers = refWorkers
-	stage := time.Now()
-	empty, err := refineAll(q, covers, fst, refined, b, refWorkers)
-	res.RefineNanos = int64(time.Since(stage))
-	for i := range refined {
-		res.FragmentsScanned += refined[i].scanned
-		if i < AttrMaxViews {
-			res.ViewScanned[i] = int32(refined[i].scanned)
-			res.ViewKept[i] = int32(len(refined[i].frags))
+	m := jp.memoized()
+	res.Memo = m != nil
+	var refined []refinedView
+	var joined []*views.Fragment // the Δ-view fragments that reach stage 4
+	if m == nil {
+		// Stage 1+2: refine fragments and filter by decoded root paths, one
+		// worker per view; any view refining to zero fragments cancels the
+		// others early (the query's answer is certainly empty).
+		refined = make([]refinedView, len(covers))
+		defer releaseRefined(refined)
+		refWorkers := opt.workersFor(len(covers))
+		if sel.TotalFragments() < minParallelFrags {
+			refWorkers = 1 // too little scan work to pay for the fan-out
 		}
+		res.RefineWorkers = refWorkers
+		stage := time.Now()
+		empty, err := refineAll(q, covers, fst, refined, b, refWorkers)
+		res.RefineNanos = int64(time.Since(stage))
+		for i := range refined {
+			res.FragmentsScanned += refined[i].scanned
+			if i < AttrMaxViews {
+				res.ViewScanned[i] = int32(refined[i].scanned)
+				res.ViewKept[i] = int32(len(refined[i].frags))
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		if empty {
+			m = jp.remember(nil, publish)
+		}
+		joined = refined[deltaIdx].frags
 	}
-	if err != nil {
-		return nil, err
-	}
-	if empty {
+	if m != nil && m.idx == nil {
 		return res, nil // some view contributes nothing → empty result
 	}
 
@@ -199,65 +221,65 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 		return nil, err
 	}
 
-	// Fast path: a strong Δ-cover answers alone (condition 3, §IV-A).
-	dc := covers[deltaIdx]
-	if dc.Strong && len(covers) == 1 {
-		stage = time.Now()
-		res.ExtractWorkers = opt.workersFor(len(refined[deltaIdx].frags))
-		err := extract(q, dc, refined[deltaIdx].frags, res, b, res.ExtractWorkers)
-		res.ExtractNanos = int64(time.Since(stage))
-		if err != nil {
+	// Stage 3: holistic join on the virtual tree — unless a strong Δ-cover
+	// answers alone (condition 3, §IV-A): its refined list is the Δ-list.
+	if !dc.Strong || len(covers) > 1 {
+		if err := fpJoin.Fire(); err != nil {
 			return nil, err
 		}
-		return res, nil
+		if m == nil {
+			var err error
+			if joined, err = joinStage(jp, fst, refined, b, opt, res); err != nil {
+				return nil, err
+			}
+		}
+		// Seam check: join → extract.
+		if err := b.CtxErr(); err != nil {
+			return nil, err
+		}
+	}
+	if m == nil {
+		m = jp.remember(fragIndices(dc.View, joined), publish)
 	}
 
-	// Stage 3: holistic join on the virtual tree. The arena build is one
-	// loser-tree merge scan; the per-fragment embeds are independent, so
-	// with enough Δ-fragments to amortize the fan-out they run on a
-	// worker pool over prefix partitions (joinParallel).
-	if err := fpJoin.Fire(); err != nil {
+	// Stage 4: extraction from the Δ-view's joined fragments.
+	stage := time.Now()
+	res.ExtractWorkers = opt.workersFor(len(m.idx))
+	err := extract(q, dc, m.idx, res, b, res.ExtractWorkers)
+	res.ExtractNanos = int64(time.Since(stage))
+	if err != nil {
 		return nil, err
 	}
+	return res, nil
+}
+
+// joinStage is stage 3 proper: the arena build is one loser-tree merge
+// scan; the per-fragment embeds are independent, so with enough
+// Δ-fragments to amortize the fan-out they run on a worker pool over
+// prefix partitions (joinParallel). It returns the Δ-view fragments that
+// join, in fragment order.
+func joinStage(jp *JoinPlan, fst *dewey.FST, refined []refinedView, b *budget.B, opt Options, res *Result) ([]*views.Fragment, error) {
 	jw := 1
-	if dfrags := len(refined[deltaIdx].frags); dfrags >= 2*joinParGrain {
+	if dfrags := len(refined[jp.deltaIdx].frags); dfrags >= 2*joinParGrain {
 		jw = opt.workersFor(dfrags / joinParGrain)
 	}
 	res.JoinWorkers = jw
-	stage = time.Now()
+	stage := time.Now()
 	vt, anchors, gallop := buildVirtual(fst, refined)
 	res.JoinBuildNanos = int64(time.Since(stage))
 	res.GallopHits = gallop
 	var joined []*views.Fragment
+	var err error
 	if jw > 1 {
-		var nparts int
-		joined, nparts, err = joinParallel(jp, refined, vt, anchors, b, jw)
-		res.JoinPartitions = nparts
+		joined, res.JoinPartitions, err = joinParallel(jp, refined, vt, anchors, b, jw)
 	} else {
 		joined, err = joinUpper(jp, refined, vt, anchors, b)
 		res.JoinPartitions = 1
 	}
 	putVtree(vt)
 	res.JoinNanos = int64(time.Since(stage))
-	if err != nil {
-		return nil, err
-	}
 	res.FragmentsJoined = len(joined)
-
-	// Seam check: join → extract.
-	if err := b.CtxErr(); err != nil {
-		return nil, err
-	}
-
-	// Stage 4: extraction from the Δ-view's joined fragments.
-	stage = time.Now()
-	res.ExtractWorkers = opt.workersFor(len(joined))
-	err = extract(q, dc, joined, res, b, res.ExtractWorkers)
-	res.ExtractNanos = int64(time.Since(stage))
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return joined, err
 }
 
 // refinedView holds a view's surviving fragments and their decoded

@@ -279,39 +279,42 @@ func buildVirtual(fst *dewey.FST, refined []refinedView) (*vtree, [][]int32, int
 }
 
 // extract runs the answer-extraction compensating query on the Δ-view's
-// joined fragments (§V's final step) and appends results, charging one
-// budget step per fragment. With workers > 1 the per-fragment
-// compensating queries run on a worker pool; per-fragment answer lists
-// are merged in fragment order, so the deduplicated, sorted result is
-// identical to the sequential path's.
-func extract(q *pattern.Pattern, dc *selection.Cover, frags []*views.Fragment, res *Result, b *budget.B, workers int) error {
+// joined fragments (§V's final step) — idx indexes dc.View.Fragments in
+// ascending order — and appends results, charging one budget step per
+// fragment. With workers > 1 the per-fragment compensating queries run
+// on a worker pool; per-fragment answer lists are merged in fragment
+// order, so the deduplicated, sorted result is identical to the
+// sequential path's.
+func extract(q *pattern.Pattern, dc *selection.Cover, idx []int32, res *Result, b *budget.B, workers int) error {
 	if err := fpExtract.Fire(); err != nil {
 		return err
 	}
+	frags := dc.View.Fragments
 	comp := compensating(q, dc.X)
 	if dc.X == q.Ret && len(comp.Root.Children) == 0 && len(comp.Root.Attrs) == 0 {
 		// The view's answers are the query's answers: no compensating
 		// work inside fragments. Fragment roots are distinct by
-		// construction, so no dedup pass is needed either.
-		if err := b.Step(len(frags)); err != nil {
+		// construction and stored in code order, so walking idx yields the
+		// sorted, duplicate-free answer list directly.
+		if err := b.Step(len(idx)); err != nil {
 			return err
 		}
-		for _, f := range frags {
-			res.Answers = append(res.Answers, Answer{Code: f.Code, Node: f.Tree.Root()})
+		res.Answers = make([]Answer, len(idx))
+		for k, i := range idx {
+			res.Answers[k] = Answer{Code: frags[i].Code, Node: frags[i].Tree.Root()}
 		}
-		sortAnswers(res)
 		return nil
 	}
-	if workers > 1 && len(frags) >= minParallelFrags {
-		if err := extractParallel(comp, frags, res, b, workers); err != nil {
+	if workers > 1 && len(idx) >= minParallelFrags {
+		if err := extractParallel(comp, frags, idx, res, b, workers); err != nil {
 			return err
 		}
 	} else {
-		for _, f := range frags {
+		for _, i := range idx {
 			if err := b.Step(1); err != nil {
 				return err
 			}
-			appendFragAnswers(comp, f, &res.Answers)
+			appendFragAnswers(comp, &frags[i], &res.Answers)
 		}
 	}
 	// Answers are appended in fragment order; the stable sort keeps that
@@ -345,8 +348,8 @@ func appendFragAnswers(comp *pattern.Pattern, f *views.Fragment, out *[]Answer) 
 // worker pool. Workers fill their own fragment's slot; the merge walks
 // slots in fragment order, so the caller's stable sort + adjacent dedup
 // sees the same sequence the sequential loop builds.
-func extractParallel(comp *pattern.Pattern, frags []*views.Fragment, res *Result, b *budget.B, workers int) error {
-	slots := make([][]Answer, len(frags))
+func extractParallel(comp *pattern.Pattern, frags []views.Fragment, idx []int32, res *Result, b *budget.B, workers int) error {
+	slots := make([][]Answer, len(idx))
 	var (
 		wg      sync.WaitGroup
 		next    atomic.Int64
@@ -359,7 +362,7 @@ func extractParallel(comp *pattern.Pattern, frags []*views.Fragment, res *Result
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(frags) || stop.Load() {
+				if i >= len(idx) || stop.Load() {
 					return
 				}
 				if err := b.Step(1); err != nil {
@@ -369,7 +372,7 @@ func extractParallel(comp *pattern.Pattern, frags []*views.Fragment, res *Result
 					stop.Store(true)
 					return
 				}
-				appendFragAnswers(comp, frags[i], &slots[i])
+				appendFragAnswers(comp, &frags[idx[i]], &slots[i])
 			}
 		}()
 	}
@@ -386,10 +389,15 @@ func extractParallel(comp *pattern.Pattern, frags []*views.Fragment, res *Result
 // sortAnswers orders answers in document order. The sort is stable so
 // that among equal codes the fragment-order first answer stays first —
 // dedupAnswers relies on that to pick the sequential path's survivor.
+// Disjoint fragments walked in order already yield sorted answers, which
+// one linear pass confirms for far less than the sort would spend.
 func sortAnswers(res *Result) {
-	sort.SliceStable(res.Answers, func(i, j int) bool {
+	less := func(i, j int) bool {
 		return dewey.Compare(res.Answers[i].Code, res.Answers[j].Code) < 0
-	})
+	}
+	if !sort.SliceIsSorted(res.Answers, less) {
+		sort.SliceStable(res.Answers, less)
+	}
 }
 
 // dedupAnswers drops adjacent equal-code answers from the sorted list.

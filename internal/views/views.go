@@ -47,9 +47,11 @@ type View struct {
 	// TotalBytes is the sum of fragment sizes.
 	TotalBytes int
 	// Gen is the view's content generation: incremental maintenance bumps
-	// it whenever a mutation actually changes this view's fragment store,
-	// so scoped plan invalidation can tell dirty views from clean ones.
-	// It is written under the owning System's write lock.
+	// it whenever a mutation changes this view's fragment store (or fails
+	// partway through doing so), under every invalidation policy. Scoped
+	// plan invalidation tells dirty views from clean ones by it, and a
+	// join plan's remembered Δ-list is valid exactly while it stands
+	// still. It is written under the owning System's write lock.
 	Gen uint64
 }
 

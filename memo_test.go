@@ -1,0 +1,241 @@
+package xpathviews_test
+
+// The rewrite memo through the whole stack: a cached plan's join skeleton
+// remembers which Δ-view fragments survive refinement and the join, so a
+// plan-cache hit pays for extraction only. These tests pin what that may
+// never cost: a wrong answer after a mutation (in either invalidation
+// mode), a fault point or a budget that no longer fires on a hit.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"xpathviews"
+	"xpathviews/internal/dewey"
+	"xpathviews/internal/faults"
+	"xpathviews/internal/paperdata"
+	"xpathviews/internal/xmark"
+	"xpathviews/internal/xmltree"
+)
+
+// firstCode returns the code of the first document node with the label.
+func firstCode(t *testing.T, sys *xpathviews.System, label string) dewey.Code {
+	t.Helper()
+	var found *xmltree.Node
+	sys.Document().Walk(func(n *xmltree.Node) bool {
+		if n.Label == label {
+			found = n
+			return false
+		}
+		return true
+	})
+	if found == nil {
+		t.Fatalf("no %q node in the document", label)
+	}
+	return sys.Encoding().MustCode(found).Clone()
+}
+
+// TestMemoDifferentialXMark interleaves inserts and deletes with repeated
+// hot queries over XMark, in scoped and in coarse invalidation mode.
+// Every view answer — served from a memo or recomputed — must equal BN on
+// the document as it stands, every query must see both a memo hit and a
+// recompute right after a mutation that dirtied its views, and a
+// mutation must move the generation of exactly the views it dirtied.
+func TestMemoDifferentialXMark(t *testing.T) {
+	for _, scoped := range []bool{true, false} {
+		t.Run(fmt.Sprintf("scoped=%v", scoped), func(t *testing.T) {
+			sys, err := xpathviews.Open(xmark.Generate(xmark.Config{Scale: 0.02, Seed: 77}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.SetScopedInvalidation(scoped)
+			var viewIDs []int
+			for _, v := range []string{
+				"//person/address/city",
+				"//person[address]/name",
+				"//item[location]/name",
+				"//person/name",
+			} {
+				id, err := sys.AddView(v, xpathviews.DefaultFragmentLimit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				viewIDs = append(viewIDs, id)
+			}
+			queries := []string{
+				"//person/name",               // one strong cover: no join stage
+				"//person[address/city]/name", // two covers joined
+				"//item[location]/name",
+			}
+			hits := make([]int, len(queries))
+			missesAfterMutation := make([]int, len(queries))
+			// ask runs every hot query three times against the current
+			// document; fresh marks the calls that follow a mutation.
+			ask := func(tag string, dirtied bool) {
+				t.Helper()
+				for qi, q := range queries {
+					base, err := sys.Answer(q, xpathviews.BN)
+					if err != nil {
+						t.Fatalf("%s: BN %s: %v", tag, q, err)
+					}
+					want := answerCodes(base)
+					for rep := 0; rep < 3; rep++ {
+						res, err := sys.Answer(q, xpathviews.HV)
+						if err != nil {
+							t.Fatalf("%s: HV %s: %v", tag, q, err)
+						}
+						if got := answerCodes(res); !slices.Equal(got, want) {
+							t.Fatalf("%s: HV %s (memo=%v, rep %d) diverges from BN:\n got %v\nwant %v",
+								tag, q, res.Memo, rep, got, want)
+						}
+						switch {
+						case res.Memo:
+							hits[qi]++
+						case rep == 0 && dirtied:
+							missesAfterMutation[qi]++
+						case rep > 0:
+							t.Fatalf("%s: HV %s rep %d recomputed although nothing changed since rep 0", tag, q, rep)
+						}
+					}
+				}
+			}
+			gens := func() []uint64 {
+				out := make([]uint64, len(viewIDs))
+				for i, id := range viewIDs {
+					out[i], _ = sys.ViewGeneration(id)
+				}
+				return out
+			}
+			// mutate applies one mutation and checks the generation rule.
+			mutate := func(tag string, f func() (*xpathviews.MaintainResult, error)) *xpathviews.MaintainResult {
+				t.Helper()
+				before := gens()
+				res, err := f()
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				moved := 0
+				for i, g := range gens() {
+					if g != before[i] && g != before[i]+1 {
+						t.Fatalf("%s: view %d generation %d -> %d", tag, viewIDs[i], before[i], g)
+					}
+					if g != before[i] {
+						moved++
+					}
+				}
+				if moved != res.DirtyViews {
+					t.Fatalf("%s: %d generations moved, %d views dirtied", tag, moved, res.DirtyViews)
+				}
+				return res
+			}
+
+			ask("seed", false)
+			people, region := firstCode(t, sys, "people"), firstCode(t, sys, "africa")
+			for round := 0; round < 4; round++ {
+				tag := fmt.Sprintf("round-%d", round)
+				// Targeted: a person and an item that enter every hot
+				// query's answer, then leave it again.
+				p := mutate(tag+" insert person", func() (*xpathviews.MaintainResult, error) {
+					return sys.InsertSubtree(people, "<person><name/><address><city/></address></person>")
+				})
+				it := mutate(tag+" insert item", func() (*xpathviews.MaintainResult, error) {
+					return sys.InsertSubtree(region, "<item><location/><name/></item>")
+				})
+				if p.DirtyViews == 0 || it.DirtyViews == 0 {
+					t.Fatalf("%s: targeted inserts dirtied %d and %d views", tag, p.DirtyViews, it.DirtyViews)
+				}
+				ask(tag+" inserted", true)
+				mutate(tag+" delete person", func() (*xpathviews.MaintainResult, error) { return sys.DeleteSubtree(p.Code) })
+				mutate(tag+" delete item", func() (*xpathviews.MaintainResult, error) { return sys.DeleteSubtree(it.Code) })
+				ask(tag+" deleted", true)
+			}
+			// Random: whatever the mutator hits, hit or miss, answers hold.
+			m := &mutator{rng: rand.New(rand.NewSource(18))}
+			for i := 0; i < 30; i++ {
+				m.step(t, sys)
+				ask(fmt.Sprintf("random-%d", i), false)
+			}
+			freshEqual(t, sys, "end")
+			for qi, q := range queries {
+				if hits[qi] == 0 || missesAfterMutation[qi] == 0 {
+					t.Fatalf("%s: %d memo hits, %d recomputes after a dirtying mutation; want both > 0",
+						q, hits[qi], missesAfterMutation[qi])
+				}
+			}
+		})
+	}
+}
+
+// TestMemoChaosWarmPlan: the rewrite stage's three fault points still
+// fire when the plan is warm and its memo would answer. Each armed point
+// fails exactly one call as ErrInternal, and the next call is a memo hit
+// again.
+func TestMemoChaosWarmPlan(t *testing.T) {
+	sys := chaosSystem(t)
+	defer faults.DisarmAll()
+	opts := xpathviews.Options{Strategy: xpathviews.HV}
+	call := func() (*xpathviews.Result, error) {
+		return sys.AnswerContext(context.Background(), paperdata.QueryE, opts)
+	}
+	cold, err := call()
+	if err != nil || cold.Memo {
+		t.Fatalf("cold call: memo=%v err=%v", cold != nil && cold.Memo, err)
+	}
+	want := answerCodes(cold)
+	for _, point := range []string{"rewrite.refine", "rewrite.join", "rewrite.extract"} {
+		if res, err := call(); err != nil || !res.Memo {
+			t.Fatalf("[%s] plan not warm before arming: memo=%v err=%v", point, res != nil && res.Memo, err)
+		}
+		if !faults.ArmN(point, faults.Error, 1) {
+			t.Fatalf("fault point %q not registered", point)
+		}
+		_, err := call()
+		var ie *xpathviews.InternalError
+		if !errors.As(err, &ie) || ie.Stage != "rewrite" {
+			t.Fatalf("[%s] armed on a warm plan: err = %v, want ErrInternal at the rewrite stage", point, err)
+		}
+		res, err := call()
+		if err != nil || !res.Memo || !slices.Equal(answerCodes(res), want) {
+			t.Fatalf("[%s] call after the fault: memo=%v err=%v", point, res != nil && res.Memo, err)
+		}
+	}
+}
+
+// TestMemoBudgetOnHit: a hit is not free of the step budget. Extraction
+// charges one step per Δ-list fragment, so MaxSteps below the list's
+// length is ErrBudgetExceeded on a warm plan too, and enough steps for
+// extraction alone — far fewer than the refine scan needs — succeed.
+func TestMemoBudgetOnHit(t *testing.T) {
+	sys, err := xpathviews.Open(xmark.Generate(xmark.Config{Scale: 0.05, Seed: 7}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"//person/address/city", "//person[address]/name"} {
+		if _, err := sys.AddView(v, xpathviews.DefaultFragmentLimit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = "//person[address/city]/name"
+	ask := func(maxSteps int64) (*xpathviews.Result, error) {
+		return sys.AnswerContext(context.Background(), q, xpathviews.Options{Strategy: xpathviews.HV, MaxSteps: maxSteps})
+	}
+	cold, err := ask(0)
+	if err != nil || cold.Memo {
+		t.Fatalf("cold call: memo=%v err=%v", cold != nil && cold.Memo, err)
+	}
+	n := int64(len(cold.Answers))
+	if n < 20 {
+		t.Fatalf("fixture too small: %d answers", n)
+	}
+	if _, err := ask(n - 1); !errors.Is(err, xpathviews.ErrBudgetExceeded) {
+		t.Fatalf("warm plan, MaxSteps %d for a Δ-list of %d: err = %v, want ErrBudgetExceeded", n-1, n, err)
+	}
+	res, err := ask(n)
+	if err != nil || !res.Memo || len(res.Answers) != int(n) {
+		t.Fatalf("warm plan, MaxSteps %d: memo=%v err=%v", n, res != nil && res.Memo, err)
+	}
+}

@@ -148,8 +148,8 @@ func (s *System) DeleteSubtreeOpts(code dewey.Code, opts MutateOptions) (*Mainta
 }
 
 // ViewGeneration returns the named view's content generation — bumped
-// whenever incremental maintenance changes its fragments (scoped
-// invalidation mode only). ok is false for unknown IDs.
+// whenever incremental maintenance changes its fragments, in either
+// invalidation mode. ok is false for unknown IDs.
 func (s *System) ViewGeneration(id int) (gen uint64, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -421,6 +421,13 @@ func (s *System) maintainViewsLocked(mutCode dewey.Code, chain []*xmltree.Node, 
 			res.ViewsScanned++
 			res.NodesScanned += st.NodesScanned
 		}
+		// Gen is the unconditional truth about v's fragments: cached plans
+		// and the Δ-lists they remember are valid exactly while it stands
+		// still, in either invalidation mode. A failed pass may have
+		// spliced or refreshed part of the store before it stopped.
+		if st.Changed || err != nil {
+			v.Gen++
+		}
 		if err != nil {
 			if sp != nil {
 				sp.Err(err)
@@ -433,9 +440,6 @@ func (s *System) maintainViewsLocked(mutCode dewey.Code, chain []*xmltree.Node, 
 		res.FragmentsRefreshed += st.Refreshed
 		if st.Changed {
 			res.DirtyViews++
-			if s.scopedInval {
-				v.Gen++
-			}
 			// Feed the observatory's upkeep side: the dirty-splice
 			// composition, against the fragment count a full
 			// rematerialization would have recopied — so the per-view

@@ -121,7 +121,10 @@ type servingMetrics struct {
 
 	// Join-kernel internals (satellite of the PR 9 kernel): partition
 	// fan-out and gallop-hit volume per joined call, as totals plus
-	// unitless distributions.
+	// unitless distributions. joinsTotal counts joins actually run;
+	// memoHits the rewrites that skipped refine + join on a remembered
+	// Δ-list instead.
+	memoHits        *telemetry.Counter   // xpv_rewrite_memo_hits_total
 	joinsTotal      *telemetry.Counter   // xpv_joins_total
 	joinPartsTotal  *telemetry.Counter   // xpv_join_partitions_total
 	joinGallopTotal *telemetry.Counter   // xpv_join_gallop_hits_total
@@ -197,6 +200,7 @@ func labeledMetricsFor(reg *telemetry.Registry, tenant string) *servingMetrics {
 		driftEvents: reg.Counter(name("xpv_workload_drift_events_total")),
 		calErr:      reg.HistogramCounts(name("xpv_cost_calibration_err_ppm")),
 
+		memoHits:        reg.Counter(name("xpv_rewrite_memo_hits_total")),
 		joinsTotal:      reg.Counter(name("xpv_joins_total")),
 		joinPartsTotal:  reg.Counter(name("xpv_join_partitions_total")),
 		joinGallopTotal: reg.Counter(name("xpv_join_gallop_hits_total")),
@@ -438,6 +442,7 @@ func (s *System) finishCall(co callObs, b *budget.B, t0 time.Time, src string, q
 		if res != nil {
 			e.Rung = res.Rung
 			e.CacheHit = res.PlanCacheHit
+			e.Memo = res.Memo
 			e.Views = res.ViewsUsed
 			e.Parse = time.Duration(res.ParseNanos)
 			e.Filter = time.Duration(res.FilterNanos)

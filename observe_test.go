@@ -241,8 +241,8 @@ func TestTraceShapeFault(t *testing.T) {
 }
 
 // TestResultStageTimings: the per-call nanosecond accounting is
-// populated without any tracing — full pipeline on a miss, rewrite-only
-// on a hit (satellite of the PR: timings on the plan-cache-hit path).
+// populated without any tracing — full pipeline on a miss, extraction
+// only on a hit, whose plan remembers what refine + join produced.
 func TestResultStageTimings(t *testing.T) {
 	sys, _ := obsSystem(t)
 	opts := xpathviews.Options{Strategy: xpathviews.HV}
@@ -274,9 +274,12 @@ func TestResultStageTimings(t *testing.T) {
 	if warm.FilterNanos != 0 || warm.SelectNanos != 0 {
 		t.Fatalf("hit path reported filter/select time: %d/%d", warm.FilterNanos, warm.SelectNanos)
 	}
-	if warm.RefineNanos <= 0 || warm.ExtractNanos <= 0 {
-		t.Fatalf("hit path missing rewrite timings: refine=%d extract=%d",
-			warm.RefineNanos, warm.ExtractNanos)
+	if cold.Memo || !warm.Memo {
+		t.Fatalf("Memo cold=%v warm=%v, want false then true", cold.Memo, warm.Memo)
+	}
+	if warm.RefineNanos != 0 || warm.JoinNanos != 0 || warm.ExtractNanos <= 0 {
+		t.Fatalf("memo hit timings: refine=%d join=%d extract=%d, want 0, 0, > 0",
+			warm.RefineNanos, warm.JoinNanos, warm.ExtractNanos)
 	}
 }
 

@@ -5,8 +5,10 @@ package xpathviews
 // (§III) and view selection (§IV) — is memoized per normalized query
 // string and strategy, so a repetitive workload (the premise of Mandhani
 // & Suciu's cached-view scenario, the paper's [19]) pays for each plan
-// once. The rewriting of §V still executes per call: it is the only
-// stage whose output depends on which fragments join today.
+// once. Of §V's rewriting only extraction executes on every call: which
+// Δ-view fragments survive refinement and the join depends on the plan
+// and the covered views' content alone, so the plan's rewrite.JoinPlan
+// remembers that list until a covered view's generation moves.
 //
 // Plans are invalidated lazily at two granularities. View-SET changes
 // (AddView, RemoveView, CompactFilter, EnableAttributePruning, and
@@ -18,8 +20,9 @@ package xpathviews
 // covers, maintenance bumps only the generations of views whose
 // fragments actually changed, and a validator callback run inside the
 // cache drops exactly the plans that touch a dirty view — the rest of
-// the cache survives the update storm. A thundering herd on a cold key
-// coalesces onto one computation (singleflight).
+// the cache survives the update storm; the remembered Δ-list dies with
+// its plan (and checks the same pairs itself before use). A thundering
+// herd on a cold key coalesces onto one computation (singleflight).
 
 import (
 	"errors"
@@ -47,9 +50,9 @@ func (s *System) PlanCacheStats() PlanCacheStats { return s.plans.Stats() }
 func (s *System) PlanCacheLen() int { return s.plans.Len() }
 
 // queryPlan is one memoized plan: everything AnswerContext computes
-// before touching fragment data. It is immutable once cached — the
-// minimized pattern and the selection are shared read-only by every
-// query that hits it.
+// before touching fragment data. It is immutable once cached, but for
+// the atomically published Δ-list inside join — the minimized pattern
+// and the selection are shared read-only by every query that hits it.
 type queryPlan struct {
 	// q is the minimized pattern the selection was computed against;
 	// rewriting must run with exactly this pattern (the selection's
@@ -59,7 +62,8 @@ type queryPlan struct {
 	sel *selection.Selection
 	// join is the data-independent holistic-join skeleton (Δ-view
 	// choice, upper twig, resolved pins) for (q, sel), computed once at
-	// plan time so cache hits skip the rebuild inside the rewrite. Nil
+	// plan time so cache hits skip the rebuild inside the rewrite, and
+	// remembering the Δ-list the first rewrite through it produced. Nil
 	// when err is set; rewrite recomputes on the fly if absent.
 	join *rewrite.JoinPlan
 	// info records how the plan was computed (candidate set, stage

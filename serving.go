@@ -533,9 +533,11 @@ func (s *System) answerLocked(q *pattern.Pattern, strat Strategy, b *budget.B, u
 	}
 }
 
-// answerPlanLocked runs §V's rewriting — the only per-call, data-
-// dependent stage — for a (possibly cached) plan under s.mu (read). A
-// plan carrying a cached negative outcome returns it immediately.
+// answerPlanLocked runs §V's rewriting for a (possibly cached) plan
+// under s.mu (read). Only extraction is paid on every call: refinement
+// and the join re-run when a covered view's generation moved since the
+// plan last remembered their outcome (Result.Memo). A plan carrying a
+// cached negative outcome returns it immediately.
 func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co callObs) (*Result, error) {
 	// Feed the drift detector before the negative-plan check:
 	// unanswerable traffic is exactly the drift the design workload did
@@ -575,6 +577,7 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 		rsp.End()
 		return nil, err
 	}
+	res.Memo = out.Memo
 	res.RefineNanos = out.RefineNanos
 	res.JoinNanos = out.JoinNanos
 	res.ExtractNanos = out.ExtractNanos
@@ -582,10 +585,16 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 	res.GallopHits = out.GallopHits
 	// Attribute the answered call to its contributing views and fold the
 	// predicted §IV-B cost against the realized rewrite time into the
-	// calibration model. All counters are atomics over pre-grown slots —
-	// no allocation on the steady-state path.
+	// calibration model. The cost predicts refine + join + extract, so a
+	// memo-served call counts as a query but realizes nothing to calibrate
+	// against. All counters are atomics over pre-grown slots — no
+	// allocation on the steady-state path.
 	if vs != nil {
-		rel := vs.RecordQuery(pl.predCost, out.RefineNanos+out.JoinNanos+out.ExtractNanos)
+		realized := out.RefineNanos + out.JoinNanos + out.ExtractNanos
+		if out.Memo {
+			realized = 0
+		}
+		rel := vs.RecordQuery(pl.predCost, realized)
 		if rel >= 0 && co.m != nil {
 			co.m.calErr.Observe(int64(rel * 1e6))
 		}
@@ -598,6 +607,9 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 			vs.RecordViewHit(c.View.ID, scanned, kept, rel)
 		}
 	}
+	if co.m != nil && out.Memo {
+		co.m.memoHits.Inc()
+	}
 	if co.m != nil && out.JoinPartitions > 0 {
 		co.m.joinsTotal.Inc()
 		co.m.joinPartsTotal.Add(int64(out.JoinPartitions))
@@ -607,9 +619,11 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 	}
 	if rsp != nil {
 		t := rstart
-		ref := rsp.ChildTimed("refine", t, time.Duration(out.RefineNanos))
-		ref.SetAttr("workers", out.RefineWorkers)
-		t = t.Add(time.Duration(out.RefineNanos))
+		if !out.Memo {
+			ref := rsp.ChildTimed("refine", t, time.Duration(out.RefineNanos))
+			ref.SetAttr("workers", out.RefineWorkers)
+			t = t.Add(time.Duration(out.RefineNanos))
+		}
 		if out.JoinNanos > 0 {
 			jn := rsp.ChildTimed("join", t, time.Duration(out.JoinNanos))
 			jn.SetAttr("fragments_joined", out.FragmentsJoined)
@@ -619,6 +633,7 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 		ext := rsp.ChildTimed("extract", t, time.Duration(out.ExtractNanos))
 		ext.SetAttr("workers", out.ExtractWorkers)
 		rsp.SetAttr("views", len(pl.sel.Covers))
+		rsp.SetAttr("memo", cacheLabel(out.Memo, true))
 		rsp.SetAttr("fragments_scanned", out.FragmentsScanned)
 		rsp.End()
 	}
@@ -627,8 +642,9 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 		return nil, err
 	}
 	csp := co.child("collect")
-	for _, a := range out.Answers {
-		res.Answers = append(res.Answers, Answer{Code: a.Code, Node: a.Node})
+	res.Answers = make([]Answer, len(out.Answers))
+	for i, a := range out.Answers {
+		res.Answers[i] = Answer{Code: a.Code, Node: a.Node}
 	}
 	if csp != nil {
 		csp.SetAttr("answers", len(res.Answers))

@@ -9,6 +9,7 @@ package xpathviews_test
 // XPV_BENCH_VIEWS, run via `make bench-views`) writes BENCH_views.json.
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"strings"
@@ -54,12 +55,15 @@ func viewRow(t *testing.T, rep *xpathviews.ViewStatsSummary, id int) xpathviews.
 func TestViewStatsAttribution(t *testing.T) {
 	sys := paperObservatory(t)
 	const calls = 5
-	var res *xpathviews.Result
+	var first, res *xpathviews.Result
 	for i := 0; i < calls; i++ {
 		var err error
 		res, err = sys.Answer(paperdata.QueryE, xpathviews.HV)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res
 		}
 	}
 	if len(res.ViewsUsed) != 2 {
@@ -92,19 +96,32 @@ func TestViewStatsAttribution(t *testing.T) {
 			t.Fatalf("unused view %d has %d hits", v.ID, v.Hits)
 		}
 	}
-	// The first call seeds the cost-model scale; the rest calibrate.
+	// The first call ran the full rewrite and seeds the cost-model scale.
+	// The rest were served from the plan's remembered Δ-list: the §IV-B
+	// cost predicts refine + join + extract, so they calibrate nothing.
 	if rep.ScaleNsPerCost <= 0 {
 		t.Fatalf("scale = %v, want > 0", rep.ScaleNsPerCost)
 	}
-	if rep.CalibrationObs != calls-1 {
-		t.Fatalf("calibration obs = %d, want %d", rep.CalibrationObs, calls-1)
+	if first.Memo || !res.Memo {
+		t.Fatalf("Memo first=%v last=%v, want false then true", first.Memo, res.Memo)
 	}
-	if rep.CalibrationErr < 0 {
-		t.Fatalf("calibration err = %v", rep.CalibrationErr)
+	if rep.CalibrationObs != 0 {
+		t.Fatalf("calibration obs = %d after memo hits, want 0", rep.CalibrationObs)
 	}
-	// Join-kernel internals surface on the Result too.
-	if res.JoinPartitions < 1 {
-		t.Fatalf("JoinPartitions = %d, want >= 1 for a 2-view join", res.JoinPartitions)
+	// A second full rewrite (fresh plan, nothing remembered) calibrates.
+	if _, err := sys.AnswerContext(context.Background(), paperdata.QueryE,
+		xpathviews.Options{Strategy: xpathviews.HV, NoPlanCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	rep = sys.ViewStatsReport()
+	if rep.CalibrationObs != 1 || rep.CalibrationErr < 0 {
+		t.Fatalf("calibration after a second full rewrite: obs=%d err=%v, want 1 obs",
+			rep.CalibrationObs, rep.CalibrationErr)
+	}
+	// Join-kernel internals surface on the Result of a call that joined.
+	if first.JoinPartitions < 1 || res.JoinPartitions != 0 {
+		t.Fatalf("JoinPartitions first=%d last=%d, want >= 1 for a 2-view join, 0 for a memo hit",
+			first.JoinPartitions, res.JoinPartitions)
 	}
 }
 
@@ -213,19 +230,23 @@ func TestViewStatsMetricsExposition(t *testing.T) {
 	if strings.Contains(text, "xpv_join_partition_fanout_p50_ns") {
 		t.Error("count-valued histogram rendered with _ns suffix")
 	}
-	// 3 joined calls, each over >= 1 partition.
-	var joins int64
-	for _, line := range strings.Split(text, "\n") {
-		if v, ok := strings.CutPrefix(line, "xpv_joins_total "); ok {
-			if _, err := json.Number(v).Int64(); err != nil {
-				t.Fatalf("bad xpv_joins_total line %q", line)
+	// 3 calls: one joined (over >= 1 partition), two served from its
+	// remembered Δ-list. xpv_joins_total counts joins actually run.
+	counter := func(name string) int64 {
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := json.Number(v).Int64()
+				if err != nil {
+					t.Fatalf("bad %s line %q", name, line)
+				}
+				return n
 			}
-			n, _ := json.Number(v).Int64()
-			joins = n
 		}
+		t.Fatalf("exposition missing %q", name)
+		return 0
 	}
-	if joins != 3 {
-		t.Fatalf("xpv_joins_total = %d, want 3", joins)
+	if joins, hits := counter("xpv_joins_total"), counter("xpv_rewrite_memo_hits_total"); joins != 1 || hits != 2 {
+		t.Fatalf("xpv_joins_total = %d, xpv_rewrite_memo_hits_total = %d, want 1 and 2", joins, hits)
 	}
 }
 

@@ -308,15 +308,20 @@ type Result struct {
 	// plan: filtering and selection were skipped entirely (view
 	// strategies only).
 	PlanCacheHit bool
+	// Memo reports the cached plan remembered which Δ-view fragments
+	// survive refinement and the join, and no covered view has changed
+	// since: only extraction ran, and the refine/join times and join
+	// counters below (work done by this call) are zero.
+	Memo bool
 	// Stage wall times, in nanoseconds, populated on every call without
 	// tracing. ParseNanos covers parsing + minimization and is zero when
 	// the caller supplied a pattern or the raw source hit the plan-cache
 	// alias; FilterNanos and SelectNanos cover §III filtering and §IV
 	// selection and are zero on a plan-cache hit (the cached plan skips
 	// both — Explain still shows what the plan originally cost);
-	// RefineNanos/JoinNanos/ExtractNanos cover §V's rewriting stages and
-	// are populated on hits and misses alike. TotalNanos is the whole
-	// call.
+	// RefineNanos/JoinNanos/ExtractNanos cover §V's rewriting stages;
+	// ExtractNanos is populated on every call, the other two whenever
+	// Memo is false. TotalNanos is the whole call.
 	ParseNanos   int64
 	FilterNanos  int64
 	SelectNanos  int64
