@@ -25,13 +25,16 @@ vet:
 test:
 	$(GO) test ./...
 
-# race runs the whole suite under the race detector, then the rewrite-
-# memo tests (concurrent first executions of one plan, hits interleaved
-# with mutations) ten more times: a publication race shows up in a few
-# schedules, not in every one.
+# race runs the whole suite under the race detector, then ten more times
+# the rewrite-memo tests (concurrent first executions of one plan, hits
+# interleaved with mutations) and the filtering-pass tests (pooled
+# scratch reused across filters, 64 readers of one filter): a publication
+# race or a scratch handed to two readers shows up in a few schedules,
+# not in every one.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestMemo' . ./internal/rewrite
+	$(GO) test -race -count=10 -run 'TestFilter(Differential|ScratchReuse|Concurrent)' ./internal/vfilter
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/xpath

@@ -24,6 +24,8 @@ type explainSink struct {
 	planCache   string // hit | miss | bypass
 	negative    bool
 	candidates  int
+	touched     int
+	views       int
 	allViews    bool
 	surviving   []ExplainView
 	selected    []ExplainCover
@@ -44,6 +46,8 @@ func (co callObs) fillExplainPlan(s *System, pl *queryPlan, hit, useCache bool) 
 	ex.planCache = cacheLabel(hit, useCache)
 	ex.negative = pl.err != nil
 	ex.candidates = pl.info.cand
+	ex.touched = pl.info.touched
+	ex.views = s.registry.Len()
 	ex.allViews = pl.info.allViews
 	ex.filterNanos = pl.info.filterNanos
 	ex.selectNanos = pl.info.selectNanos
@@ -122,9 +126,14 @@ type Explanation struct {
 	// filtering ran).
 	AllViews bool `json:"all_views,omitempty"`
 	// Candidates is |V'|, the post-filter candidate count.
-	Candidates int            `json:"candidates_after_filter,omitempty"`
-	Surviving  []ExplainView  `json:"surviving_views,omitempty"`
-	Selected   []ExplainCover `json:"selected_views,omitempty"`
+	Candidates int `json:"candidates_after_filter,omitempty"`
+	// Touched counts the views the filter accepted at least one path
+	// pattern of, and Views the registered views: filtering costs in
+	// proportion to the first, not the second.
+	Touched   int            `json:"touched_by_filter,omitempty"`
+	Views     int            `json:"views,omitempty"`
+	Surviving []ExplainView  `json:"surviving_views,omitempty"`
+	Selected  []ExplainCover `json:"selected_views,omitempty"`
 	// Homs counts homomorphism computations during selection.
 	Homs int `json:"homs_computed,omitempty"`
 	// Memo is "hit" when the rewrite skipped refine + join on the plan's
@@ -179,6 +188,8 @@ func (s *System) ExplainContext(ctx context.Context, src string, opts Options) (
 	if sink.havePlan {
 		ex.PlanCache = sink.planCache
 		ex.Candidates = sink.candidates
+		ex.Touched = sink.touched
+		ex.Views = sink.views
 	}
 	if err != nil {
 		ex.Error = err.Error()
@@ -220,7 +231,7 @@ func (e *Explanation) Text() string {
 		if e.AllViews {
 			fmt.Fprintf(&b, "views:    all %d considered (MN: no filtering)\n", len(e.Surviving))
 		} else {
-			fmt.Fprintf(&b, "views:    %d survived filtering\n", len(e.Surviving))
+			fmt.Fprintf(&b, "views:    candidates %d of %d touched, %d views\n", e.Candidates, e.Touched, e.Views)
 		}
 		for _, v := range e.Surviving {
 			fmt.Fprintf(&b, "  v%d: %s (%d fragments)\n", v.ID, v.XPath, v.Fragments)

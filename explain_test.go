@@ -31,7 +31,7 @@ func redact(s string) string {
 const explainGolden = `query:    //s[f//i][t]/p
 strategy: HV
 plan:     cache miss
-views:    N survived filtering
+views:    candidates N of N touched, N views
   vN: //s[t]/p (N fragments)
   vN: //s[p]/f (N fragments)
 selected: N views, N homomorphisms
@@ -52,7 +52,7 @@ trace:
   answer DUR strategy=HV answers=N budget_steps=N budget_homs=N
   ├─ parse DUR
   ├─ plan DUR cache=miss negative=false candidates=N
-  │  ├─ vfilter DUR views=N candidates=N query_paths=N
+  │  ├─ vfilter DUR views=N candidates=N touched=N query_paths=N
   │  └─ select DUR algo=selection.heuristic candidates=N covers=N leaves_covered=N homs=N
   ├─ rewrite DUR views=N memo=miss fragments_scanned=N
   │  ├─ refine DUR workers=N

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -284,15 +285,19 @@ const (
 // '//' followed by its label symbol (§III-B). The result is a slice of
 // symbols rather than a concatenated string so that multi-character
 // element labels stay unambiguous.
-func Str(p Path) []string {
-	out := make([]string, 0, 2*len(p.Steps))
+func Str(p Path) []string { return AppendStr(nil, p) }
+
+// AppendStr appends STR(p) to dst and returns the extended slice, so a
+// caller reading many paths can reuse one symbol buffer.
+func AppendStr(dst []string, p Path) []string {
+	dst = slices.Grow(dst, 2*len(p.Steps))
 	for _, s := range p.Steps {
 		if s.Axis == Descendant {
-			out = append(out, SymDescend)
+			dst = append(dst, SymDescend)
 		}
-		out = append(out, s.Label)
+		dst = append(dst, s.Label)
 	}
-	return out
+	return dst
 }
 
 // PathPattern converts a Path into an equivalent branch-free Pattern whose

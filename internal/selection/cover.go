@@ -28,6 +28,7 @@ package selection
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"xpathviews/internal/budget"
@@ -567,12 +568,7 @@ func HeuristicBudget(q *pattern.Pattern, res *vfilter.Result, reg *views.Registr
 		for _, l := range res.Lists {
 			all = append(all, l...)
 		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Len != all[j].Len {
-				return all[i].Len > all[j].Len
-			}
-			return all[i].View < all[j].View
-		})
+		slices.SortFunc(all, vfilter.CompareListEntries)
 		for _, le := range all {
 			if tryView(le.View, nil, true) {
 				break

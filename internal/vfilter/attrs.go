@@ -17,7 +17,7 @@ import "xpathviews/internal/pattern"
 // the filter is still empty; enabling it later would leave earlier views
 // without recorded attribute requirements.
 func (f *Filter) EnableAttributePruning() {
-	if len(f.viewIDs) != 0 {
+	if len(f.ordOf) != 0 {
 		panic("vfilter: EnableAttributePruning after AddView")
 	}
 	f.attrPruning = true
@@ -29,9 +29,8 @@ func (f *Filter) AttrPruningEnabled() bool { return f.attrPruning }
 // addViewAttrs inserts a view recording per-path attribute requirements.
 func (f *Filter) addViewAttrs(id int, v *pattern.Pattern) {
 	paths := pattern.DecomposeNormalizedWithAttrs(v)
-	f.numPaths[id] = len(paths)
-	f.viewIDs = append(f.viewIDs, id)
+	ord, base := f.newView(id, len(paths))
 	for i, pa := range paths {
-		f.insertPath(Entry{View: id, PathIdx: i, PathLen: pa.Path.Len(), Attrs: pa.Attrs}, pa.Path)
+		f.insertPath(Entry{View: id, PathIdx: i, PathLen: pa.Path.Len(), Attrs: pa.Attrs, ord: ord, idx: base + int32(i)}, pa.Path)
 	}
 }

@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"xpathviews/internal/storage"
 )
@@ -38,18 +39,20 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 	w(uint32(marshalVersion))
 	w(uint32(len(f.states)))
 	w(uint32(f.start))
+	var byName []int // positions in st.labels, in label-string order
 	for _, st := range f.states {
-		labels := make([]string, 0, len(st.byLabel))
-		for l := range st.byLabel {
-			labels = append(labels, l)
+		byName = byName[:0]
+		for i := range st.labels {
+			byName = append(byName, i)
 		}
-		sort.Strings(labels)
-		w(uint32(len(labels)))
-		for _, l := range labels {
-			w(l)
-			arcs := st.byLabel[l]
-			w(uint32(len(arcs)))
-			for _, a := range arcs {
+		slices.SortFunc(byName, func(a, b int) int {
+			return strings.Compare(f.labelOf[st.labels[a]], f.labelOf[st.labels[b]])
+		})
+		w(uint32(len(byName)))
+		for _, i := range byName {
+			w(f.labelOf[st.labels[i]])
+			w(uint32(len(st.arcs[i])))
+			for _, a := range st.arcs[i] {
 				w(uint32(a))
 			}
 		}
@@ -72,10 +75,12 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 			}
 		}
 	}
-	w(uint32(len(f.viewIDs)))
-	for _, id := range f.viewIDs {
-		w(uint32(id))
-		w(uint32(f.numPaths[id]))
+	w(uint32(len(f.ordOf)))
+	for _, v := range f.views {
+		if v.paths >= 0 {
+			w(uint32(v.id))
+			w(uint32(v.paths))
+		}
 	}
 	var gb uint32
 	if f.gapBinding {
@@ -131,17 +136,15 @@ func UnmarshalBinary(data []byte) (*Filter, error) {
 	if err != nil {
 		return fail(err)
 	}
-	f := &Filter{numPaths: make(map[int]int), start: int32(start)}
+	f := &Filter{labelID: make(map[string]int32), ordOf: make(map[int]int32), start: int32(start)}
 	f.states = make([]*state, nStates)
+	accepts := 0 // accept entries read: one per live (view, path)
 	for i := range f.states {
 		st := &state{}
 		f.states[i] = st
 		nl, err := rd32()
 		if err != nil {
 			return fail(err)
-		}
-		if nl > 0 {
-			st.byLabel = make(map[string][]int32, nl)
 		}
 		for j := uint32(0); j < nl; j++ {
 			l, err := rdStr()
@@ -160,7 +163,7 @@ func UnmarshalBinary(data []byte) (*Filter, error) {
 				}
 				arcs[k] = int32(a)
 			}
-			st.byLabel[l] = arcs
+			st.arcs[st.arcSlot(f.intern(l))] = arcs
 		}
 		for _, dst := range []*[]int32{&st.anyNode, &st.anySym} {
 			n, err := rd32()
@@ -181,6 +184,7 @@ func UnmarshalBinary(data []byte) (*Filter, error) {
 			return fail(err)
 		}
 		st.accepts = make([]Entry, na)
+		accepts += int(na)
 		for k := range st.accepts {
 			v, err := rd32()
 			if err != nil {
@@ -222,8 +226,25 @@ func UnmarshalBinary(data []byte) (*Filter, error) {
 		if err != nil {
 			return fail(err)
 		}
-		f.viewIDs = append(f.viewIDs, int(id))
-		f.numPaths[int(id)] = int(np)
+		if _, dup := f.ordOf[int(id)]; dup {
+			return nil, fmt.Errorf("vfilter: unmarshal: duplicate view id %d", id)
+		}
+		if int64(np) > int64(accepts)-int64(f.numEntries) {
+			return nil, fmt.Errorf("vfilter: unmarshal: view %d claims %d paths, more than the accept entries left", id, np)
+		}
+		f.newView(int(id), int(np))
+	}
+	// Ordinals and dense path indices are not stored: derive them, in
+	// stored view order, now that the view table is known.
+	for _, st := range f.states {
+		for k := range st.accepts {
+			e := &st.accepts[k]
+			ord, ok := f.ordOf[e.View]
+			if !ok || e.PathIdx >= int(f.views[ord].paths) || e.PathLen == 0 {
+				return nil, fmt.Errorf("vfilter: unmarshal: bad accept entry (view %d, path %d, len %d)", e.View, e.PathIdx, e.PathLen)
+			}
+			e.ord, e.idx = ord, f.views[ord].base+int32(e.PathIdx)
+		}
 	}
 	gb, err := rd32()
 	if err != nil {

@@ -108,6 +108,9 @@ type planInfo struct {
 	cand int
 	// candIDs are the surviving view IDs after VFILTER (nil for MN).
 	candIDs []int
+	// touched counts the views VFILTER accepted at least one path of —
+	// what the filtering pass costs in proportion to (0 for MN).
+	touched int
 	// allViews marks MN: no filtering ran, every view was considered.
 	allViews bool
 	// filterNanos/selectNanos are the plan-computation stage times.

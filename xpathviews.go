@@ -387,6 +387,7 @@ func (s *System) selectLocked(q *pattern.Pattern, strat Strategy, b *budget.B, c
 			sp.SetAttr("views", s.registry.Len())
 			if fres != nil {
 				sp.SetAttr("candidates", len(fres.Candidates))
+				sp.SetAttr("touched", fres.Touched)
 				sp.SetAttr("query_paths", len(fres.QueryPaths))
 			}
 			sp.Err(err)
@@ -395,6 +396,7 @@ func (s *System) selectLocked(q *pattern.Pattern, strat Strategy, b *budget.B, c
 		if fres != nil {
 			info.cand = len(fres.Candidates)
 			info.candIDs = fres.Candidates
+			info.touched = fres.Touched
 		}
 		return fres, err
 	}
