@@ -30,11 +30,16 @@ test:
 # interleaved with mutations) and the filtering-pass tests (pooled
 # scratch reused across filters, 64 readers of one filter): a publication
 # race or a scratch handed to two readers shows up in a few schedules,
-# not in every one.
+# not in every one. The same goes for the label-path tests: refinement
+# against its decode-per-fragment oracle, pooled verdict scratch across
+# path tables, and 64 goroutines refining while AddView, mutations and
+# Advise intern new paths.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestMemo' . ./internal/rewrite
 	$(GO) test -race -count=10 -run 'TestFilter(Differential|ScratchReuse|Concurrent)' ./internal/vfilter
+	$(GO) test -race -count=10 -run 'TestRefine(Differential|ScratchReuse)|TestLabelPath' ./internal/rewrite ./internal/views
+	$(GO) test -race -count=10 -run 'TestLabelPathHammer' .
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/xpath

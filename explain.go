@@ -33,6 +33,7 @@ type explainSink struct {
 	selectNanos int64
 	selHoms     int
 	steps, homs int64
+	pathsTested int
 }
 
 // fillExplainPlan snapshots a plan into the call's explain sink, if
@@ -140,6 +141,10 @@ type Explanation struct {
 	// remembered Δ-list, "miss" when it ran them; empty when no rewrite
 	// ran.
 	Memo string `json:"memo,omitempty"`
+	// PathsTested counts the distinct (view, root label-path) verdicts
+	// refinement computed on a memo miss: its path work is proportional
+	// to this, not to the fragments it scanned.
+	PathsTested int `json:"paths_tested,omitempty"`
 	// Stages lists per-stage wall time. On a plan-cache hit, filter and
 	// select show what the cached plan originally cost to compute.
 	Stages []ExplainStage `json:"stages"`
@@ -200,6 +205,7 @@ func (s *System) ExplainContext(ctx context.Context, src string, opts Options) (
 		ex.Stages = append(ex.Stages, ExplainStage{"parse", res.ParseNanos})
 		if sink.havePlan {
 			ex.Memo = cacheLabel(res.Memo, true)
+			ex.PathsTested = sink.pathsTested
 			ex.Stages = append(ex.Stages,
 				ExplainStage{"filter", sink.filterNanos},
 				ExplainStage{"select", sink.selectNanos},
@@ -246,7 +252,11 @@ func (e *Explanation) Text() string {
 		}
 	}
 	if e.Memo != "" {
-		fmt.Fprintf(&b, "memo:     %s\n", e.Memo)
+		fmt.Fprintf(&b, "memo:     %s", e.Memo)
+		if e.Memo == "miss" {
+			fmt.Fprintf(&b, " (%d root paths tested)", e.PathsTested)
+		}
+		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "answers:  %d\n", e.Answers)
 	if len(e.Stages) > 0 {

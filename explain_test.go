@@ -37,7 +37,7 @@ views:    candidates N of N touched, N views
 selected: N views, N homomorphisms
   vN: //s[p]/f — lands on f, covers {i, p}
   vN: //s[t]/p — lands on p, covers {Δ, p, t}
-memo:     miss
+memo:     miss (N root paths tested)
 answers:  N
 stages:
   parse    DUR
@@ -55,7 +55,7 @@ trace:
   │  ├─ vfilter DUR views=N candidates=N touched=N query_paths=N
   │  └─ select DUR algo=selection.heuristic candidates=N covers=N leaves_covered=N homs=N
   ├─ rewrite DUR views=N memo=miss fragments_scanned=N
-  │  ├─ refine DUR workers=N
+  │  ├─ refine DUR workers=N paths=N
   │  ├─ join DUR fragments_joined=N workers=N
   │  └─ extract DUR workers=N
   └─ collect DUR answers=N
@@ -87,6 +87,19 @@ func TestExplainGolden(t *testing.T) {
 	}
 	if ex.BudgetSteps <= 0 || ex.BudgetHoms <= 0 {
 		t.Fatalf("budget spend not tracked: steps=%d homs=%d", ex.BudgetSteps, ex.BudgetHoms)
+	}
+	// Each selected view tests at least one root path on a miss, and no
+	// more than it has fragments.
+	frags := 0
+	for _, v := range ex.Surviving {
+		frags += v.Fragments
+	}
+	if ex.PathsTested < len(ex.Selected) || ex.PathsTested > frags {
+		t.Fatalf("paths_tested = %d with %d selected views over %d fragments", ex.PathsTested, len(ex.Selected), frags)
+	}
+	js, err := ex.JSON()
+	if err != nil || !strings.Contains(string(js), `"paths_tested"`) {
+		t.Fatalf("explain JSON lacks paths_tested (%v):\n%s", err, js)
 	}
 }
 
@@ -144,6 +157,9 @@ func TestExplainHit(t *testing.T) {
 	}
 	if ex.Memo != "hit" || !strings.Contains(ex.Text(), "\nmemo:     hit\n") || !strings.Contains(ex.Trace, "memo=hit") {
 		t.Fatalf("hit explain does not say the memo answered: memo=%q\n%s", ex.Memo, ex.Text())
+	}
+	if ex.PathsTested != 0 {
+		t.Fatalf("memo hit reports %d root paths tested; refinement did not run", ex.PathsTested)
 	}
 	for _, st := range ex.Stages {
 		switch st.Name {

@@ -1,11 +1,13 @@
 package advisor_test
 
 import (
+	"slices"
 	"testing"
 
 	"xpathviews/internal/advisor"
 	"xpathviews/internal/dewey"
 	"xpathviews/internal/pattern"
+	"xpathviews/internal/views"
 	"xpathviews/internal/workload"
 	"xpathviews/internal/xmark"
 	"xpathviews/internal/xmltree"
@@ -230,5 +232,51 @@ func TestEvaluateAgainstNaive(t *testing.T) {
 	}
 	if cov.TotalFreq != 10 {
 		t.Fatalf("TotalFreq = %d, want 10", cov.TotalFreq)
+	}
+}
+
+// TestAdvisorCandidatePaths: fragments the advisor materializes — trial
+// candidates during Advise, the naive baseline's views — carry the
+// encoding's interned root label-path, equal to the FST decoding of
+// their codes, exactly like registry-built fragments.
+func TestAdvisorCandidatePaths(t *testing.T) {
+	doc, enc := testDoc(t)
+	stats := statsOf(
+		workload.Entry{Freq: 7, Query: "//person/name"},
+		workload.Entry{Freq: 5, Query: "//open_auction[bidder]/seller"},
+		workload.Entry{Freq: 2, Query: "//item/description//text"},
+	)
+	adv, err := advisor.Advise(doc, enc, nil, stats, advisor.Options{ByteBudget: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, _ := advisor.NaiveTopK(doc, enc, nil, stats, 1<<20)
+	for _, av := range adv.Views {
+		v, err := views.Materialize(0, mustParse(t, av.XPath), doc, enc, nil, adv.PerViewLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive = append(naive, v)
+	}
+	byCode := make(map[string]*xmltree.Node, doc.Size())
+	for _, n := range doc.Nodes() {
+		byCode[enc.MustCode(n).String()] = n
+	}
+	checked := 0
+	for _, v := range naive {
+		for i := range v.Fragments {
+			f := &v.Fragments[i]
+			want, err := enc.FST().Decode(f.Code)
+			if err != nil || f.Path == nil || !slices.Equal(f.Path.Labels, want) {
+				t.Fatalf("%s: fragment %s path %v, FST decodes %v (%v)", v.Pattern, f.Code, f.Path, want, err)
+			}
+			if p := enc.PathOf(byCode[f.Code.String()]); p != f.Path {
+				t.Fatalf("%s: fragment %s path is not the interned one", v.Pattern, f.Code)
+			}
+			checked++
+		}
+	}
+	if len(adv.Views) == 0 || checked == 0 {
+		t.Fatalf("nothing checked: %d advised views, %d fragments", len(adv.Views), checked)
 	}
 }

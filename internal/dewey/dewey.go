@@ -282,10 +282,12 @@ func (f *FST) DecodeString(c Code) (string, error) {
 	return strings.Join(p, "/"), nil
 }
 
-// Encoding maps every node of a tree to its extended Dewey code.
+// Encoding maps every node of a tree to its extended Dewey code, and
+// owns the tree's interned root label-paths (see PathOf).
 type Encoding struct {
 	fst   *FST
 	codes map[*xmltree.Node]Code
+	paths pathTable
 }
 
 // Encode assigns extended Dewey codes to every node of t under the given

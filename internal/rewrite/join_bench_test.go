@@ -61,7 +61,7 @@ func newJoinBenchEnv(tb testing.TB) *joinBenchEnv {
 	}
 	refined := make([]refinedView, len(sel.Covers))
 	for i, c := range sel.Covers {
-		if err := refineView(q, c, fst, &refined[i], nil, nil); err != nil {
+		if err := refineView(q, c, &refined[i], nil, nil); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -244,7 +244,7 @@ func planFixture(t *testing.T) (*JoinPlan, *dewey.FST, []refinedView, func()) {
 	}
 	refined := make([]refinedView, len(sel.Covers))
 	for i, c := range sel.Covers {
-		if err := refineView(q, c, enc.FST(), &refined[i], nil, nil); err != nil {
+		if err := refineView(q, c, &refined[i], nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

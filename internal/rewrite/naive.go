@@ -32,7 +32,7 @@ func ExecuteNaive(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) 
 	refined := make([]refinedView, len(covers))
 	defer releaseRefined(refined)
 	for i, c := range covers {
-		if err := refineView(q, c, fst, &refined[i], nil, nil); err != nil {
+		if err := refineView(q, c, &refined[i], nil, nil); err != nil {
 			return nil, err
 		}
 		res.FragmentsScanned += refined[i].scanned
@@ -76,10 +76,7 @@ func ExecuteNaive(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) 
 func tupleJoins(jp *JoinPlan, refined []refinedView, tuple []int, fst *dewey.FST) bool {
 	mini := make([]refinedView, len(tuple))
 	for i, fi := range tuple {
-		mini[i] = refinedView{
-			frags:  []*views.Fragment{refined[i].frags[fi]},
-			labels: [][]string{refined[i].labels[fi]},
-		}
+		mini[i] = refinedView{frags: []*views.Fragment{refined[i].frags[fi]}}
 	}
 	vt, anchors, _ := buildVirtual(fst, mini)
 	joined, err := joinUpper(jp, mini, vt, anchors, nil)

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 
 	"xpathviews/internal/budget"
-	"xpathviews/internal/dewey"
 	"xpathviews/internal/pattern"
 	"xpathviews/internal/selection"
 )
@@ -65,10 +64,10 @@ func (o Options) workersFor(n int) int {
 // discovering worker flips a cooperative stop flag so sibling workers
 // abandon their remaining fragments early. All workers are joined before
 // returning, so the caller may release the refined scratch safely.
-func refineAll(q *pattern.Pattern, covers []*selection.Cover, fst *dewey.FST, refined []refinedView, b *budget.B, workers int) (empty bool, err error) {
+func refineAll(q *pattern.Pattern, covers []*selection.Cover, refined []refinedView, b *budget.B, workers int) (empty bool, err error) {
 	if workers <= 1 || len(covers) == 1 {
 		for i, c := range covers {
-			if err := refineView(q, c, fst, &refined[i], b, nil); err != nil {
+			if err := refineView(q, c, &refined[i], b, nil); err != nil {
 				return false, err
 			}
 			if len(refined[i].frags) == 0 {
@@ -97,7 +96,7 @@ func refineAll(q *pattern.Pattern, covers []*selection.Cover, fst *dewey.FST, re
 				if stop.Load() {
 					continue // drain remaining indexes cheaply
 				}
-				if e := refineView(q, covers[i], fst, &refined[i], b, &stop); e != nil {
+				if e := refineView(q, covers[i], &refined[i], b, &stop); e != nil {
 					p := new(error)
 					*p = e
 					if errSlot.CompareAndSwap(nil, p) {

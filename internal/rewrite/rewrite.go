@@ -5,9 +5,10 @@
 //  1. refinement — each selected view's fragments are filtered by a
 //     compensating pattern (the query's subtree at the node the view's
 //     answers land on), "pushing selection" before the join;
-//  2. root-path filtering — a fragment participates only when its
-//     extended-Dewey-decoded label-path matches the query's root-to-
-//     landing-node path pattern;
+//  2. root-path filtering — a fragment participates only when its root
+//     label-path (interned when the fragment was built, equal to its
+//     extended Dewey code's FST decoding) matches the query's root-to-
+//     landing-node path pattern; the match runs once per distinct path;
 //  3. holistic join — fragment roots of all views are merged (one scan
 //     of the sorted code streams) into a prefix trie, the virtual tree;
 //     the query's upper pattern is matched on it with the views' answer
@@ -62,6 +63,10 @@ type Result struct {
 	// Stats for benchmarking/ablation.
 	FragmentsScanned int
 	FragmentsJoined  int
+	// PathsTested counts the distinct (view, root label-path) verdicts
+	// refinement computed: its path work is proportional to this, not to
+	// FragmentsScanned.
+	PathsTested int
 	// Per-stage wall time. Refine covers stages 1+2 and Extract stage 4;
 	// Join covers stage 3 — the virtual-tree merge build plus the
 	// per-fragment embeds. JoinBuildNanos isolates the build, the join's
@@ -182,7 +187,7 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 	var refined []refinedView
 	var joined []*views.Fragment // the Δ-view fragments that reach stage 4
 	if m == nil {
-		// Stage 1+2: refine fragments and filter by decoded root paths, one
+		// Stage 1+2: refine fragments and filter by interned root paths, one
 		// worker per view; any view refining to zero fragments cancels the
 		// others early (the query's answer is certainly empty).
 		refined = make([]refinedView, len(covers))
@@ -193,10 +198,11 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 		}
 		res.RefineWorkers = refWorkers
 		stage := time.Now()
-		empty, err := refineAll(q, covers, fst, refined, b, refWorkers)
+		empty, err := refineAll(q, covers, refined, b, refWorkers)
 		res.RefineNanos = int64(time.Since(stage))
 		for i := range refined {
 			res.FragmentsScanned += refined[i].scanned
+			res.PathsTested += refined[i].paths
 			if i < AttrMaxViews {
 				res.ViewScanned[i] = int32(refined[i].scanned)
 				res.ViewKept[i] = int32(len(refined[i].frags))
@@ -282,26 +288,61 @@ func joinStage(jp *JoinPlan, fst *dewey.FST, refined []refinedView, b *budget.B,
 	return joined, err
 }
 
-// refinedView holds a view's surviving fragments and their decoded
-// label-paths (decoded once, reused by the join).
+// refinedView holds a view's surviving fragments. The join reads each
+// fragment's root labels from its interned Path.
 type refinedView struct {
-	frags  []*views.Fragment
-	labels [][]string
-	// scanned counts fragments this view's refinement looked at.
+	frags []*views.Fragment
+	// scanned counts fragments this view's refinement looked at; paths
+	// counts the distinct root label-paths it tested.
 	scanned int
-	// sc is the pooled scratch backing frags/labels/slab; released by
-	// releaseRefined once the query is done with the refined sets.
+	paths   int
+	// sc is the pooled scratch backing frags; released by releaseRefined
+	// once the query is done with the refined sets.
 	sc *refineScratch
 }
 
 // refineScratch is the pooled allocation unit of one view's refinement:
-// the label slab plus the kept-fragment slices. Pooling these keeps the
-// steady-state per-query allocation count flat, like putVtree does for
-// the join arena.
+// the kept-fragment slice and the root-path verdict memo. Pooling these
+// keeps the steady-state per-query allocation count flat, like putVtree
+// does for the join arena.
 type refineScratch struct {
-	slab   []string
-	frags  []*views.Fragment
-	labels [][]string
+	frags []*views.Fragment
+	// verdicts[id] is the root-path filter's answer for LabelPath id,
+	// valid only while its epoch equals the scratch's: bumping epoch
+	// forgets every verdict in O(1). The array grows to the largest path
+	// id seen, so one scratch serves every document's table.
+	verdicts []pathVerdict
+	epoch    uint32
+}
+
+type pathVerdict struct {
+	epoch uint32
+	ok    bool
+}
+
+// begin starts a new verdict generation. At the epoch's wrap every stamp
+// is cleared, so a stale verdict can never read as current.
+func (sc *refineScratch) begin() {
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.verdicts)
+		sc.epoch = 1
+	}
+}
+
+// pathMatches is labelPathMatches(lp.Labels, rootPath) memoized per path
+// class for the current epoch; tested counts fresh evaluations.
+func (sc *refineScratch) pathMatches(lp *dewey.LabelPath, rootPath pattern.Path, tested *int) bool {
+	if n := int(lp.ID) + 1; n > len(sc.verdicts) {
+		sc.verdicts = append(sc.verdicts, make([]pathVerdict, n-len(sc.verdicts))...)
+	}
+	v := &sc.verdicts[lp.ID]
+	if v.epoch != sc.epoch {
+		v.epoch = sc.epoch
+		v.ok = labelPathMatches(lp.Labels, rootPath)
+		*tested++
+	}
+	return v.ok
 }
 
 var refineScratchPool = sync.Pool{New: func() any {
@@ -334,48 +375,41 @@ func releaseRefined(refined []refinedView) {
 		}
 		refined[i].sc = nil
 		refined[i].frags = nil
-		refined[i].labels = nil
-		for j := range sc.frags {
-			sc.frags[j] = nil
-		}
-		for j := range sc.labels {
-			sc.labels[j] = nil
-		}
+		clear(sc.frags)
 		sc.frags = sc.frags[:0]
-		sc.labels = sc.labels[:0]
-		// Slab strings are FST-interned labels that live as long as the
-		// system; retaining the backing array pins nothing extra.
-		sc.slab = sc.slab[:0]
 		refineScratchPool.Put(sc)
 	}
 }
 
-// refineView applies the compensating pattern and the root-path filter to
-// every fragment of one cover. stop, when non-nil, is a cooperative
-// early-cancel flag checked per fragment (set by a sibling view that
-// refined to zero fragments, making the join's result empty).
-func refineView(q *pattern.Pattern, c *selection.Cover, fst *dewey.FST, out *refinedView, b *budget.B, stop *atomic.Bool) error {
+// refineView applies the root-path filter and the compensating pattern
+// to every fragment of one cover, on pooled scratch that releaseRefined
+// returns. stop, when non-nil, is a cooperative early-cancel flag
+// checked per fragment (set by a sibling view that refined to zero
+// fragments, making the join's result empty).
+func refineView(q *pattern.Pattern, c *selection.Cover, out *refinedView, b *budget.B, stop *atomic.Bool) error {
+	poolGets.Add(1)
+	sc := refineScratchPool.Get().(*refineScratch)
+	out.sc = sc
+	return sc.refine(q, c, out, b, stop)
+}
+
+// refine is refineView on the given scratch. The root-path filter runs
+// once per distinct root label-path (fragment class), not once per
+// fragment: a fragment costs one verdict lookup, its budget step and,
+// for a non-trivial compensating pattern, one match at its root.
+func (sc *refineScratch) refine(q *pattern.Pattern, c *selection.Cover, out *refinedView, b *budget.B, stop *atomic.Bool) error {
 	comp := compensating(q, c.X)
 	// The root-path filter already certifies x's own label; when the
 	// compensating pattern has no predicates below x, refinement is a
 	// no-op.
 	trivialComp := len(comp.Root.Children) == 0 && len(comp.Root.Attrs) == 0
 	rootPath := rootToNodePath(q, c.X)
-	// One label slab for all fragments of the view; kept label-paths are
-	// sub-slices (when the slab grows, older backing arrays stay alive
-	// through them, which is exactly what we want).
-	poolGets.Add(1)
-	sc := refineScratchPool.Get().(*refineScratch)
-	out.sc = sc
-	slab := sc.slab[:0]
+	sc.begin()
 	out.frags = sc.frags[:0]
-	out.labels = sc.labels[:0]
 	defer func() {
-		// Grown slices flow back into the scratch so their capacity is
+		// A grown slice flows back into the scratch so its capacity is
 		// kept for the next query.
-		sc.slab = slab
 		sc.frags = out.frags
-		sc.labels = out.labels
 	}()
 	for fi := range c.View.Fragments {
 		f := &c.View.Fragments[fi]
@@ -386,23 +420,13 @@ func refineView(q *pattern.Pattern, c *selection.Cover, fst *dewey.FST, out *ref
 			return err
 		}
 		out.scanned++
-		start := len(slab)
-		var err error
-		slab, err = fst.DecodeAppend(f.Code, slab)
-		if err != nil {
-			return fmt.Errorf("rewrite: decode %s: %w", f.Code, err)
-		}
-		labels := slab[start:len(slab):len(slab)]
-		if !labelPathMatches(labels, rootPath) {
-			slab = slab[:start]
+		if !sc.pathMatches(f.Path, rootPath, &out.paths) {
 			continue
 		}
 		if !trivialComp && !engine.MatchesAtRoot(f.Tree, comp) {
-			slab = slab[:start]
 			continue
 		}
 		out.frags = append(out.frags, f)
-		out.labels = append(out.labels, labels)
 	}
 	return nil
 }

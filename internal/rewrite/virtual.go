@@ -14,8 +14,9 @@ import (
 )
 
 // The virtual tree is the prefix-closed trie of the participating
-// fragment roots' extended Dewey codes. Labels come from FST decoding —
-// never from base data. It is stored as an index-linked arena: one slab
+// fragment roots' extended Dewey codes. Labels come from the fragments'
+// interned root label-paths (the codes' FST decodings) — never from base
+// data. It is stored as an index-linked arena: one slab
 // of nodes, no per-node allocations, built in a single merge scan of the
 // per-view code streams (which materialization keeps sorted). This is
 // the paper's "holistic join ... requires only one scan of all roots of
@@ -84,7 +85,7 @@ func putVtree(t *vtree) {
 // buildVirtual skips even that while one stream's run of codes stays
 // below every other head — the common shape when one view dominates a
 // document region. Comparisons are dewey.Compare on the raw code arrays
-// shared with the fragments; decoded label-paths are never consulted.
+// shared with the fragments; label-paths are never consulted.
 //
 // Layout: streams are leaves k..2k-1 of an implicit tournament tree,
 // internal nodes 1..k-1 each hold the losing stream of their match, and
@@ -233,7 +234,7 @@ func buildVirtual(fst *dewey.FST, refined []refinedView) (*vtree, [][]int32, int
 			fi := m.heads[w]
 			m.heads[w]++
 			frag := m.refined[w].frags[fi]
-			labels := m.refined[w].labels[fi]
+			labels := frag.Path.Labels
 			code := frag.Code
 
 			// Pop to the longest stack prefix of code. The stack mirrors

@@ -48,8 +48,13 @@ type updateResponse struct {
 	FragmentsAdded     int    `json:"fragments_added,omitempty"`
 	FragmentsRemoved   int    `json:"fragments_removed,omitempty"`
 	FragmentsRefreshed int    `json:"fragments_refreshed,omitempty"`
-	WALSeq             uint64 `json:"wal_seq,omitempty"`
-	ElapsedNS          int64  `json:"elapsed_ns"`
+	// ViewsScanned counts views whose pattern was re-evaluated over the
+	// mutation's dirty scope; NodesScanned sums the document nodes those
+	// re-evaluations read.
+	ViewsScanned int    `json:"views_scanned,omitempty"`
+	NodesScanned int    `json:"nodes_scanned,omitempty"`
+	WALSeq       uint64 `json:"wal_seq,omitempty"`
+	ElapsedNS    int64  `json:"elapsed_ns"`
 }
 
 // updateStatus maps a mutation failure onto an HTTP status: bad
@@ -156,6 +161,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		FragmentsAdded:     res.FragmentsAdded,
 		FragmentsRemoved:   res.FragmentsRemoved,
 		FragmentsRefreshed: res.FragmentsRefreshed,
+		ViewsScanned:       res.ViewsScanned,
+		NodesScanned:       res.NodesScanned,
 		WALSeq:             res.WALSeq,
 		ElapsedNS:          int64(el),
 	})

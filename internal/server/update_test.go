@@ -70,6 +70,12 @@ func TestUpdateRoundTrip(t *testing.T) {
 	if ur.DirtyViews == 0 || ur.FragmentsAdded == 0 {
 		t.Fatalf("inserting a paragraph under a titled section dirtied nothing: %+v", ur)
 	}
+	// The paragraph lands under a section the views' patterns read, so
+	// maintenance re-evaluates views there and the response says so.
+	if ur.ViewsScanned == 0 || ur.ViewsScanned > ur.ViewsChecked || ur.NodesScanned < ur.ViewsScanned ||
+		!strings.Contains(rr.Body.String(), `"views_scanned"`) || !strings.Contains(rr.Body.String(), `"nodes_scanned"`) {
+		t.Fatalf("insert response does not report the maintenance scan: %s", rr.Body.String())
+	}
 	after := bnCodes(t, sys, "//s/p")
 	if !slices.Contains(after, ur.Code) || len(after) != len(before)+1 {
 		t.Fatalf("query does not see the inserted node %s: before %v after %v", ur.Code, before, after)

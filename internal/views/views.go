@@ -28,6 +28,10 @@ type Fragment struct {
 	// document; the root's label-path is recoverable from it via the FST
 	// without touching base data.
 	Code dewey.Code
+	// Path is the fragment root's label-path (the FST decoding of Code),
+	// interned in the encoding's table when the fragment was built, so
+	// §V refinement tests it once per distinct path. Shared; read-only.
+	Path *dewey.LabelPath
 	// NodeCodes holds the base-document code of every fragment node,
 	// aligned with Tree.Nodes() (preorder). Extraction uses it to report
 	// answers by their global codes.
@@ -83,8 +87,9 @@ func Materialize(id int, p *pattern.Pattern, t *xmltree.Tree, enc *dewey.Encodin
 }
 
 // BuildFragment materializes one answer node of the base document as a
-// standalone fragment: a deep copy of its subtree plus the preorder-
-// aligned base-document codes of every fragment node.
+// standalone fragment: a deep copy of its subtree, the preorder-aligned
+// base-document codes of every fragment node, and the root's interned
+// label-path.
 func BuildFragment(enc *dewey.Encoding, a *xmltree.Node) (Fragment, error) {
 	code, ok := enc.CodeOf(a)
 	if !ok {
@@ -104,7 +109,7 @@ func BuildFragment(enc *dewey.Encoding, a *xmltree.Node) (Fragment, error) {
 		}
 	}
 	collect(a)
-	return Fragment{Tree: sub, Code: code.Clone(), NodeCodes: codes, Bytes: size}, nil
+	return Fragment{Tree: sub, Code: code.Clone(), Path: enc.PathOf(a), NodeCodes: codes, Bytes: size}, nil
 }
 
 // PrefixRange returns the half-open index range [lo, hi) of v.Fragments

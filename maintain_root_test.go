@@ -30,7 +30,8 @@ import (
 )
 
 // freshEqual asserts every registered view is fragment-for-fragment
-// identical to a from-scratch materialization over the current document.
+// identical to a from-scratch materialization over the current document,
+// down to the interned root label-path.
 func freshEqual(t *testing.T, sys *xpathviews.System, tag string) {
 	t.Helper()
 	doc, enc := sys.Document(), sys.Encoding()
@@ -67,6 +68,15 @@ func freshEqual(t *testing.T, sys *xpathviews.System, tag string) {
 			}
 			if a.Bytes != b.Bytes {
 				t.Fatalf("%s: view %d fragment %d bytes %d, fresh %d", tag, v.ID, i, a.Bytes, b.Bytes)
+			}
+			// The root label-path is interned per System: a maintained
+			// fragment holds the very pointer a fresh build hands out, and
+			// its labels are the FST decoding of its code.
+			if a.Path != b.Path {
+				t.Fatalf("%s: view %d fragment %d path %v is not the interned %v", tag, v.ID, i, a.Path, b.Path)
+			}
+			if want, err := enc.FST().Decode(a.Code); err != nil || !slices.Equal(a.Path.Labels, want) {
+				t.Fatalf("%s: view %d fragment %d path %v, FST decodes %s to %v (%v)", tag, v.ID, i, a.Path.Labels, a.Code, want, err)
 			}
 			total += a.Bytes
 		}
@@ -740,7 +750,8 @@ func randomFlipView(rng *rand.Rand, labels []string) string {
 
 // TestDirtyRootProperty: random small documents × fixed and generated
 // views × random insert/delete scripts over arbitrary nodes. After every
-// single mutation each view must equal a fresh materialization; over the
+// single mutation each view must equal a fresh materialization, every
+// fragment's interned root label-path included; over the
 // run, inserts and deletes must each have hit both regimes — scope left
 // at the mutation root, scope lifted to an ancestor.
 func TestDirtyRootProperty(t *testing.T) {

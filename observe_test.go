@@ -353,6 +353,37 @@ func TestResilientRungMetrics(t *testing.T) {
 	}
 }
 
+// TestTraceShapeResilient: the resilient entry point observes its own
+// parse exactly as AnswerContext does — a parse span ahead of the rungs
+// and a nonzero ParseNanos — and a parse error still leaves a trace.
+func TestTraceShapeResilient(t *testing.T) {
+	sys, _ := obsSystem(t)
+	tr := xpathviews.NewTrace()
+	res, err := sys.AnswerResilient(context.Background(), paperdata.QueryE,
+		xpathviews.Options{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := spanNames(tr.Root())
+	if len(names) < 3 || names[0] != "parse" || names[1] != "normalize" || names[2] != "rung:"+res.Rung {
+		t.Fatalf("resilient trace children %v, want [parse normalize rung:%s ...]\n%s", names, res.Rung, tr.Text())
+	}
+	if res.ParseNanos <= 0 {
+		t.Fatalf("resilient ParseNanos = %d, want > 0", res.ParseNanos)
+	}
+	if tr.Find("rewrite") == nil || tr.Find("refine") == nil {
+		t.Fatalf("view rung trace lacks rewrite/refine:\n%s", tr.Text())
+	}
+
+	bad := xpathviews.NewTrace()
+	if _, err := sys.AnswerResilient(context.Background(), "//s[", xpathviews.Options{Trace: bad}); err == nil {
+		t.Fatal("malformed query parsed")
+	}
+	if sp := bad.Find("parse"); sp == nil {
+		t.Fatalf("failed resilient parse left no parse span:\n%s", bad.Text())
+	}
+}
+
 // TestDumpMetrics: the text exposition carries both registry metrics
 // and the live system gauges.
 func TestDumpMetrics(t *testing.T) {

@@ -165,6 +165,16 @@ func (s *System) AnswerContext(ctx context.Context, src string, opts Options) (*
 	if cachePlans(opts) {
 		return s.answerSrcCached(ctx, src, opts, co, t0)
 	}
+	q, parseNanos, err := co.parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return s.answerPatternObs(ctx, q, opts, co, t0, parseNanos, src)
+}
+
+// parse parses src under the call's "parse" span, abandoning the call
+// on a parse error.
+func (co callObs) parse(src string) (*pattern.Pattern, int64, error) {
 	sp := co.child("parse")
 	pt := time.Now()
 	q, err := xpath.Parse(src)
@@ -173,10 +183,10 @@ func (s *System) AnswerContext(ctx context.Context, src string, opts Options) (*
 		sp.Err(err)
 		sp.End()
 		co.abandon(err)
-		return nil, err
+		return nil, 0, err
 	}
 	sp.End()
-	return s.answerPatternObs(ctx, q, opts, co, t0, parseNanos, src)
+	return q, parseNanos, nil
 }
 
 // answerSrcCached is AnswerContext's plan-cached path: the raw source
@@ -336,16 +346,23 @@ func (s *System) SelectContext(ctx context.Context, q *pattern.Pattern, strat St
 // (DegradedReasons). Context cancellation aborts the whole chain — a
 // caller that went away is not served a degraded answer.
 func (s *System) AnswerResilient(ctx context.Context, src string, opts Options) (*Result, error) {
-	q, err := xpath.Parse(src)
+	co, t0 := s.startObs(opts)
+	q, parseNanos, err := co.parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return s.AnswerPatternResilient(ctx, q, opts)
+	return s.answerResilientObs(ctx, q, opts, co, t0, parseNanos, src)
 }
 
 // AnswerPatternResilient is AnswerResilient for already-parsed queries.
 func (s *System) AnswerPatternResilient(ctx context.Context, q *pattern.Pattern, opts Options) (*Result, error) {
 	co, t0 := s.startObs(opts)
+	return s.answerResilientObs(ctx, q, opts, co, t0, 0, "")
+}
+
+// answerResilientObs is the shared resilient tail, the fallback-chain
+// counterpart of answerPatternObs.
+func (s *System) answerResilientObs(ctx context.Context, q *pattern.Pattern, opts Options, co callObs, t0 time.Time, parseNanos int64, src string) (*Result, error) {
 	ctx, cancel, err := servingContext(ctx, opts)
 	if err != nil {
 		co.abandon(err)
@@ -356,7 +373,11 @@ func (s *System) AnswerPatternResilient(ctx context.Context, q *pattern.Pattern,
 	if len(chain) == 0 {
 		chain = DefaultFallback()
 	}
+	nsp := co.child("normalize")
+	nt := time.Now()
 	q = pattern.Minimize(q)
+	parseNanos += int64(time.Since(nt))
+	nsp.End()
 	var reasons []string
 	var lastErr error
 	s.mu.RLock()
@@ -379,12 +400,13 @@ func (s *System) AnswerPatternResilient(ctx context.Context, q *pattern.Pattern,
 			res.Rung = rung.String()
 			res.Degraded = len(reasons) > 0
 			res.DegradedReasons = reasons
+			res.ParseNanos = parseNanos
 			truncate(res, opts.MaxAnswers)
 			s.observe(q, viewRung(rung), nil)
 			if co.m != nil && int(rung) < len(co.m.rungServed) {
 				co.m.rungServed[rung].Inc()
 			}
-			s.finishCall(co, b, t0, "", q, "resilient", res, nil)
+			s.finishCall(co, b, t0, src, q, "resilient", res, nil)
 			return res, nil
 		}
 		if rsp != nil {
@@ -392,7 +414,7 @@ func (s *System) AnswerPatternResilient(ctx context.Context, q *pattern.Pattern,
 			rsp.End()
 		}
 		if !degradable(err) {
-			s.finishCall(co, b, t0, "", q, "resilient", nil, err)
+			s.finishCall(co, b, t0, src, q, "resilient", nil, err)
 			return nil, err
 		}
 		if co.m != nil {
@@ -407,7 +429,7 @@ func (s *System) AnswerPatternResilient(ctx context.Context, q *pattern.Pattern,
 	s.observe(q, false, lastErr)
 	err = fmt.Errorf("xpathviews: all fallback rungs failed (%s): %w",
 		strings.Join(reasons, "; "), lastErr)
-	s.finishCall(co, nil, t0, "", q, "resilient", nil, err)
+	s.finishCall(co, nil, t0, src, q, "resilient", nil, err)
 	return nil, err
 }
 
@@ -578,6 +600,9 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 		return nil, err
 	}
 	res.Memo = out.Memo
+	if co.ex != nil {
+		co.ex.pathsTested = out.PathsTested
+	}
 	res.RefineNanos = out.RefineNanos
 	res.JoinNanos = out.JoinNanos
 	res.ExtractNanos = out.ExtractNanos
@@ -622,6 +647,7 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 		if !out.Memo {
 			ref := rsp.ChildTimed("refine", t, time.Duration(out.RefineNanos))
 			ref.SetAttr("workers", out.RefineWorkers)
+			ref.SetAttr("paths", out.PathsTested)
 			t = t.Add(time.Duration(out.RefineNanos))
 		}
 		if out.JoinNanos > 0 {
