@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check bench-check build vet test race fuzz-smoke fmt-check advise-demo bench obs-demo serve-demo statusz-demo bench-server update-demo bench-join gate-join views-demo bench-views
+.PHONY: check bench-check build vet test race fuzz-smoke fmt-check advise-demo obs-demo serve-demo statusz-demo bench-server update-demo views-demo bench-views
 
 # check is the full local gate: static checks, build, the race-enabled
 # test suite, a short fuzz smoke of the XPath parser, and the benchmark
@@ -46,27 +46,6 @@ fuzz-smoke:
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
-
-# bench runs the serving hot-path benchmarks (plan cache hit/miss and
-# sequential-vs-parallel rewrite) with allocation stats, then refreshes
-# the machine-readable speedup report in BENCH_serving.json.
-bench:
-	$(GO) test -run='^$$' -bench='AnswerPlanCache|AnswerParallel' -benchmem -count=1 .
-	XPV_BENCH_REPORT=1 $(GO) test -run=TestServingBenchReport -count=1 -v .
-
-# bench-join runs the holistic-join kernel microbenchmarks (virtual-tree
-# build, sequential join, prefix-partitioned parallel join) with a
-# multi-core GOMAXPROCS so the parallel kernel actually fans out even
-# when invoked from a constrained shell. Profile the join path with
-# `go run ./cmd/xpvbench -join -cpuprofile join.pprof`.
-bench-join:
-	GOMAXPROCS=4 $(GO) test -run='^$$' -bench=BenchmarkJoinKernel -benchmem -count=1 ./internal/rewrite
-
-# gate-join replays the serving report's join measurement and fails if
-# join_ns at 8 views regressed more than 20% over the committed
-# BENCH_serving.json baseline. CI runs this on every push.
-gate-join:
-	XPV_JOIN_GATE=1 $(GO) test -run=TestJoinRegressionGate -count=1 -v .
 
 # obs-demo exercises the observability surface end to end: an -explain
 # run of the paper's running example (Figure 2 document, Table I views,

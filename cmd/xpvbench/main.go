@@ -4,16 +4,13 @@
 // Usage:
 //
 //	xpvbench [-quick] [-table3] [-fig8] [-fig9] [-fig10] [-fig11] [-fig12]
-//	         [-obs] [-join] [-cpuprofile out.prof] [-memprofile out.prof]
+//	         [-obs] [-cpuprofile out.prof] [-memprofile out.prof]
 //
 // With no figure flags, everything runs. -quick shrinks the workload for
 // a fast smoke run. -obs runs the telemetry-overhead benchmark instead
 // (hot serving path with metrics off / on / traced) and writes
-// BENCH_obs.json. -join runs the join-kernel driver instead (per-stage
-// split, sequential vs prefix-partitioned parallel join) — combine with
-// -cpuprofile to capture the join path. -cpuprofile/-memprofile write
-// pprof profiles of the run for digging into the serving hot path
-// (`go tool pprof`). View maintenance is measured by the repository
+// BENCH_obs.json. -cpuprofile/-memprofile write pprof profiles of the
+// run for digging into the serving hot path (`go tool pprof`). View maintenance is measured by the repository
 // benchmark (`bash bench/run.sh`, workload lib-churn and the mutation
 // probe of the others).
 package main
@@ -38,7 +35,6 @@ func main() {
 	f11 := flag.Bool("fig11", false, "run Figure 11 (VFilter size scaling)")
 	f12 := flag.Bool("fig12", false, "run Figure 12 (filtering time)")
 	obs := flag.Bool("obs", false, "run the telemetry-overhead benchmark and write BENCH_obs.json")
-	join := flag.Bool("join", false, "run the join-kernel driver (stage split, seq vs prefix-partitioned parallel join)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -73,13 +69,6 @@ func main() {
 
 	if *obs {
 		if err := runObs(os.Stdout, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *join {
-		if err := runJoin(os.Stdout, *quick); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -55,9 +55,9 @@ trace:
   │  ├─ vfilter DUR views=N candidates=N touched=N query_paths=N
   │  └─ select DUR algo=selection.heuristic candidates=N covers=N leaves_covered=N homs=N
   ├─ rewrite DUR views=N memo=miss fragments_scanned=N
-  │  ├─ refine DUR workers=N paths=N
-  │  ├─ join DUR fragments_joined=N workers=N
-  │  └─ extract DUR workers=N
+  │  ├─ refine DUR paths=N
+  │  ├─ join DUR fragments_joined=N
+  │  └─ extract DUR
   └─ collect DUR answers=N
 `
 

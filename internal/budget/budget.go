@@ -8,10 +8,11 @@
 // A nil *B is valid everywhere and means "unlimited, uncancellable" —
 // legacy entry points pass nil so the hot paths stay check-free.
 //
-// Charging is atomic: one budget may be shared by the parallel rewrite's
-// worker goroutines (per-view refinement, per-fragment extraction) and
-// the configured caps stay exact — every unit is debited exactly once,
-// and the first debit that crosses zero reports exhaustion.
+// Charging is atomic, so a budget a caller shares across goroutines
+// keeps its caps exact — every unit is debited exactly once, and the
+// first debit that crosses zero reports exhaustion. The pipeline itself
+// charges a call's budget from that call's goroutine only, where the
+// atomics are uncontended.
 package budget
 
 import (
@@ -38,8 +39,7 @@ var (
 // contexts returning within microseconds without measurable overhead.
 const checkInterval = 256
 
-// B tracks one call's remaining budgets. It is safe for concurrent use:
-// the rewrite stage shares one B across its worker pool.
+// B tracks one call's remaining budgets. It is safe for concurrent use.
 type B struct {
 	ctx        context.Context
 	stepBound  bool
@@ -74,7 +74,7 @@ func New(ctx context.Context, maxSteps, maxHoms int64) *B {
 // EnableTracking turns on spend accounting: Step and Hom additionally
 // accumulate how much was consumed, readable via Spent. Off by default
 // so the untraced hot path pays only a predictable-false branch; must
-// be called before the budget is shared with worker goroutines.
+// be called before the budget is shared with other goroutines.
 func (b *B) EnableTracking() {
 	if b != nil {
 		b.track = true
@@ -82,7 +82,7 @@ func (b *B) EnableTracking() {
 }
 
 // Spent returns the work consumed so far. Zero until EnableTracking is
-// called; safe to read while workers are still charging.
+// called; safe to read while another goroutine is still charging.
 func (b *B) Spent() (steps, homs int64) {
 	if b == nil {
 		return 0, 0
@@ -110,21 +110,6 @@ func (b *B) Step(n int) error {
 		}
 	}
 	return nil
-}
-
-// refund returns n unused, previously charged steps to the budget. Only
-// shards call it (on Close), undoing the tail of their last prepaid
-// chunk so the configured cap stays exact across a fan-out.
-func (b *B) refund(n int64) {
-	if b == nil || n <= 0 {
-		return
-	}
-	if b.track {
-		b.usedSteps.Add(-n)
-	}
-	if b.stepBound {
-		b.steps.Add(n)
-	}
 }
 
 // Hom consumes one homomorphism computation. Homomorphisms are chunky

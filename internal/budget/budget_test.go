@@ -82,8 +82,8 @@ func TestBigStepExhaustsAtOnce(t *testing.T) {
 	}
 }
 
-// TestConcurrentStepExactness shares one budget across goroutines (as the
-// parallel rewrite does) and verifies the cap is exact: the number of
+// TestConcurrentStepExactness shares one budget across goroutines and
+// verifies the cap is exact: the number of
 // successful unit debits equals the configured budget.
 func TestConcurrentStepExactness(t *testing.T) {
 	const cap = 10_000

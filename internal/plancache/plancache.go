@@ -3,7 +3,7 @@
 // singleflight and generation-based lazy invalidation.
 //
 // The cache exploits the observation behind Mandhani & Suciu's cached-
-// view scenario (the paper's [19], see also internal/cache): real XPath
+// view scenario (the paper's [19]): real XPath
 // workloads are highly repetitive, so the expensive query-dependent but
 // data-independent work — parsing, VFILTER filtering (§III) and view
 // selection (§IV) — is worth computing once and replaying. Values are

@@ -13,7 +13,7 @@ import (
 // TestRewriteSteadyStateAllocs is the allocation regression guard for
 // the rewrite hot paths on the paper's running example, every pool warm.
 //
-// miss: a full sequential rewrite that builds its own join skeleton sits
+// miss: a full rewrite that builds its own join skeleton sits
 // at ~40 heap allocations (skeleton, Result, Δ-index list, answer slice,
 // compensating-pattern bits). The bound leaves a little headroom for
 // GC-timed pool evictions but fails if per-answer work creeps back in —
@@ -50,8 +50,8 @@ func TestRewriteSteadyStateAllocs(t *testing.T) {
 		memo  bool
 		bound float64
 	}{
-		{"miss", Options{MaxWorkers: 1}, false, 48},
-		{"hit", Options{MaxWorkers: 1, Plan: jp}, true, 10},
+		{"miss", Options{}, false, 48},
+		{"hit", Options{Plan: jp}, true, 10},
 	} {
 		run := func() {
 			res, err := ExecuteOptions(q, sel, enc.FST(), nil, c.opt)

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"xpathviews/internal/budget"
-	"xpathviews/internal/dewey"
 	"xpathviews/internal/pattern"
 	"xpathviews/internal/selection"
 	"xpathviews/internal/views"
@@ -198,10 +197,8 @@ type joiner struct {
 	chain     []int32 // chain[d] = depth-d ancestor of the anchor
 	deltaFrag *views.Fragment
 
-	// budget aborts the backtracking search; err sticks once set. b is a
-	// budget.Stepper so the same kernel runs under the shared budget
-	// (sequential path) or a per-worker shard (parallel path).
-	b   budget.Stepper
+	// b aborts the backtracking search; err sticks once set.
+	b   *budget.B
 	err error
 }
 
@@ -209,12 +206,9 @@ type joiner struct {
 // vtPool does for the arena.
 var joinerPool = sync.Pool{New: func() any { return &joiner{} }}
 
-func acquireJoiner(p *JoinPlan, vt *vtree, b budget.Stepper) *joiner {
+func acquireJoiner(p *JoinPlan, vt *vtree, b *budget.B) *joiner {
 	j := joinerPool.Get().(*joiner)
 	j.p, j.vt, j.b, j.err = p, vt, b, nil
-	if j.b == nil {
-		j.b = (*budget.B)(nil) // nil *B is a valid, never-aborting Stepper
-	}
 	n := len(p.labels)
 	if cap(j.assign) < n {
 		j.assign = make([]int32, n)
@@ -239,7 +233,7 @@ func releaseJoiner(j *joiner) {
 // joinUpper returns the Δ-view fragments that participate in at least
 // one embedding of the upper pattern in the virtual tree, charging one
 // budget step per embedding attempt.
-func joinUpper(p *JoinPlan, refined []refinedView, vt *vtree, anchors [][]int32, b budget.Stepper) ([]*views.Fragment, error) {
+func joinUpper(p *JoinPlan, refined []refinedView, vt *vtree, anchors [][]int32, b *budget.B) ([]*views.Fragment, error) {
 	j := acquireJoiner(p, vt, b)
 	defer releaseJoiner(j)
 	frags := refined[p.deltaIdx].frags
@@ -254,159 +248,6 @@ func joinUpper(p *JoinPlan, refined []refinedView, vt *vtree, anchors [][]int32,
 		}
 	}
 	return out, nil
-}
-
-// joinPartsPerWorker is the partition fan-out per worker: enough spans
-// that dynamic scheduling evens out skewed document regions, few enough
-// that span bookkeeping stays negligible.
-const joinPartsPerWorker = 4
-
-// joinParGrain is the Δ-fragment count one join worker should own at
-// minimum; below 2×grain the parallel kernel is not engaged. A package
-// variable so the differential tests can force tiny parallel joins.
-var joinParGrain = 64
-
-// fragSpan is one contiguous run of Δ-fragments sharing a Dewey code
-// prefix.
-type fragSpan struct{ lo, hi int }
-
-// partitionByPrefix splits the (code-sorted) Δ-fragment list into
-// contiguous spans of equal code prefix, deepening the prefix length
-// until at least minParts spans exist or every fragment stands alone.
-// Starting at the top-level component and deepening adaptively handles
-// documents where all fragments live under one top-level subtree (every
-// XMark person is under /site/people): a fixed top-level split would
-// yield a single span there.
-func partitionByPrefix(frags []*views.Fragment, minParts int) []fragSpan {
-	n := len(frags)
-	if n == 0 {
-		return nil
-	}
-	maxLen := 0
-	for _, f := range frags {
-		if len(f.Code) > maxLen {
-			maxLen = len(f.Code)
-		}
-	}
-	for depth := 2; ; depth++ {
-		parts := spansAtPrefix(frags, depth)
-		if len(parts) >= minParts || len(parts) == n || depth >= maxLen {
-			return coalesceSpans(parts, minParts)
-		}
-	}
-}
-
-// coalesceSpans caps the schedule at ~2×minParts work items by merging
-// adjacent spans. The adaptive deepening can overshoot from too few
-// spans straight to per-fragment singletons (one step deeper separates
-// every person under the shared /site/people prefix); thousands of
-// one-fragment spans would cost an atomic claim each and schedule no
-// better than ~2×minParts balanced ones. Merging only adjacent spans
-// keeps every group a contiguous code range, preserving the per-worker
-// arena locality the partition exists for.
-func coalesceSpans(parts []fragSpan, minParts int) []fragSpan {
-	maxParts := 2 * minParts
-	if len(parts) <= maxParts {
-		return parts
-	}
-	total := parts[len(parts)-1].hi - parts[0].lo
-	per := (total + maxParts - 1) / maxParts
-	out := parts[:0] // in-place: write index never passes the read index
-	cur := parts[0]
-	for _, sp := range parts[1:] {
-		if cur.hi-cur.lo >= per {
-			out = append(out, cur)
-			cur = sp
-			continue
-		}
-		cur.hi = sp.hi
-	}
-	return append(out, cur)
-}
-
-// spansAtPrefix groups consecutive fragments whose codes agree on their
-// first depth components (codes shorter than depth group only with equal
-// codes). One pass: the list is sorted, so equal prefixes are adjacent.
-func spansAtPrefix(frags []*views.Fragment, depth int) []fragSpan {
-	var parts []fragSpan
-	lo := 0
-	for i := 1; i < len(frags); i++ {
-		a, b := frags[i-1].Code, frags[i].Code
-		la, lb := len(a), len(b)
-		if la > depth {
-			la = depth
-		}
-		if lb > depth {
-			lb = depth
-		}
-		if la != lb || dewey.CommonPrefixLen(a, b) < la {
-			parts = append(parts, fragSpan{lo, i})
-			lo = i
-		}
-	}
-	return append(parts, fragSpan{lo, len(frags)})
-}
-
-// joinParallel is joinUpper fanned out over a worker pool: the Δ-view's
-// fragments are partitioned by Dewey code prefix into contiguous spans
-// (each worker walks one document region at a time, staying local in the
-// shared read-only arena), workers claim spans dynamically, each runs
-// its own pooled joiner under a budget shard, and survivors are recorded
-// in a per-fragment bitmap so the merged output is in exactly the
-// sequential path's order. Per-fragment embeds share no state, so the
-// result set is identical to joinUpper's. The second return value is
-// the scheduled partition fan-out (len(parts)), exported as a metric.
-func joinParallel(p *JoinPlan, refined []refinedView, vt *vtree, anchors [][]int32, b *budget.B, workers int) ([]*views.Fragment, int, error) {
-	frags := refined[p.deltaIdx].frags
-	anch := anchors[p.deltaIdx]
-	parts := partitionByPrefix(frags, workers*joinPartsPerWorker)
-	ok := make([]bool, len(frags))
-	var (
-		wg      sync.WaitGroup
-		next    atomic.Int64
-		stop    atomic.Bool
-		errSlot atomic.Pointer[error]
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sh := budget.NewShard(b)
-			defer sh.Close()
-			j := acquireJoiner(p, vt, sh)
-			defer releaseJoiner(j)
-			for {
-				pi := int(next.Add(1)) - 1
-				if pi >= len(parts) || stop.Load() {
-					return
-				}
-				sp := parts[pi]
-				for fi := sp.lo; fi < sp.hi; fi++ {
-					if j.embed(frags[fi], anch[fi]) {
-						ok[fi] = true
-					}
-					if j.err != nil {
-						e := new(error)
-						*e = j.err
-						errSlot.CompareAndSwap(nil, e)
-						stop.Store(true)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if e := errSlot.Load(); e != nil {
-		return nil, len(parts), *e
-	}
-	out := make([]*views.Fragment, 0, len(frags))
-	for fi, joined := range ok {
-		if joined {
-			out = append(out, frags[fi])
-		}
-	}
-	return out, len(parts), nil
 }
 
 // beginEmbed opens a fresh per-fragment epoch; all assignment slots

@@ -1,11 +1,8 @@
 package rewrite
 
 // Microbenchmarks for the holistic-join kernel in isolation: the
-// loser-tree virtual-tree build, the sequential upper-pattern join, and
-// the prefix-partitioned parallel join at several worker counts. Run via
-// `make bench-join` (which raises GOMAXPROCS so the parallel variants
-// actually fan out) or profile with `go run ./cmd/xpvbench -join
-// -cpuprofile join.pprof`.
+// loser-tree virtual-tree build and the upper-pattern join. Run with
+// `go test -run='^$' -bench=BenchmarkJoinKernel -benchmem ./internal/rewrite`.
 
 import (
 	"testing"
@@ -61,7 +58,7 @@ func newJoinBenchEnv(tb testing.TB) *joinBenchEnv {
 	}
 	refined := make([]refinedView, len(sel.Covers))
 	for i, c := range sel.Covers {
-		if err := refineView(q, c, &refined[i], nil, nil); err != nil {
+		if err := refineView(q, c, &refined[i], nil); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -87,16 +84,4 @@ func BenchmarkJoinKernel(b *testing.B) {
 			putVtree(vt)
 		}
 	})
-	for _, workers := range []int{2, 4} {
-		b.Run("join-par"+string(rune('0'+workers)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				vt, anchors, _ := buildVirtual(env.fst, env.refined)
-				if _, _, err := joinParallel(env.plan, env.refined, vt, anchors, nil, workers); err != nil {
-					b.Fatal(err)
-				}
-				putVtree(vt)
-			}
-		})
-	}
 }

@@ -1,11 +1,8 @@
 package rewrite
 
 // White-box tests for the holistic join kernel: the loser-tree k-way
-// merge (with its galloping fast path), the Dewey-prefix partitioner
-// behind the parallel join, the epoch-stamped joiner scratch, and the
-// sort-and-compact answer dedup. The differential tests here force the
-// parallel join onto tiny fixtures by overriding joinParGrain — the
-// black-box tests in parallel_test.go only reach it on large documents.
+// merge (with its galloping fast path), join-plan reuse, the
+// epoch-stamped joiner scratch, and the sort-and-compact answer dedup.
 
 import (
 	"math/rand"
@@ -14,10 +11,8 @@ import (
 
 	"xpathviews/internal/dewey"
 	"xpathviews/internal/paperdata"
-	"xpathviews/internal/pattern"
 	"xpathviews/internal/selection"
 	"xpathviews/internal/views"
-	"xpathviews/internal/xmark"
 	"xpathviews/internal/xpath"
 )
 
@@ -143,84 +138,6 @@ func TestLoserTreeGallopSkew(t *testing.T) {
 	}
 }
 
-// TestPartitionByPrefix checks the span invariants the parallel join
-// relies on: spans tile the fragment list contiguously, fragments that
-// share a span share their code prefix at some depth, and the partition
-// deepens past a shared top-level component instead of collapsing to one
-// span (the all-persons-under-/site/people shape).
-func TestPartitionByPrefix(t *testing.T) {
-	mkFrags := func(codes ...dewey.Code) []*views.Fragment {
-		frags := make([]*views.Fragment, len(codes))
-		for i, c := range codes {
-			frags[i] = &views.Fragment{Code: c}
-		}
-		return frags
-	}
-	checkTiling := func(t *testing.T, parts []fragSpan, n int) {
-		t.Helper()
-		at := 0
-		for _, sp := range parts {
-			if sp.lo != at || sp.hi <= sp.lo {
-				t.Fatalf("spans do not tile [0,%d): %v", n, parts)
-			}
-			at = sp.hi
-		}
-		if at != n {
-			t.Fatalf("spans cover [0,%d), want [0,%d): %v", at, n, parts)
-		}
-	}
-
-	if parts := partitionByPrefix(nil, 4); parts != nil {
-		t.Fatalf("empty input produced spans: %v", parts)
-	}
-
-	// Distinct second components split at depth 2 already.
-	frags := mkFrags(
-		dewey.Code{0, 0, 1}, dewey.Code{0, 0, 2},
-		dewey.Code{0, 1, 0},
-		dewey.Code{0, 2, 0}, dewey.Code{0, 2, 1},
-	)
-	parts := partitionByPrefix(frags, 3)
-	checkTiling(t, parts, len(frags))
-	if len(parts) != 3 {
-		t.Fatalf("got %d spans %v, want 3", len(parts), parts)
-	}
-
-	// All fragments under one deep shared prefix: the partitioner must
-	// deepen until the codes separate rather than return a single span.
-	frags = mkFrags(
-		dewey.Code{0, 1, 0, 0}, dewey.Code{0, 1, 0, 1},
-		dewey.Code{0, 1, 1, 0}, dewey.Code{0, 1, 2, 0},
-		dewey.Code{0, 1, 3, 0}, dewey.Code{0, 1, 3, 1},
-	)
-	parts = partitionByPrefix(frags, 4)
-	checkTiling(t, parts, len(frags))
-	if len(parts) < 4 {
-		t.Fatalf("partitioner failed to deepen past the shared prefix: %v", parts)
-	}
-
-	// Identical codes can never split: the partitioner must terminate and
-	// return one span, not loop hunting for fan-out that cannot exist.
-	frags = mkFrags(dewey.Code{0, 1}, dewey.Code{0, 1}, dewey.Code{0, 1})
-	parts = partitionByPrefix(frags, 8)
-	checkTiling(t, parts, len(frags))
-
-	// Singleton overshoot: one deepening step separates every fragment at
-	// once (100 siblings under one prefix). Coalescing must cap the
-	// schedule near the requested fan-out instead of returning 100
-	// one-fragment spans.
-	many := make([]dewey.Code, 100)
-	for i := range many {
-		many[i] = dewey.Code{0, 1, uint32(i)}
-	}
-	frags = mkFrags(many...)
-	parts = partitionByPrefix(frags, 4)
-	checkTiling(t, parts, len(frags))
-	if len(parts) < 4 || len(parts) > 8 {
-		t.Fatalf("coalescing produced %d spans for minParts=4, want 4..8", len(parts))
-	}
-}
-
 // planFixture builds a (plan, fst, refined) stack from the paper's
 // running example, refined for real.
 func planFixture(t *testing.T) (*JoinPlan, *dewey.FST, []refinedView, func()) {
@@ -244,105 +161,11 @@ func planFixture(t *testing.T) (*JoinPlan, *dewey.FST, []refinedView, func()) {
 	}
 	refined := make([]refinedView, len(sel.Covers))
 	for i, c := range sel.Covers {
-		if err := refineView(q, c, &refined[i], nil, nil); err != nil {
+		if err := refineView(q, c, &refined[i], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return jp, enc.FST(), refined, func() { releaseRefined(refined) }
-}
-
-// TestJoinParallelMatchesJoinUpper drives the parallel kernel directly
-// against the sequential one on the paper example, across worker counts
-// that exceed both the span count and the fragment count.
-func TestJoinParallelMatchesJoinUpper(t *testing.T) {
-	jp, fst, refined, release := planFixture(t)
-	defer release()
-	vt, anchors, _ := buildVirtual(fst, refined)
-	defer putVtree(vt)
-
-	seq, err := joinUpper(jp, refined, vt, anchors, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) == 0 {
-		t.Fatal("paper example joined zero fragments; fixture drifted")
-	}
-	for _, workers := range []int{1, 2, 3, 16} {
-		par, _, err := joinParallel(jp, refined, vt, anchors, nil, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: joined %d fragments, sequential joined %d", workers, len(par), len(seq))
-		}
-		for i := range seq {
-			if par[i] != seq[i] {
-				t.Fatalf("workers=%d: fragment %d differs (order must match the sequential path)", workers, i)
-			}
-		}
-	}
-}
-
-// TestParallelJoinForcedXMark lowers joinParGrain so ExecuteOptions
-// engages the parallel join on a small XMark instance, then checks the
-// full pipeline's answers against the sequential path across worker
-// counts. This is the end-to-end differential guard for the kernel on a
-// document where all Δ-fragments share a top-level prefix.
-func TestParallelJoinForcedXMark(t *testing.T) {
-	oldGrain := joinParGrain
-	joinParGrain = 1
-	defer func() { joinParGrain = oldGrain }()
-
-	tree := xmark.Generate(xmark.Config{Scale: 0.05, Seed: 17})
-	enc, fst, err := dewey.EncodeTree(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := views.NewRegistry(tree, enc)
-	for _, src := range []string{
-		"//person/name",
-		"//person[address]/name",
-		"//person/address/city",
-		"//open_auction/bidder/increase",
-	} {
-		if _, err := reg.Add(xpath.MustParse(src), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, src := range []string{
-		"//person[address/city]/name",
-		"//person/address/city",
-		"//open_auction/bidder/increase",
-	} {
-		q := pattern.Minimize(xpath.MustParse(src))
-		sel, err := selection.Minimum(q, reg.ViewList)
-		if err != nil {
-			continue
-		}
-		seq, err := ExecuteOptions(q, sel, fst, nil, Options{MaxWorkers: 1})
-		if err != nil {
-			t.Fatalf("%s sequential: %v", src, err)
-		}
-		for _, workers := range []int{2, 3, 7} {
-			par, err := ExecuteOptions(q, sel, fst, nil, Options{MaxWorkers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", src, workers, err)
-			}
-			if seq.FragmentsJoined >= 2 && par.JoinWorkers < 2 {
-				t.Fatalf("%s workers=%d: parallel join not engaged (JoinWorkers=%d) despite grain=1 and %d Δ-fragments",
-					src, workers, par.JoinWorkers, seq.FragmentsJoined)
-			}
-			sc, pc := seq.Codes(), par.Codes()
-			if len(sc) != len(pc) {
-				t.Fatalf("%s workers=%d: %d answers, sequential %d", src, workers, len(pc), len(sc))
-			}
-			for i := range sc {
-				if dewey.Compare(sc[i], pc[i]) != 0 {
-					t.Fatalf("%s workers=%d: answer %d = %v, sequential %v", src, workers, i, pc[i], sc[i])
-				}
-			}
-		}
-	}
 }
 
 // TestJoinPlanReuse: passing the precomputed JoinPlan through Options
@@ -366,11 +189,11 @@ func TestJoinPlanReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := ExecuteOptions(q, sel, enc.FST(), nil, Options{MaxWorkers: 1})
+	base, err := ExecuteOptions(q, sel, enc.FST(), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPlan, err := ExecuteOptions(q, sel, enc.FST(), nil, Options{MaxWorkers: 1, Plan: jp})
+	withPlan, err := ExecuteOptions(q, sel, enc.FST(), nil, Options{Plan: jp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +212,7 @@ func TestJoinPlanReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cross, err := ExecuteOptions(q2, sel2, enc.FST(), nil, Options{MaxWorkers: 1, Plan: jp})
+	cross, err := ExecuteOptions(q2, sel2, enc.FST(), nil, Options{Plan: jp})
 	if err != nil {
 		t.Fatal(err)
 	}

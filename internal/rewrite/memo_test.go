@@ -88,7 +88,7 @@ func didNoStageWork(r *rewrite.Result) bool {
 }
 
 // TestMemoHitMatchesFreshAndNaive: for a single strong cover, 2-view
-// joins and an empty outcome, at MaxWorkers 1 and 4, the first execution
+// joins and an empty outcome, the first execution
 // with a plan computes, every later one is served from the memo, and all
 // of them agree with a plan-less Execute, with ExecuteNaive and with
 // direct evaluation.
@@ -111,37 +111,35 @@ func TestMemoHitMatchesFreshAndNaive(t *testing.T) {
 		if fx.name == "empty" && len(fresh.Answers) != 0 {
 			t.Fatalf("empty fixture has answers: %v", fresh.Codes())
 		}
-		for _, workers := range []int{1, 4} {
-			jp, err := rewrite.PlanJoin(fx.q, fx.sel.Covers)
+		jp, err := rewrite.PlanJoin(fx.q, fx.sel.Covers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := rewrite.Options{Plan: jp}
+		first, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		if first.Memo || first.FragmentsScanned == 0 || first.RefineNanos == 0 {
+			t.Fatalf("%s: first execution did not run the stages: %+v", fx.name, first)
+		}
+		if !sameCodes(first, fresh) {
+			t.Fatalf("%s: first %v != fresh %v", fx.name, first.Codes(), fresh.Codes())
+		}
+		for i := 0; i < 3; i++ {
+			hit, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, opt)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s hit %d: %v", fx.name, i, err)
 			}
-			opt := rewrite.Options{MaxWorkers: workers, Plan: jp}
-			first, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, opt)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", fx.name, workers, err)
+			if !hit.Memo || !didNoStageWork(hit) {
+				t.Fatalf("%s hit %d: not served from the memo: %+v", fx.name, i, hit)
 			}
-			if first.Memo || first.FragmentsScanned == 0 || first.RefineNanos == 0 {
-				t.Fatalf("%s workers=%d: first execution did not run the stages: %+v", fx.name, workers, first)
+			if !sameCodes(hit, fresh) {
+				t.Fatalf("%s hit %d: %v != fresh %v", fx.name, i, hit.Codes(), fresh.Codes())
 			}
-			if !sameCodes(first, fresh) {
-				t.Fatalf("%s workers=%d: first %v != fresh %v", fx.name, workers, first.Codes(), fresh.Codes())
-			}
-			for i := 0; i < 3; i++ {
-				hit, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, opt)
-				if err != nil {
-					t.Fatalf("%s workers=%d hit %d: %v", fx.name, workers, i, err)
-				}
-				if !hit.Memo || !didNoStageWork(hit) {
-					t.Fatalf("%s workers=%d hit %d: not served from the memo: %+v", fx.name, workers, i, hit)
-				}
-				if !sameCodes(hit, fresh) {
-					t.Fatalf("%s workers=%d hit %d: %v != fresh %v", fx.name, workers, i, hit.Codes(), fresh.Codes())
-				}
-				for k, a := range hit.Answers {
-					if a.Node != fresh.Answers[k].Node {
-						t.Fatalf("%s workers=%d hit %d: answer %d is a different fragment node", fx.name, workers, i, k)
-					}
+			for k, a := range hit.Answers {
+				if a.Node != fresh.Answers[k].Node {
+					t.Fatalf("%s hit %d: answer %d is a different fragment node", fx.name, i, k)
 				}
 			}
 		}
@@ -158,7 +156,7 @@ func TestMemoRecomputesOnGenChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := rewrite.Options{MaxWorkers: 1, Plan: jp}
+	opt := rewrite.Options{Plan: jp}
 	run := func() *rewrite.Result {
 		t.Helper()
 		r, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, opt)
@@ -212,7 +210,7 @@ func TestMemoIgnoredForOtherQueryOrCovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := rewrite.Options{MaxWorkers: 1, Plan: jp}
+	opt := rewrite.Options{Plan: jp}
 	warm, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +267,7 @@ func TestMemoConcurrentFirstExecutions(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; i < 4; i++ {
-						r, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, rewrite.Options{MaxWorkers: 1 + g%2*3, Plan: jp})
+						r, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, rewrite.Options{Plan: jp})
 						if err != nil {
 							t.Errorf("%s: %v", fx.name, err)
 							return
@@ -298,7 +296,7 @@ func TestMemoHitStillChargesExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := rewrite.Options{MaxWorkers: 1, Plan: jp}
+	opt := rewrite.Options{Plan: jp}
 	warm, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, opt)
 	if err != nil {
 		t.Fatal(err)

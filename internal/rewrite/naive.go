@@ -32,7 +32,7 @@ func ExecuteNaive(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) 
 	refined := make([]refinedView, len(covers))
 	defer releaseRefined(refined)
 	for i, c := range covers {
-		if err := refineView(q, c, &refined[i], nil, nil); err != nil {
+		if err := refineView(q, c, &refined[i], nil); err != nil {
 			return nil, err
 		}
 		res.FragmentsScanned += refined[i].scanned
@@ -65,7 +65,7 @@ func ExecuteNaive(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) 
 		}
 	}
 	res.FragmentsJoined = len(joined)
-	if err := extract(q, covers[deltaIdx], fragIndices(covers[deltaIdx].View, joined), res, nil, 1); err != nil {
+	if err := extract(q, covers[deltaIdx], fragIndices(covers[deltaIdx].View, joined), res, nil); err != nil {
 		return nil, err
 	}
 	return res, nil

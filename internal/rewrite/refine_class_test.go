@@ -177,7 +177,7 @@ func checkAgainstReference(t *testing.T, tag string, got *refinedView, frags []*
 // answerable queries, class-memoized refinement keeps exactly the
 // fragments the decode-per-fragment oracle keeps, scans as many, and the
 // virtual tree built from its output carries the FST-decoded labels —
-// per view, and through refineAll at one and four workers.
+// per view and through refineAll.
 func TestRefineDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(28))
 	var trivial, nonTrivial, shared, answerable int
@@ -206,7 +206,7 @@ func TestRefineDifferential(t *testing.T) {
 					nonTrivial++
 				}
 				var out refinedView
-				if err := refineView(q, c, &out, nil, nil); err != nil {
+				if err := refineView(q, c, &out, nil); err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
 				checkAgainstReference(t, tag, &out, refs[ci], refLabels[ci], refScanned[ci])
@@ -215,31 +215,29 @@ func TestRefineDifferential(t *testing.T) {
 				}
 				releaseRefined([]refinedView{out})
 			}
-			for _, workers := range []int{1, 4} {
-				refined := make([]refinedView, len(covers))
-				empty, err := refineAll(q, covers, refined, nil, workers)
-				if err != nil {
-					t.Fatalf("%s %s workers=%d: %v", f.name, q, workers, err)
-				}
-				if empty != anyEmpty {
-					t.Fatalf("%s %s workers=%d: empty=%v, reference %v", f.name, q, workers, empty, anyEmpty)
-				}
-				if !empty {
-					for ci := range covers {
-						checkAgainstReference(t, fmt.Sprintf("%s %s workers=%d cover %d", f.name, q, workers, ci),
-							&refined[ci], refs[ci], refLabels[ci], refScanned[ci])
-					}
-					vt, _, _ := buildVirtual(fst, refined)
-					for _, n := range vt.nodes {
-						want, err := fst.Decode(n.code)
-						if err != nil || n.label != want[len(want)-1] {
-							t.Fatalf("%s %s: virtual node %s labelled %q, FST decodes %v (%v)", f.name, q, n.code, n.label, want, err)
-						}
-					}
-					putVtree(vt)
-				}
-				releaseRefined(refined)
+			refined := make([]refinedView, len(covers))
+			empty, err := refineAll(q, covers, refined, nil)
+			if err != nil {
+				t.Fatalf("%s %s: %v", f.name, q, err)
 			}
+			if empty != anyEmpty {
+				t.Fatalf("%s %s: empty=%v, reference %v", f.name, q, empty, anyEmpty)
+			}
+			if !empty {
+				for ci := range covers {
+					checkAgainstReference(t, fmt.Sprintf("%s %s cover %d", f.name, q, ci),
+						&refined[ci], refs[ci], refLabels[ci], refScanned[ci])
+				}
+				vt, _, _ := buildVirtual(fst, refined)
+				for _, n := range vt.nodes {
+					want, err := fst.Decode(n.code)
+					if err != nil || n.label != want[len(want)-1] {
+						t.Fatalf("%s %s: virtual node %s labelled %q, FST decodes %v (%v)", f.name, q, n.code, n.label, want, err)
+					}
+				}
+				putVtree(vt)
+			}
+			releaseRefined(refined)
 		}
 	}
 	t.Logf("%d answerable queries: %d trivial and %d non-trivial compensating covers, %d refinements sharing a path class",
@@ -250,7 +248,7 @@ func TestRefineDifferential(t *testing.T) {
 }
 
 // TestRefineExactBudget: under every step cap from 1 to one past the
-// refinement's total, sequential refineAll fails exactly where the
+// refinement's total, refineAll fails exactly where the
 // oracle does — same error, same fragments scanned per view.
 func TestRefineExactBudget(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
@@ -306,7 +304,7 @@ func TestRefineExactBudget(t *testing.T) {
 				}
 			}
 			refined := make([]refinedView, len(covers))
-			empty, err := refineAll(q, covers, refined, budget.New(nil, k, 0), 1)
+			empty, err := refineAll(q, covers, refined, budget.New(nil, k, 0))
 			if (err == nil) != (refErr == nil) || (err != nil && !errors.Is(err, budget.ErrSteps)) {
 				t.Fatalf("%s cap %d/%d: err %v, reference %v", q, k, total, err, refErr)
 			}
@@ -373,7 +371,7 @@ func TestRefineScratchReuse(t *testing.T) {
 					}
 				}
 				var out refinedView
-				if err := sc.refine(j.q, j.c, &out, nil, nil); err != nil {
+				if err := sc.refine(j.q, j.c, &out, nil); err != nil {
 					t.Fatal(err)
 				}
 				frags, labels, scanned, err := refineViewReference(j.q, j.c, j.fst, nil)
@@ -412,7 +410,7 @@ func TestRefineAllocsFlat(t *testing.T) {
 		c := sel.Covers[0]
 		run := func() {
 			var out refinedView
-			if err := refineView(q, c, &out, nil, nil); err != nil {
+			if err := refineView(q, c, &out, nil); err != nil {
 				t.Fatal(err)
 			}
 			releaseRefined([]refinedView{out})

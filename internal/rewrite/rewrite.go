@@ -69,19 +69,11 @@ type Result struct {
 	PathsTested int
 	// Per-stage wall time. Refine covers stages 1+2 and Extract stage 4;
 	// Join covers stage 3 — the virtual-tree merge build plus the
-	// per-fragment embeds. JoinBuildNanos isolates the build, the join's
-	// only inherently sequential part: BENCH_serving.json derives the
-	// join's parallelizable fraction from JoinNanos-JoinBuildNanos.
+	// per-fragment embeds — and JoinBuildNanos isolates the build.
 	RefineNanos    int64
 	JoinNanos      int64
 	JoinBuildNanos int64
 	ExtractNanos   int64
-	// RefineWorkers, JoinWorkers and ExtractWorkers are the worker-pool
-	// sizes the parallel stages actually ran with (1 = sequential), for
-	// the telemetry span's worker-count attributes.
-	RefineWorkers  int
-	JoinWorkers    int
-	ExtractWorkers int
 
 	// Per-cover refinement accounting for view attribution, indexed by
 	// cover position in the selection (the serving layer maps positions
@@ -92,12 +84,11 @@ type Result struct {
 	ViewScanned [AttrMaxViews]int32
 	ViewKept    [AttrMaxViews]int32
 
-	// Join-kernel internals (stage 3): JoinPartitions is the prefix-
-	// partition fan-out the parallel kernel scheduled (1 when the join
-	// ran sequentially, 0 when no join stage ran — the strong single-
-	// cover fast path); GallopHits counts loser-tree merge emits that
-	// rode the galloping fast path (consecutive pops from one stream
-	// without a tree replay).
+	// Join-kernel internals (stage 3): JoinPartitions is 1 when the
+	// holistic join ran and 0 when it did not (a memo hit, an empty
+	// refinement, or the strong single-cover fast path); GallopHits counts
+	// loser-tree merge emits that rode the galloping fast path
+	// (consecutive pops from one stream without a tree replay).
 	JoinPartitions int
 	GallopHits     int64
 
@@ -126,30 +117,33 @@ func (r *Result) Codes() []dewey.Code {
 	return r.codes
 }
 
+// Options tunes one Execute call.
+type Options struct {
+	// Plan, when non-nil, supplies a precomputed join skeleton for
+	// exactly this call's (pattern, covers) pair — the serving layer
+	// caches one per query plan. The first call through a Plan leaves the
+	// Δ-list of stages 1–3 on it; later calls, while no covered view's
+	// Gen has moved, go straight to extraction (Result.Memo). A
+	// mismatched or nil Plan is recomputed on the fly and remembers
+	// nothing, so passing it is purely an optimization.
+	Plan *JoinPlan
+}
+
 // Execute answers q from the selected covers' materialized fragments.
 // fst must be the document's FST (shipped with the view store; not base
 // data). The selection must be answerable — callers obtain it from
 // selection.Minimum or selection.Heuristic.
 func Execute(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) (*Result, error) {
-	return ExecuteBudget(q, sel, fst, nil)
+	return ExecuteOptions(q, sel, fst, nil, Options{})
 }
 
-// ExecuteBudget is Execute under a cancellation/step budget: refinement
-// charges one step per scanned fragment, the holistic join one step per
-// embedding attempt, extraction one step per fragment. A nil budget
-// never aborts on its own, but the stage fault points may.
-func ExecuteBudget(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST, b *budget.B) (*Result, error) {
-	return ExecuteOptions(q, sel, fst, b, Options{})
-}
-
-// ExecuteOptions is ExecuteBudget with explicit execution options: the
-// per-view refinement of stage 1+2 and the per-fragment extraction of
-// stage 4 fan out across a bounded worker pool (see Options.MaxWorkers),
-// sharing the (atomically charged) budget. Results are identical to the
-// sequential path — answers are merged in deterministic order and sorted
-// by extended Dewey code either way. A caller-supplied Options.Plan that
-// remembers the Δ-list skips stages 1–3 and their budget steps
-// (Result.Memo); extraction and every check between the stages still run.
+// ExecuteOptions is Execute under a cancellation/step budget and with
+// explicit options: refinement charges one step per scanned fragment,
+// the holistic join one step per embedding attempt, extraction one step
+// per fragment. A nil budget never aborts on its own, but the stage
+// fault points may. A caller-supplied Options.Plan that remembers the
+// Δ-list skips stages 1–3 and their budget steps (Result.Memo);
+// extraction and every check between the stages still run.
 func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST, b *budget.B, opt Options) (*Result, error) {
 	if len(sel.Covers) == 0 {
 		return nil, fmt.Errorf("rewrite: empty selection")
@@ -187,18 +181,13 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 	var refined []refinedView
 	var joined []*views.Fragment // the Δ-view fragments that reach stage 4
 	if m == nil {
-		// Stage 1+2: refine fragments and filter by interned root paths, one
-		// worker per view; any view refining to zero fragments cancels the
-		// others early (the query's answer is certainly empty).
+		// Stage 1+2: refine fragments and filter by interned root paths,
+		// view by view; a view refining to zero fragments ends the stage
+		// early (the query's answer is certainly empty).
 		refined = make([]refinedView, len(covers))
 		defer releaseRefined(refined)
-		refWorkers := opt.workersFor(len(covers))
-		if sel.TotalFragments() < minParallelFrags {
-			refWorkers = 1 // too little scan work to pay for the fan-out
-		}
-		res.RefineWorkers = refWorkers
 		stage := time.Now()
-		empty, err := refineAll(q, covers, refined, b, refWorkers)
+		empty, err := refineAll(q, covers, refined, b)
 		res.RefineNanos = int64(time.Since(stage))
 		for i := range refined {
 			res.FragmentsScanned += refined[i].scanned
@@ -235,7 +224,7 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 		}
 		if m == nil {
 			var err error
-			if joined, err = joinStage(jp, fst, refined, b, opt, res); err != nil {
+			if joined, err = joinStage(jp, fst, refined, b, res); err != nil {
 				return nil, err
 			}
 		}
@@ -250,8 +239,7 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 
 	// Stage 4: extraction from the Δ-view's joined fragments.
 	stage := time.Now()
-	res.ExtractWorkers = opt.workersFor(len(m.idx))
-	err := extract(q, dc, m.idx, res, b, res.ExtractWorkers)
+	err := extract(q, dc, m.idx, res, b)
 	res.ExtractNanos = int64(time.Since(stage))
 	if err != nil {
 		return nil, err
@@ -259,29 +247,16 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 	return res, nil
 }
 
-// joinStage is stage 3 proper: the arena build is one loser-tree merge
-// scan; the per-fragment embeds are independent, so with enough
-// Δ-fragments to amortize the fan-out they run on a worker pool over
-// prefix partitions (joinParallel). It returns the Δ-view fragments that
-// join, in fragment order.
-func joinStage(jp *JoinPlan, fst *dewey.FST, refined []refinedView, b *budget.B, opt Options, res *Result) ([]*views.Fragment, error) {
-	jw := 1
-	if dfrags := len(refined[jp.deltaIdx].frags); dfrags >= 2*joinParGrain {
-		jw = opt.workersFor(dfrags / joinParGrain)
-	}
-	res.JoinWorkers = jw
+// joinStage is stage 3 proper: one loser-tree merge scan builds the
+// arena, then the upper pattern is embedded once per Δ-fragment. It
+// returns the Δ-view fragments that join, in fragment order.
+func joinStage(jp *JoinPlan, fst *dewey.FST, refined []refinedView, b *budget.B, res *Result) ([]*views.Fragment, error) {
 	stage := time.Now()
 	vt, anchors, gallop := buildVirtual(fst, refined)
 	res.JoinBuildNanos = int64(time.Since(stage))
 	res.GallopHits = gallop
-	var joined []*views.Fragment
-	var err error
-	if jw > 1 {
-		joined, res.JoinPartitions, err = joinParallel(jp, refined, vt, anchors, b, jw)
-	} else {
-		joined, err = joinUpper(jp, refined, vt, anchors, b)
-		res.JoinPartitions = 1
-	}
+	joined, err := joinUpper(jp, refined, vt, anchors, b)
+	res.JoinPartitions = 1
 	putVtree(vt)
 	res.JoinNanos = int64(time.Since(stage))
 	res.FragmentsJoined = len(joined)
@@ -381,23 +356,36 @@ func releaseRefined(refined []refinedView) {
 	}
 }
 
+// refineAll runs stage 1+2 for every cover in order. It reports
+// empty=true as soon as some view refines to zero fragments (the
+// rewriting's answer is empty); the remaining views are not refined.
+func refineAll(q *pattern.Pattern, covers []*selection.Cover, refined []refinedView, b *budget.B) (empty bool, err error) {
+	for i, c := range covers {
+		if err := refineView(q, c, &refined[i], b); err != nil {
+			return false, err
+		}
+		if len(refined[i].frags) == 0 {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
 // refineView applies the root-path filter and the compensating pattern
 // to every fragment of one cover, on pooled scratch that releaseRefined
-// returns. stop, when non-nil, is a cooperative early-cancel flag
-// checked per fragment (set by a sibling view that refined to zero
-// fragments, making the join's result empty).
-func refineView(q *pattern.Pattern, c *selection.Cover, out *refinedView, b *budget.B, stop *atomic.Bool) error {
+// returns.
+func refineView(q *pattern.Pattern, c *selection.Cover, out *refinedView, b *budget.B) error {
 	poolGets.Add(1)
 	sc := refineScratchPool.Get().(*refineScratch)
 	out.sc = sc
-	return sc.refine(q, c, out, b, stop)
+	return sc.refine(q, c, out, b)
 }
 
 // refine is refineView on the given scratch. The root-path filter runs
 // once per distinct root label-path (fragment class), not once per
 // fragment: a fragment costs one verdict lookup, its budget step and,
 // for a non-trivial compensating pattern, one match at its root.
-func (sc *refineScratch) refine(q *pattern.Pattern, c *selection.Cover, out *refinedView, b *budget.B, stop *atomic.Bool) error {
+func (sc *refineScratch) refine(q *pattern.Pattern, c *selection.Cover, out *refinedView, b *budget.B) error {
 	comp := compensating(q, c.X)
 	// The root-path filter already certifies x's own label; when the
 	// compensating pattern has no predicates below x, refinement is a
@@ -413,9 +401,6 @@ func (sc *refineScratch) refine(q *pattern.Pattern, c *selection.Cover, out *ref
 	}()
 	for fi := range c.View.Fragments {
 		f := &c.View.Fragments[fi]
-		if stop != nil && stop.Load() {
-			return nil
-		}
 		if err := b.Step(1); err != nil {
 			return err
 		}

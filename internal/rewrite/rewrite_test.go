@@ -1,9 +1,11 @@
 package rewrite_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"xpathviews/internal/budget"
 	"xpathviews/internal/dewey"
 	"xpathviews/internal/engine"
 	"xpathviews/internal/paperdata"
@@ -12,6 +14,7 @@ import (
 	"xpathviews/internal/selection"
 	"xpathviews/internal/vfilter"
 	"xpathviews/internal/views"
+	"xpathviews/internal/xmark"
 	"xpathviews/internal/xmltree"
 	"xpathviews/internal/xpath"
 )
@@ -260,4 +263,113 @@ func randomPattern(r *rand.Rand, labels []string, maxNodes int) *pattern.Pattern
 		nodes = append(nodes, parent.AddChild(lb, pattern.Axis(r.Intn(2))))
 	}
 	return &pattern.Pattern{Root: root, Ret: nodes[r.Intn(len(nodes))]}
+}
+
+// TestCodesMemoized is the regression test for Result.Codes: the second
+// call returns the identical (already sorted) slice with zero further
+// allocation.
+func TestCodesMemoized(t *testing.T) {
+	tree := paperdata.BookTree()
+	enc, err := dewey.Encode(tree, paperdata.BookFST())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := views.NewRegistry(tree, enc)
+	reg.Add(xpath.MustParse(paperdata.ViewV1), 0)
+	reg.Add(xpath.MustParse(paperdata.ViewV2), 0)
+	q := xpath.MustParse(paperdata.QueryE)
+	sel, err := selection.Minimum(q, reg.ViewList)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rewrite.Execute(q, sel, enc.FST())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := res.Codes()
+	if len(first) == 0 {
+		t.Fatal("no codes on the running example")
+	}
+	for i := 1; i < len(first); i++ {
+		if dewey.Compare(first[i-1], first[i]) > 0 {
+			t.Fatalf("codes not sorted: %v", first)
+		}
+	}
+	second := res.Codes()
+	if &first[0] != &second[0] || len(first) != len(second) {
+		t.Fatal("Codes() rebuilt the slice instead of returning the memo")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = res.Codes() }); allocs != 0 {
+		t.Fatalf("repeated Codes() allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestExecuteExactBudget charges the whole §V pipeline — refinement, the
+// holistic join and extraction — against a step cap. On XMark two-view
+// joins whose Δ-view keeps at least 128 fragments, let S be the steps an
+// uncapped run spends: every cap below S must fail with ErrSteps, and a
+// cap of exactly S must succeed with the uncapped run's answers. Both on
+// a memo miss (stages 1–4 charge) and on a memo hit (extraction only),
+// and for both extraction branches: the Δ-view landing on the answer
+// node (fragment roots are the answers) and landing above it (a
+// compensating query runs inside every joined fragment).
+func TestExecuteExactBudget(t *testing.T) {
+	tree := xmark.Generate(xmark.Config{Scale: 0.2, Seed: 61})
+	enc, _, err := dewey.EncodeTree(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fc := range []struct {
+		views []string
+		query string
+	}{
+		{[]string{"//person/address/city", "//person[address]/name"}, "//person[address/city]/name"},
+		{[]string{"//open_auction/initial", "//open_auction/bidder"}, "//open_auction[initial]/bidder/increase"},
+	} {
+		fx := newMemoFixture(t, fc.query, tree, enc, fc.views, fc.query)
+		jp, err := rewrite.PlanJoin(fx.q, fx.sel.Covers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			opt  rewrite.Options
+			memo bool
+		}{
+			{"miss", rewrite.Options{}, false},
+			{"hit", rewrite.Options{Plan: jp}, true},
+		} {
+			tag := fx.name + " " + tc.name
+			if tc.memo {
+				if _, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, tc.opt); err != nil { // the computing call
+					t.Fatal(err)
+				}
+			}
+			b := budget.New(nil, 0, 0)
+			b.EnableTracking()
+			ref, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, b, tc.opt)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if ref.Memo != tc.memo {
+				t.Fatalf("%s: Memo = %v", tag, ref.Memo)
+			}
+			if !tc.memo {
+				if kept := ref.ViewKept[jp.DeltaIndex()]; kept < 128 || ref.JoinPartitions != 1 {
+					t.Fatalf("%s: Δ-view kept %d fragments, join ran %d times; want >= 128 and 1", tag, kept, ref.JoinPartitions)
+				}
+			}
+			spent, _ := b.Spent()
+			for k := int64(1); k < spent; k++ {
+				if _, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, budget.New(nil, k, 0), tc.opt); !errors.Is(err, budget.ErrSteps) {
+					t.Fatalf("%s cap %d of %d steps: err = %v, want ErrSteps", tag, k, spent, err)
+				}
+			}
+			got, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, budget.New(nil, spent, 0), tc.opt)
+			if err != nil || got.Memo != tc.memo || !sameCodes(got, ref) {
+				t.Fatalf("%s cap %d (exact): err=%v memo=%v, want the uncapped answers", tag, spent, err, got != nil && got.Memo)
+			}
+			t.Logf("%s: %d steps, %d answers", tag, spent, len(ref.Answers))
+		}
+	}
 }

@@ -3,7 +3,6 @@ package rewrite
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"xpathviews/internal/budget"
 	"xpathviews/internal/dewey"
@@ -282,11 +281,8 @@ func buildVirtual(fst *dewey.FST, refined []refinedView) (*vtree, [][]int32, int
 // extract runs the answer-extraction compensating query on the Δ-view's
 // joined fragments (§V's final step) — idx indexes dc.View.Fragments in
 // ascending order — and appends results, charging one budget step per
-// fragment. With workers > 1 the per-fragment compensating queries run
-// on a worker pool; per-fragment answer lists are merged in fragment
-// order, so the deduplicated, sorted result is identical to the
-// sequential path's.
-func extract(q *pattern.Pattern, dc *selection.Cover, idx []int32, res *Result, b *budget.B, workers int) error {
+// fragment.
+func extract(q *pattern.Pattern, dc *selection.Cover, idx []int32, res *Result, b *budget.B) error {
 	if err := fpExtract.Fire(); err != nil {
 		return err
 	}
@@ -306,17 +302,11 @@ func extract(q *pattern.Pattern, dc *selection.Cover, idx []int32, res *Result, 
 		}
 		return nil
 	}
-	if workers > 1 && len(idx) >= minParallelFrags {
-		if err := extractParallel(comp, frags, idx, res, b, workers); err != nil {
+	for _, i := range idx {
+		if err := b.Step(1); err != nil {
 			return err
 		}
-	} else {
-		for _, i := range idx {
-			if err := b.Step(1); err != nil {
-				return err
-			}
-			appendFragAnswers(comp, &frags[i], &res.Answers)
-		}
+		appendFragAnswers(comp, &frags[i], &res.Answers)
 	}
 	// Answers are appended in fragment order; the stable sort keeps that
 	// order among equal codes, so dropping adjacent duplicates keeps the
@@ -326,10 +316,6 @@ func extract(q *pattern.Pattern, dc *selection.Cover, idx []int32, res *Result, 
 	dedupAnswers(res)
 	return nil
 }
-
-// minParallelFrags is the fragment count below which fan-out overhead
-// (goroutines, per-slot slices) outweighs the per-fragment match work.
-const minParallelFrags = 4
 
 // appendFragAnswers runs the compensating query on one fragment and
 // appends its (not yet deduplicated) answers.
@@ -343,48 +329,6 @@ func appendFragAnswers(comp *pattern.Pattern, f *views.Fragment, out *[]Answer) 
 		}
 		*out = append(*out, Answer{Code: code, Node: a})
 	}
-}
-
-// extractParallel fans the per-fragment compensating queries out over a
-// worker pool. Workers fill their own fragment's slot; the merge walks
-// slots in fragment order, so the caller's stable sort + adjacent dedup
-// sees the same sequence the sequential loop builds.
-func extractParallel(comp *pattern.Pattern, frags []views.Fragment, idx []int32, res *Result, b *budget.B, workers int) error {
-	slots := make([][]Answer, len(idx))
-	var (
-		wg      sync.WaitGroup
-		next    atomic.Int64
-		stop    atomic.Bool
-		errSlot atomic.Pointer[error]
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(idx) || stop.Load() {
-					return
-				}
-				if err := b.Step(1); err != nil {
-					p := new(error)
-					*p = err
-					errSlot.CompareAndSwap(nil, p)
-					stop.Store(true)
-					return
-				}
-				appendFragAnswers(comp, &frags[idx[i]], &slots[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if p := errSlot.Load(); p != nil {
-		return *p
-	}
-	for _, slot := range slots {
-		res.Answers = append(res.Answers, slot...)
-	}
-	return nil
 }
 
 // sortAnswers orders answers in document order. The sort is stable so

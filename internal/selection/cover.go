@@ -330,17 +330,6 @@ func (s *Selection) Views() []*views.View {
 	return out
 }
 
-// TotalFragments sums the selected views' fragment counts — the number
-// of independent work units §V's refinement scans. The rewriting uses it
-// to size (or skip) its parallel fan-out.
-func (s *Selection) TotalFragments() int {
-	total := 0
-	for _, c := range s.Covers {
-		total += len(c.View.Fragments)
-	}
-	return total
-}
-
 // TotalFragmentBytes sums the selected views' materialized sizes — the
 // quantity the heuristic method optimizes indirectly.
 func (s *Selection) TotalFragmentBytes() int {

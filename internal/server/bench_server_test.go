@@ -1,8 +1,7 @@
 package server
 
 // Load-test harness for the daemon, writing BENCH_server.json (the
-// machine-readable serving report, same pattern as BENCH_serving.json).
-// Run via `make bench-server` or XPV_BENCH_SERVER=1 go test -run
+// machine-readable serving report). Run via `make bench-server` or XPV_BENCH_SERVER=1 go test -run
 // TestServerBenchReport ./internal/server.
 //
 // Three phases:

@@ -1,12 +1,11 @@
 package xpathviews_test
 
-// The join-kernel race hammer: 64 goroutines mixing answering (which
-// runs the prefix-partitioned parallel join whenever enough Δ-fragments
-// survive refinement) with document mutations under scoped plan
-// invalidation (mutate.go). The interesting interleavings are a join
-// reading the shared virtual-tree arena while maintenance rewrites
-// fragment stores and bumps view generations, and pooled joiner scratch
-// migrating between goroutines. Run with -race; the final differential
+// The join-kernel race hammer: 64 goroutines mixing answering (each
+// reader runs the holistic join on its own goroutine) with document
+// mutations under scoped plan invalidation (mutate.go). The interesting
+// interleavings are joins reading view fragments while maintenance
+// rewrites fragment stores and bumps view generations, and pooled
+// joiner, arena and refine scratch migrating between goroutines. Run with -race; the final differential
 // check catches lost updates the detector cannot.
 
 import (
@@ -23,9 +22,8 @@ import (
 )
 
 func TestJoinMutationHammer(t *testing.T) {
-	// The parallel join engages at ≥128 Δ-fragments and GOMAXPROCS>1;
-	// force the latter so a single-core CI host still exercises the
-	// concurrent kernel (goroutines interleave via the scheduler).
+	// Force several Ps so a single-core CI host still runs readers and
+	// writers in parallel, not only interleaved by the scheduler.
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
 

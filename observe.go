@@ -119,16 +119,13 @@ type servingMetrics struct {
 	driftEvents *telemetry.Counter   // xpv_workload_drift_events_total
 	calErr      *telemetry.Histogram // xpv_cost_calibration_err_ppm
 
-	// Join-kernel internals (satellite of the PR 9 kernel): partition
-	// fan-out and gallop-hit volume per joined call, as totals plus
-	// unitless distributions. joinsTotal counts joins actually run;
-	// memoHits the rewrites that skipped refine + join on a remembered
-	// Δ-list instead.
+	// Join-kernel internals: gallop-hit volume per joined call, as a
+	// total plus a unitless distribution. joinsTotal counts joins
+	// actually run; memoHits the rewrites that skipped refine + join on a
+	// remembered Δ-list instead.
 	memoHits        *telemetry.Counter   // xpv_rewrite_memo_hits_total
 	joinsTotal      *telemetry.Counter   // xpv_joins_total
-	joinPartsTotal  *telemetry.Counter   // xpv_join_partitions_total
 	joinGallopTotal *telemetry.Counter   // xpv_join_gallop_hits_total
-	joinPartsHist   *telemetry.Histogram // xpv_join_partition_fanout
 	joinGallopHist  *telemetry.Histogram // xpv_join_gallop_hits
 }
 
@@ -202,9 +199,7 @@ func labeledMetricsFor(reg *telemetry.Registry, tenant string) *servingMetrics {
 
 		memoHits:        reg.Counter(name("xpv_rewrite_memo_hits_total")),
 		joinsTotal:      reg.Counter(name("xpv_joins_total")),
-		joinPartsTotal:  reg.Counter(name("xpv_join_partitions_total")),
 		joinGallopTotal: reg.Counter(name("xpv_join_gallop_hits_total")),
-		joinPartsHist:   reg.HistogramCounts(name("xpv_join_partition_fanout")),
 		joinGallopHist:  reg.HistogramCounts(name("xpv_join_gallop_hits")),
 	}
 	for r := range rungNames {

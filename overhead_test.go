@@ -14,8 +14,8 @@ import (
 	"xpathviews/internal/paperdata"
 )
 
-// hitPathAllocBudget is the PR-3 baseline for BenchmarkAnswerPlanCache
-// (76 allocs/op, BENCH_serving.json) plus the one allocation the
+// hitPathAllocBudget is the hit-path baseline of BenchmarkAnswerPlanCache
+// before telemetry existed (76 allocs/op) plus the one allocation the
 // telemetry layer is allowed to add.
 const hitPathAllocBudget = 77
 

@@ -637,8 +637,6 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 	}
 	if co.m != nil && out.JoinPartitions > 0 {
 		co.m.joinsTotal.Inc()
-		co.m.joinPartsTotal.Add(int64(out.JoinPartitions))
-		co.m.joinPartsHist.Observe(int64(out.JoinPartitions))
 		co.m.joinGallopTotal.Add(out.GallopHits)
 		co.m.joinGallopHist.Observe(out.GallopHits)
 	}
@@ -646,18 +644,15 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 		t := rstart
 		if !out.Memo {
 			ref := rsp.ChildTimed("refine", t, time.Duration(out.RefineNanos))
-			ref.SetAttr("workers", out.RefineWorkers)
 			ref.SetAttr("paths", out.PathsTested)
 			t = t.Add(time.Duration(out.RefineNanos))
 		}
 		if out.JoinNanos > 0 {
 			jn := rsp.ChildTimed("join", t, time.Duration(out.JoinNanos))
 			jn.SetAttr("fragments_joined", out.FragmentsJoined)
-			jn.SetAttr("workers", out.JoinWorkers)
 			t = t.Add(time.Duration(out.JoinNanos))
 		}
-		ext := rsp.ChildTimed("extract", t, time.Duration(out.ExtractNanos))
-		ext.SetAttr("workers", out.ExtractWorkers)
+		rsp.ChildTimed("extract", t, time.Duration(out.ExtractNanos))
 		rsp.SetAttr("views", len(pl.sel.Covers))
 		rsp.SetAttr("memo", cacheLabel(out.Memo, true))
 		rsp.SetAttr("fragments_scanned", out.FragmentsScanned)

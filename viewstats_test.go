@@ -119,8 +119,8 @@ func TestViewStatsAttribution(t *testing.T) {
 			rep.CalibrationObs, rep.CalibrationErr)
 	}
 	// Join-kernel internals surface on the Result of a call that joined.
-	if first.JoinPartitions < 1 || res.JoinPartitions != 0 {
-		t.Fatalf("JoinPartitions first=%d last=%d, want >= 1 for a 2-view join, 0 for a memo hit",
+	if first.JoinPartitions != 1 || res.JoinPartitions != 0 {
+		t.Fatalf("JoinPartitions first=%d last=%d, want 1 for a 2-view join, 0 for a memo hit",
 			first.JoinPartitions, res.JoinPartitions)
 	}
 }
@@ -214,10 +214,8 @@ func TestViewStatsMetricsExposition(t *testing.T) {
 		"xpv_workload_drift ",
 		"xpv_workload_drift_events_total ",
 		"xpv_joins_total ",
-		"xpv_join_partitions_total ",
 		"xpv_join_gallop_hits_total ",
-		"xpv_join_partition_fanout_count ",
-		"xpv_join_partition_fanout_p99 ",
+		"xpv_join_gallop_hits_p99 ",
 		"xpv_join_gallop_hits_count ",
 		"xpv_cost_calibration_err_ppm_count ",
 		"xpv_cost_calibration_err_ppm_p50 ",
@@ -227,10 +225,10 @@ func TestViewStatsMetricsExposition(t *testing.T) {
 		}
 	}
 	// The unitless histograms must not carry the _ns latency suffixes.
-	if strings.Contains(text, "xpv_join_partition_fanout_p50_ns") {
+	if strings.Contains(text, "xpv_join_gallop_hits_p50_ns") {
 		t.Error("count-valued histogram rendered with _ns suffix")
 	}
-	// 3 calls: one joined (over >= 1 partition), two served from its
+	// 3 calls: one joined, two served from its
 	// remembered Δ-list. xpv_joins_total counts joins actually run.
 	counter := func(name string) int64 {
 		for _, line := range strings.Split(text, "\n") {

@@ -330,10 +330,9 @@ type Result struct {
 	ExtractNanos int64
 	TotalNanos   int64
 
-	// JoinPartitions is the holistic join's partition fan-out: how many
-	// Δ-prefix partitions the parallel kernel split the work into (1 for
-	// the sequential path, 0 when the strong single-cover fast path
-	// skipped the join entirely).
+	// JoinPartitions is 1 when the holistic join ran and 0 when it did
+	// not (a memo hit, an empty refinement, or the strong single-cover
+	// fast path).
 	JoinPartitions int
 	// GallopHits counts merge emissions the join's galloping inner loop
 	// produced beyond its first per-advance emission — a measure of how
