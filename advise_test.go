@@ -39,31 +39,30 @@ func TestRecorderHookClassification(t *testing.T) {
 	sys.SetRecorder(rec)
 	ctx := context.Background()
 
-	answerable := xpath.MustParse("//person/name")
-	unanswerable := xpath.MustParse("//item/location")
+	const answerable, unanswerable = "//person/name", "//item/location"
 
 	// View strategy, served from the view: Answered.
-	if _, err := sys.AnswerPatternContext(ctx, answerable, xpathviews.Options{Strategy: xpathviews.HV}); err != nil {
+	if _, err := sys.AnswerContext(ctx, answerable, xpathviews.Options{Strategy: xpathviews.HV}); err != nil {
 		t.Fatal(err)
 	}
 	// Direct evaluation succeeds but no view was used: FellBack.
-	if _, err := sys.AnswerPatternContext(ctx, answerable, xpathviews.Options{Strategy: xpathviews.BN}); err != nil {
+	if _, err := sys.AnswerContext(ctx, answerable, xpathviews.Options{Strategy: xpathviews.BN}); err != nil {
 		t.Fatal(err)
 	}
 	// No view certifies the query: Failed.
-	if _, err := sys.AnswerPatternContext(ctx, unanswerable, xpathviews.Options{Strategy: xpathviews.HV}); !errors.Is(err, xpathviews.ErrNotAnswerable) {
+	if _, err := sys.AnswerContext(ctx, unanswerable, xpathviews.Options{Strategy: xpathviews.HV}); !errors.Is(err, xpathviews.ErrNotAnswerable) {
 		t.Fatalf("want ErrNotAnswerable, got %v", err)
 	}
 	// Starved step budget: BudgetExhausted.
-	if _, err := sys.AnswerPatternContext(ctx, unanswerable, xpathviews.Options{Strategy: xpathviews.BN, MaxSteps: 1}); !errors.Is(err, xpathviews.ErrBudgetExceeded) {
+	if _, err := sys.AnswerContext(ctx, unanswerable, xpathviews.Options{Strategy: xpathviews.BN, MaxSteps: 1}); !errors.Is(err, xpathviews.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
 	// Resilient chain answering on a view rung: Answered.
-	if _, err := sys.AnswerPatternResilient(ctx, answerable, xpathviews.Options{}); err != nil {
+	if _, err := sys.AnswerResilient(ctx, answerable, xpathviews.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Resilient chain degrading to direct evaluation: FellBack.
-	if _, err := sys.AnswerPatternResilient(ctx, unanswerable, xpathviews.Options{}); err != nil {
+	if _, err := sys.AnswerResilient(ctx, unanswerable, xpathviews.Options{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +81,7 @@ func TestRecorderHookClassification(t *testing.T) {
 
 	// Detaching the recorder stops tallying.
 	sys.SetRecorder(nil)
-	if _, err := sys.AnswerPatternContext(ctx, answerable, xpathviews.Options{Strategy: xpathviews.HV}); err != nil {
+	if _, err := sys.AnswerContext(ctx, answerable, xpathviews.Options{Strategy: xpathviews.HV}); err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.Snapshot(); got[0].Freq()+got[1].Freq() != 6 {
@@ -117,9 +116,8 @@ func TestAdviseApplyRoundTrip(t *testing.T) {
 		t.Fatalf("applied %d of %d views", len(ids), len(adv.Views))
 	}
 	for _, e := range []string{"//person/name", "//open_auction[bidder]/seller"} {
-		q := xpath.MustParse(e)
-		if _, err := sys.AnswerPattern(q, xpathviews.HV); err != nil {
-			if _, err2 := sys.AnswerPattern(q, xpathviews.MV); err2 != nil {
+		if _, err := sys.Answer(e, xpathviews.HV); err != nil {
+			if _, err2 := sys.Answer(e, xpathviews.MV); err2 != nil {
 				t.Fatalf("applied advice does not answer %s: HV %v, MV %v", e, err, err2)
 			}
 		}
@@ -171,18 +169,17 @@ func replayFraction(t testing.TB, sys *xpathviews.System, stats []advisor.QueryS
 	t.Helper()
 	answered, total := 0, 0
 	for _, st := range stats {
-		q, err := xpath.Parse(st.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
 		f := st.Freq()
 		total += f
-		if _, err := sys.AnswerPattern(q, xpathviews.HV); err == nil {
+		_, err := sys.Answer(st.Query, xpathviews.HV)
+		if errors.Is(err, xpathviews.ErrNotAnswerable) {
+			_, err = sys.Answer(st.Query, xpathviews.MV)
+		}
+		switch {
+		case err == nil:
 			answered += f
-		} else if errors.Is(err, xpathviews.ErrNotAnswerable) {
-			if _, err := sys.AnswerPattern(q, xpathviews.MV); err == nil {
-				answered += f
-			}
+		case !errors.Is(err, xpathviews.ErrNotAnswerable):
+			t.Fatal(err)
 		}
 	}
 	if total == 0 {

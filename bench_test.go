@@ -63,10 +63,9 @@ func benchFilterEnv(b *testing.B) *experiments.FilterEnv {
 func BenchmarkTable3Workload(b *testing.B) {
 	env := benchEnv(b)
 	for _, qs := range experiments.TableIII() {
-		q := xpath.MustParse(qs.XPath)
 		b.Run(qs.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := env.Sys.AnswerPattern(q, xpathviews.HV)
+				res, err := env.Sys.Answer(qs.XPath, xpathviews.HV)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -83,11 +82,10 @@ func BenchmarkFig8(b *testing.B) {
 	env := benchEnv(b)
 	strategies := []xpathviews.Strategy{xpathviews.BN, xpathviews.BF, xpathviews.MN, xpathviews.MV, xpathviews.HV}
 	for _, qs := range experiments.TableIII() {
-		q := xpath.MustParse(qs.XPath)
 		for _, st := range strategies {
 			b.Run(fmt.Sprintf("%s/%v", qs.Name, st), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := env.Sys.AnswerPattern(q, st); err != nil {
+					if _, err := env.Sys.Answer(qs.XPath, st); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -348,7 +346,7 @@ func BenchmarkAdvise(b *testing.B) {
 // acceptance criterion: one atomic load), and with full sampling.
 func BenchmarkRecorderOverhead(b *testing.B) {
 	doc := xmark.Generate(xmark.Config{Scale: 0.06, Seed: 41})
-	q := xpath.MustParse("//person/name")
+	const q = "//person/name"
 	ctx := context.Background()
 	opts := xpathviews.Options{Strategy: xpathviews.HV}
 	newSys := func() *xpathviews.System {
@@ -363,7 +361,7 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 	}
 	run := func(b *testing.B, sys *xpathviews.System) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sys.AnswerPatternContext(ctx, q, opts); err != nil {
+			if _, err := sys.AnswerContext(ctx, q, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

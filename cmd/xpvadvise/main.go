@@ -135,15 +135,14 @@ func run(wlPath, docPath string, scale float64, seed int64, budget, perView, max
 		fmt.Printf("applied: %d views materialized (ids %v)\n", len(ids), ids)
 		answered, total := 0, 0
 		for _, e := range entries {
-			q, err := xpath.Parse(e.Query)
-			if err != nil {
+			if _, err := xpath.Parse(e.Query); err != nil {
 				continue
 			}
 			total += e.Freq
-			if _, err := sys.AnswerPattern(q, xpathviews.HV); err == nil {
+			if _, err := sys.Answer(e.Query, xpathviews.HV); err == nil {
 				answered += e.Freq
 			} else if errors.Is(err, xpathviews.ErrNotAnswerable) {
-				if _, err := sys.AnswerPattern(q, xpathviews.MV); err == nil {
+				if _, err := sys.Answer(e.Query, xpathviews.MV); err == nil {
 					answered += e.Freq
 				}
 			}

@@ -35,7 +35,7 @@ func Example() {
 // Contained rewriting returns a sound subset of answers when no
 // equivalent rewriting exists — here the only view is more restrictive
 // than the query.
-func ExampleSystem_AnswerContained() {
+func ExampleStrategy_contained() {
 	sys, err := xpathviews.OpenXMLString(
 		`<lib><book><title>A</title><author>X</author></book>` +
 			`<book><title>B</title></book></lib>`)
@@ -50,11 +50,11 @@ func ExampleSystem_AnswerContained() {
 	if _, err := sys.Answer("//book/title", xpathviews.HV); err != nil {
 		fmt.Println("equivalent rewriting:", err)
 	}
-	res, complete, err := sys.AnswerContained("//book/title")
+	res, err := sys.Answer("//book/title", xpathviews.Contained)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("contained: %d answer(s), complete=%v\n", len(res.Answers), complete)
+	fmt.Printf("contained: %d answer(s), complete=%v\n", len(res.Answers), !res.Partial)
 	// Output:
 	// equivalent rewriting: selection: query is not answerable by the view set
 	// contained: 1 answer(s), complete=false

@@ -23,12 +23,13 @@ import (
 // pressured call keeps (1/2).
 const pressuredBudgetDiv = 2
 
-// PressuredFallback is the rung chain served under pressure: the
+// PressuredFallback is the strategy chain served under pressure: the
 // heuristic selection still gets first shot (it is cheap and equivalent
 // when it works), then the sound-but-partial contained rewriting, then
-// direct navigational evaluation. The exact minimum rung is skipped.
-func PressuredFallback() []xpathviews.Rung {
-	return []xpathviews.Rung{xpathviews.RungHV, xpathviews.RungContained, xpathviews.RungBN}
+// direct navigational evaluation. The exact minimum strategy (MV) is
+// skipped.
+func PressuredFallback() []xpathviews.Strategy {
+	return []xpathviews.Strategy{xpathviews.HV, xpathviews.Contained, xpathviews.BN}
 }
 
 // optionsFor assembles one call's serving options from the tenant's

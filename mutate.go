@@ -53,7 +53,7 @@ var ErrSchema = maintain.ErrSchema
 var ErrNoSuchNode = maintain.ErrNoSuchNode
 
 // MutateOptions carries the optional observability hooks of a mutation
-// call, mirroring the tracing/metrics subset of Options.
+// call, mirroring the tracing subset of Options.
 type MutateOptions struct {
 	// Trace records the mutation's span tree (stages: apply, maintain,
 	// wal) when non-nil.
@@ -61,8 +61,6 @@ type MutateOptions struct {
 	// TraceID propagates a W3C trace ID into metrics exemplars and the
 	// slow log.
 	TraceID string
-	// Metrics overrides the system's metrics registry for this call.
-	Metrics *MetricsRegistry
 }
 
 // MaintainResult reports what one mutation did.
@@ -479,14 +477,9 @@ func (s *System) resetEvalLocked() {
 
 // startMutObs resolves a mutation call's observation state.
 func (s *System) startMutObs(opts MutateOptions) (callObs, time.Time) {
-	co := callObs{sp: opts.Trace.Root(), traceID: opts.TraceID}
+	co := callObs{m: s.obsPtr.Load(), sp: opts.Trace.Root(), traceID: opts.TraceID}
 	if co.traceID == "" {
 		co.traceID = opts.Trace.ID()
-	}
-	if opts.Metrics != nil {
-		co.m = metricsFor(opts.Metrics)
-	} else {
-		co.m = s.obsPtr.Load()
 	}
 	return co, time.Now()
 }

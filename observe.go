@@ -18,12 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"xpathviews/internal/budget"
 	"xpathviews/internal/faults"
-	"xpathviews/internal/pattern"
 	"xpathviews/internal/rewrite"
 	"xpathviews/internal/telemetry"
 )
@@ -47,8 +45,7 @@ type SlowQuery = telemetry.SlowQuery
 func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 
 // DefaultMetricsRegistry returns the process-wide default registry that
-// every System records into unless overridden by SetMetricsRegistry or
-// Options.Metrics.
+// every System records into unless overridden by SetMetricsRegistry.
 func DefaultMetricsRegistry() *MetricsRegistry { return telemetry.Default() }
 
 // NewTrace builds a trace whose root span is the serving call.
@@ -91,8 +88,8 @@ type servingMetrics struct {
 	planBypass   *telemetry.Counter // xpv_plan_cache_bypass_total
 	planNegative *telemetry.Counter // xpv_plan_negative_served_total
 
-	rungServed    [len(rungNames)]*telemetry.Counter // xpv_resilient_rung_served_total{rung=...}
-	rungFallbacks *telemetry.Counter                 // xpv_resilient_fallbacks_total
+	rungServed    [len(strategyNames)]*telemetry.Counter // xpv_resilient_rung_served_total{rung=...}, by Strategy
+	rungFallbacks *telemetry.Counter                     // xpv_resilient_fallbacks_total
 
 	slowQueries *telemetry.Counter // xpv_slow_queries_total
 
@@ -129,33 +126,15 @@ type servingMetrics struct {
 	joinGallopHist  *telemetry.Histogram // xpv_join_gallop_hits
 }
 
-// bundles caches one servingMetrics per (registry, tenant label) so
-// per-call Options.Metrics overrides and per-tenant labeling do not
-// re-resolve names.
-var bundles sync.Map // bundleKey -> *servingMetrics
-
-// bundleKey identifies one resolved bundle: the registry plus the
-// tenant label every metric name carries ("" = unlabeled).
-type bundleKey struct {
-	reg    *telemetry.Registry
-	tenant string
-}
-
-func metricsFor(reg *telemetry.Registry) *servingMetrics {
-	return labeledMetricsFor(reg, "")
-}
-
-// labeledMetricsFor resolves the serving bundle whose every metric name
-// carries a {tenant="..."} label (none when tenant is ""). Resolution
-// happens once per (registry, tenant); recording afterwards is the same
-// zero-allocation atomic path as unlabeled metrics.
-func labeledMetricsFor(reg *telemetry.Registry, tenant string) *servingMetrics {
+// newServingMetrics resolves the serving bundle whose every metric name
+// carries a {tenant="..."} label (none when tenant is ""). The System
+// resolves it once when the registry is attached and keeps it only in
+// obsPtr, so a dropped System releases its registry; recording
+// afterwards is the same zero-allocation atomic path for labeled and
+// unlabeled metrics. A nil registry yields nil (metrics off).
+func newServingMetrics(reg *telemetry.Registry, tenant string) *servingMetrics {
 	if reg == nil {
 		return nil
-	}
-	key := bundleKey{reg, tenant}
-	if v, ok := bundles.Load(key); ok {
-		return v.(*servingMetrics)
 	}
 	name := func(base string) string {
 		if tenant == "" {
@@ -202,11 +181,10 @@ func labeledMetricsFor(reg *telemetry.Registry, tenant string) *servingMetrics {
 		joinGallopTotal: reg.Counter(name("xpv_join_gallop_hits_total")),
 		joinGallopHist:  reg.HistogramCounts(name("xpv_join_gallop_hits")),
 	}
-	for r := range rungNames {
-		m.rungServed[r] = reg.Counter(name(fmt.Sprintf("xpv_resilient_rung_served_total{rung=%q}", rungNames[r])))
+	for st, n := range strategyNames {
+		m.rungServed[st] = reg.Counter(name(fmt.Sprintf("xpv_resilient_rung_served_total{rung=%q}", n)))
 	}
-	v, _ := bundles.LoadOrStore(key, m)
-	return v.(*servingMetrics)
+	return m
 }
 
 // init hooks the global fault-injection registry: every actual
@@ -221,9 +199,8 @@ func init() {
 
 // SetMetricsRegistry points the system's serving metrics at reg. nil
 // disables metrics entirely (the per-call cost drops to nil checks).
-// Per-call Options.Metrics still overrides this.
 func (s *System) SetMetricsRegistry(reg *MetricsRegistry) {
-	s.obsPtr.Store(metricsFor(reg))
+	s.obsPtr.Store(newServingMetrics(reg, ""))
 }
 
 // SetMetricsTenant points the system's serving metrics at reg with
@@ -232,7 +209,7 @@ func (s *System) SetMetricsRegistry(reg *MetricsRegistry) {
 // unlabeled one — names resolve once here, recording stays
 // allocation-free. An empty name behaves like SetMetricsRegistry.
 func (s *System) SetMetricsTenant(reg *MetricsRegistry, name string) {
-	s.obsPtr.Store(labeledMetricsFor(reg, name))
+	s.obsPtr.Store(newServingMetrics(reg, name))
 	s.slow.SetLabel(name)
 }
 
@@ -287,14 +264,9 @@ type callObs struct {
 
 // startObs resolves the call's observation state and its start time.
 func (s *System) startObs(opts Options) (callObs, time.Time) {
-	co := callObs{sp: opts.Trace.Root(), ex: opts.explain, traceID: opts.TraceID}
+	co := callObs{m: s.obsPtr.Load(), sp: opts.Trace.Root(), ex: opts.explain, traceID: opts.TraceID}
 	if co.traceID == "" {
 		co.traceID = opts.Trace.ID()
-	}
-	if opts.Metrics != nil {
-		co.m = metricsFor(opts.Metrics)
-	} else {
-		co.m = s.obsPtr.Load()
 	}
 	return co, time.Now()
 }
@@ -355,10 +327,8 @@ func annotatePlanSpan(sp *telemetry.Span, pl *queryPlan, cache string) {
 
 // finishCall closes out one serving call: error classification
 // counters, latency histograms, root span attributes, budget spend for
-// explain, and the slow-query log. src may be empty for pattern-based
-// calls; q is the fallback rendering of the query, consulted only when
-// a slow-log entry is actually recorded (String is not free).
-func (s *System) finishCall(co callObs, b *budget.B, t0 time.Time, src string, q *pattern.Pattern, strat string, res *Result, err error) {
+// explain, and the slow-query log.
+func (s *System) finishCall(co callObs, b *budget.B, t0 time.Time, src, strat string, res *Result, err error) {
 	total := time.Since(t0)
 	if res != nil {
 		res.TotalNanos = int64(total)
@@ -422,14 +392,10 @@ func (s *System) finishCall(co callObs, b *budget.B, t0 time.Time, src string, q
 		}
 		e := SlowQuery{
 			Time:     time.Now(),
+			Query:    src,
 			Strategy: strat,
 			Total:    total,
 			TraceID:  co.traceID,
-		}
-		if src != "" {
-			e.Query = src
-		} else if q != nil {
-			e.Query = q.String()
 		}
 		if err != nil {
 			e.Err = err.Error()

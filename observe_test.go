@@ -7,6 +7,7 @@ package xpathviews_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -354,8 +355,10 @@ func TestResilientRungMetrics(t *testing.T) {
 }
 
 // TestTraceShapeResilient: the resilient entry point observes its own
-// parse exactly as AnswerContext does — a parse span ahead of the rungs
-// and a nonzero ParseNanos — and a parse error still leaves a trace.
+// parse exactly as AnswerContext does — on a cold key, one parse span
+// (parse + minimize) ahead of the rungs and a nonzero ParseNanos; on a
+// warm key, the source alias serves the rung with no parse at all — and
+// a parse error still leaves a trace.
 func TestTraceShapeResilient(t *testing.T) {
 	sys, _ := obsSystem(t)
 	tr := xpathviews.NewTrace()
@@ -365,14 +368,49 @@ func TestTraceShapeResilient(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := spanNames(tr.Root())
-	if len(names) < 3 || names[0] != "parse" || names[1] != "normalize" || names[2] != "rung:"+res.Rung {
-		t.Fatalf("resilient trace children %v, want [parse normalize rung:%s ...]\n%s", names, res.Rung, tr.Text())
+	if len(names) != 2 || names[0] != "parse" || names[1] != "rung:"+res.Rung {
+		t.Fatalf("resilient trace children %v, want [parse rung:%s]\n%s", names, res.Rung, tr.Text())
 	}
 	if res.ParseNanos <= 0 {
 		t.Fatalf("resilient ParseNanos = %d, want > 0", res.ParseNanos)
 	}
 	if tr.Find("rewrite") == nil || tr.Find("refine") == nil {
 		t.Fatalf("view rung trace lacks rewrite/refine:\n%s", tr.Text())
+	}
+
+	warm := xpathviews.NewTrace()
+	res, err = sys.AnswerResilient(context.Background(), paperdata.QueryE,
+		xpathviews.Options{Trace: warm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names = spanNames(warm.Root())
+	if len(names) != 1 || names[0] != "rung:HV" || !res.PlanCacheHit || res.ParseNanos != 0 {
+		t.Fatalf("warm resilient: children %v hit=%v parse=%d, want [rung:HV] hit, no parse\n%s",
+			names, res.PlanCacheHit, res.ParseNanos, warm.Text())
+	}
+	if v, _ := warm.Find("plan").Attr("cache"); v != "hit" {
+		t.Fatalf("warm resilient plan cache attr = %v, want hit\n%s", v, warm.Text())
+	}
+
+	// A call that bypasses the plan cache times minimization under its
+	// own normalize span, on both entry points.
+	for _, c := range []struct {
+		name   string
+		answer func(context.Context, string, xpathviews.Options) (*xpathviews.Result, error)
+		want   string
+	}{
+		{"AnswerContext", sys.AnswerContext, "parse,normalize,plan,rewrite,collect"},
+		{"AnswerResilient", sys.AnswerResilient, "parse,normalize,rung:HV"},
+	} {
+		tr := xpathviews.NewTrace()
+		if _, err := c.answer(context.Background(), paperdata.QueryE,
+			xpathviews.Options{Strategy: xpathviews.HV, NoPlanCache: true, Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(spanNames(tr.Root()), ","); got != c.want {
+			t.Fatalf("uncached %s trace children %s, want %s\n%s", c.name, got, c.want, tr.Text())
+		}
 	}
 
 	bad := xpathviews.NewTrace()
@@ -409,23 +447,46 @@ func TestDumpMetrics(t *testing.T) {
 			t.Fatalf("DumpMetrics output missing %q:\n%s", want, out)
 		}
 	}
+	// One served-rung counter per strategy, under the rung label set the
+	// exposition has always carried.
+	var rungs []string
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, "xpv_resilient_rung_served_total{rung="); ok {
+			rungs = append(rungs, rest[:strings.Index(rest, "}")])
+		}
+	}
+	if got := strings.Join(rungs, ","); got != `"BF","BN","CV","HV","MN","MV","contained"` {
+		t.Fatalf("served-rung labels = %s", got)
+	}
 }
 
-// TestPerCallMetricsOverride: Options.Metrics redirects one call's
-// counters without touching the system registry.
-func TestPerCallMetricsOverride(t *testing.T) {
-	sys, sysReg := obsSystem(t)
-	callReg := xpathviews.NewMetricsRegistry()
-	if _, err := sys.AnswerContext(context.Background(), paperdata.QueryE,
-		xpathviews.Options{Strategy: xpathviews.HV, Metrics: callReg}); err != nil {
-		t.Fatal(err)
+// TestMetricsRegistryReleased: a System keeps its resolved metrics
+// bundle only in itself, so once the System and its registry are
+// dropped the registry is collected — nothing process-global pins it
+// (or, through a tenant's gauge funcs, the tenant's document).
+func TestMetricsRegistryReleased(t *testing.T) {
+	released := make(chan struct{})
+	func() {
+		reg := xpathviews.NewMetricsRegistry()
+		runtime.SetFinalizer(reg, func(*xpathviews.MetricsRegistry) { close(released) })
+		sys, err := xpathviews.OpenXMLString("<a><b/></a>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SetMetricsTenant(reg, "gone")
+		if _, err := sys.Answer("//b", xpathviews.BN); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(time.Millisecond):
+		}
 	}
-	if got := counterVal(callReg, "xpv_answers_total"); got != 1 {
-		t.Fatalf("override registry answers = %d, want 1", got)
-	}
-	if got := counterVal(sysReg, "xpv_answers_total"); got != 0 {
-		t.Fatalf("system registry answers = %d, want 0", got)
-	}
+	t.Fatal("metrics registry still reachable after its System was dropped")
 }
 
 // TestSlowLogTimeMonotonic guards the slow log against a zero Time

@@ -72,3 +72,43 @@ func TestTelemetryOverheadAllocs(t *testing.T) {
 			statsOn-statsOff, statsOff, statsOn)
 	}
 }
+
+// TestResilientHitPath: a warm AnswerResilient call is served from the
+// source-spelling plan alias exactly like a warm AnswerContext call — no
+// parse, nothing recorded in xpv_parse_ns, and no more allocations.
+func TestResilientHitPath(t *testing.T) {
+	sys, reg := obsSystem(t)
+	ctx := context.Background()
+	direct := func() {
+		if _, err := sys.AnswerContext(ctx, paperdata.QueryE, xpathviews.Options{Strategy: xpathviews.HV}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resilient := func() {
+		if _, err := sys.AnswerResilient(ctx, paperdata.QueryE, xpathviews.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct()
+	resilient()
+	parsed := reg.Histogram("xpv_parse_ns").Snapshot().Count
+	res, err := sys.AnswerResilient(ctx, paperdata.QueryE, xpathviews.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rung != "HV" || !res.PlanCacheHit || res.ParseNanos != 0 {
+		t.Fatalf("warm resilient call: rung=%q hit=%v ParseNanos=%d, want HV, hit, 0",
+			res.Rung, res.PlanCacheHit, res.ParseNanos)
+	}
+	if got := reg.Histogram("xpv_parse_ns").Snapshot().Count; got != parsed {
+		t.Fatalf("warm resilient call recorded %d xpv_parse_ns observations, want 0", got-parsed)
+	}
+	if raceEnabled {
+		return // allocation counts are distorted under -race
+	}
+	ctxAllocs := testing.AllocsPerRun(200, direct)
+	resAllocs := testing.AllocsPerRun(200, resilient)
+	if resAllocs > ctxAllocs {
+		t.Fatalf("resilient plan hit allocates %.1f/op, AnswerContext plan hit %.1f/op", resAllocs, ctxAllocs)
+	}
+}

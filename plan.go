@@ -130,11 +130,6 @@ func cacheLabel(hit, useCache bool) string {
 	}
 }
 
-// cachePlans reports whether this call's options route through the plan
-// cache: only view strategies have a plan worth memoizing, and
-// NoPlanCache opts out.
-func cachePlans(o Options) bool { return !o.NoPlanCache && isViewStrategy(o.Strategy) }
-
 // planKey builds the cache key for a normalized query under a strategy.
 func planKey(strat Strategy, normalized string) string {
 	return strat.String() + "\x00" + normalized

@@ -2,9 +2,11 @@ package xpathviews
 
 // This file is the hardened serving layer: context-aware answering with
 // per-call deadlines and resource budgets, panic containment, and
-// graceful degradation through a configurable fallback chain. The batch
-// entry points (Answer, AnswerPattern, Select) are thin wrappers over
-// these with a background context and no budgets.
+// graceful degradation through a configurable fallback chain. Every
+// answering entry point is one path, answerChain, over a chain of
+// strategies: AnswerContext runs a chain of one, AnswerResilient the
+// Fallback chain. The batch entry points (Answer, Select) are thin
+// wrappers with a background context and no budgets.
 
 import (
 	"context"
@@ -67,9 +69,9 @@ type Options struct {
 	// subset-enumeration search nodes, fragments scanned/joined
 	// (0 = unlimited). Exhaustion yields ErrBudgetExceeded.
 	MaxSteps int64
-	// Fallback overrides AnswerResilient's rung chain; nil means
+	// Fallback overrides AnswerResilient's strategy chain; nil means
 	// DefaultFallback().
-	Fallback []Rung
+	Fallback []Strategy
 	// NoPlanCache bypasses the query-plan cache (see plan.go): the call
 	// neither reads cached plans nor writes new ones. Use it for
 	// one-shot queries that should not displace the hot set, or to
@@ -81,9 +83,6 @@ type Options struct {
 	// Tracing allocates — leave nil on the hot path. Build with
 	// NewTrace().
 	Trace *Trace
-	// Metrics overrides the metrics registry for this call only; nil
-	// uses the system's registry (see SetMetricsRegistry).
-	Metrics *MetricsRegistry
 	// TraceID carries the call's W3C trace ID (32 lowercase hex) without
 	// requiring a full span tree: it joins the call to latency-histogram
 	// exemplars and slow-query log entries. When empty, Trace.ID() is
@@ -99,42 +98,11 @@ func (o Options) budget(ctx context.Context) *budget.B {
 	return budget.New(ctx, o.MaxSteps, int64(o.MaxHoms))
 }
 
-// Rung is one step of AnswerResilient's fallback chain.
-type Rung int
-
-const (
-	// RungHV answers with heuristic selection over filtered candidates.
-	RungHV Rung = iota
-	// RungMV answers with exact minimum selection over filtered
-	// candidates.
-	RungMV
-	// RungCV answers with cost-based selection over filtered candidates.
-	RungCV
-	// RungMN answers with exact minimum selection without filtering.
-	RungMN
-	// RungContained answers with a contained (sound, possibly partial)
-	// rewriting; it degrades completeness, never soundness.
-	RungContained
-	// RungBN evaluates directly on the document, navigationally.
-	RungBN
-	// RungBF evaluates directly with full index support.
-	RungBF
-)
-
-var rungNames = [...]string{"HV", "MV", "CV", "MN", "contained", "BN", "BF"}
-
-func (r Rung) String() string {
-	if int(r) < len(rungNames) {
-		return rungNames[r]
-	}
-	return fmt.Sprintf("Rung(%d)", int(r))
-}
-
 // DefaultFallback is AnswerResilient's chain when Options.Fallback is
 // nil: cheapest equivalent rewriting first, then exact selection, then a
 // sound-but-partial rewriting, then direct evaluation as the rung of
 // last resort.
-func DefaultFallback() []Rung { return []Rung{RungHV, RungMV, RungContained, RungBN} }
+func DefaultFallback() []Strategy { return []Strategy{HV, MV, Contained, BN} }
 
 // runStage executes one pipeline stage with panic containment: a panic
 // or an injected fault surfaces as an *InternalError naming the stage;
@@ -161,153 +129,156 @@ func runStage[T any](stage string, f func() (T, error)) (out T, err error) {
 // selection. Pipeline panics and injected faults come back as
 // ErrInternal, never as a crash.
 func (s *System) AnswerContext(ctx context.Context, src string, opts Options) (*Result, error) {
-	co, t0 := s.startObs(opts)
-	if cachePlans(opts) {
-		return s.answerSrcCached(ctx, src, opts, co, t0)
-	}
-	q, parseNanos, err := co.parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return s.answerPatternObs(ctx, q, opts, co, t0, parseNanos, src)
+	chain := [1]Strategy{opts.Strategy}
+	return s.answerChain(ctx, src, opts, chain[:], false)
 }
 
-// parse parses src under the call's "parse" span, abandoning the call
-// on a parse error.
-func (co callObs) parse(src string) (*pattern.Pattern, int64, error) {
+// AnswerResilient serves the query through a fallback chain (default
+// HV → MV → contained → BN), degrading on ErrNotAnswerable, budget
+// exhaustion and contained internal failures. The returned Result
+// records which rung answered (Rung) and why earlier rungs were skipped
+// (DegradedReasons). Context cancellation aborts the whole chain — a
+// caller that went away is not served a degraded answer.
+func (s *System) AnswerResilient(ctx context.Context, src string, opts Options) (*Result, error) {
+	chain := opts.Fallback
+	if len(chain) == 0 {
+		chain = DefaultFallback()
+	}
+	return s.answerChain(ctx, src, opts, chain, true)
+}
+
+// answerChain is the one answering path. It tries the strategies of
+// chain in order under the read lock, each with a fresh budget over the
+// shared deadline. A view strategy is first looked up under the raw
+// source spelling (an alias of the canonical plan key, see plan.go), so
+// a textual repeat skips parsing, minimization, filtering and selection;
+// the query is parsed and minimized at most once, and only when a
+// strategy needs the pattern and no cached plan supplied it.
+//
+// resilient adds AnswerResilient's bookkeeping: a "rung:X" span per
+// strategy, the rung counters, Result.Rung and the degradation record,
+// the "resilient" call label, and falling through to the next strategy
+// on a degradable error. Without it the chain has one strategy whose
+// error is the call's.
+func (s *System) answerChain(ctx context.Context, src string, opts Options, chain []Strategy, resilient bool) (*Result, error) {
+	co, t0 := s.startObs(opts)
+	ctx, cancel, err := servingContext(ctx, opts)
+	if err != nil {
+		co.abandon(err)
+		return nil, err
+	}
+	defer cancel()
+	label := "resilient"
+	if !resilient {
+		label = chain[0].String()
+	}
+	var (
+		q          *pattern.Pattern // minimized query; nil until parsed or read off a plan
+		parseNanos int64
+		norm       string // normalizeQuery(src), computed on first use
+		reasons    []string
+		lastErr    error
+	)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, strat := range chain {
+		if err := ctx.Err(); err != nil {
+			co.abandon(err)
+			return nil, err
+		}
+		b := opts.budget(ctx)
+		co.track(b)
+		var alias string
+		var pl *queryPlan
+		if !opts.NoPlanCache && isViewStrategy(strat) {
+			if norm == "" {
+				norm = normalizeQuery(src)
+			}
+			alias = planKey(strat, norm)
+			if pl, _ = s.lookupPlan(alias); pl != nil && q == nil {
+				// The plan carries the minimized pattern, so a strategy
+				// after a negative plan needs no parse either.
+				q = pl.q
+			}
+		}
+		if q == nil {
+			if q, parseNanos, err = co.parse(src, alias == ""); err != nil {
+				return nil, err
+			}
+			// Seam check: parse → plan.
+			if err := b.CtxErr(); err != nil {
+				co.abandon(err)
+				return nil, err
+			}
+		}
+		rco, rsp := co, (*Span)(nil)
+		if resilient && co.sp != nil {
+			rsp = co.sp.Child("rung:" + strat.String())
+			rco = co.withSpan(rsp)
+		}
+		res, err := s.answerLocked(q, strat, alias, pl, b, rco)
+		rsp.Err(err)
+		rsp.End()
+		if err == nil {
+			if resilient {
+				res.Rung = strat.String()
+				res.Degraded = len(reasons) > 0
+				res.DegradedReasons = reasons
+				if co.m != nil {
+					co.m.rungServed[strat].Inc()
+				}
+			}
+			res.ParseNanos = parseNanos
+			truncate(res, opts.MaxAnswers)
+			s.observe(q, isViewStrategy(strat), nil)
+			s.finishCall(co, b, t0, src, label, res, nil)
+			return res, nil
+		}
+		if !resilient || !degradable(err) {
+			s.observe(q, false, err)
+			s.finishCall(co, b, t0, src, label, nil, err)
+			return nil, err
+		}
+		if co.m != nil {
+			co.m.rungFallbacks.Inc()
+		}
+		lastErr = err
+		reasons = append(reasons, fmt.Sprintf("%s: %v", strat, err))
+	}
+	s.observe(q, false, lastErr)
+	err = fmt.Errorf("xpathviews: all fallback rungs failed (%s): %w",
+		strings.Join(reasons, "; "), lastErr)
+	s.finishCall(co, nil, t0, src, label, nil, err)
+	return nil, err
+}
+
+// parse parses and minimizes src, abandoning the call on a parse error.
+// A call that consults the plan cache times both under one "parse"
+// span; one that bypasses it (uncached) times minimization under its
+// own "normalize" span after the "parse" span.
+func (co callObs) parse(src string, uncached bool) (*pattern.Pattern, int64, error) {
 	sp := co.child("parse")
 	pt := time.Now()
 	q, err := xpath.Parse(src)
-	parseNanos := int64(time.Since(pt))
 	if err != nil {
 		sp.Err(err)
 		sp.End()
 		co.abandon(err)
 		return nil, 0, err
 	}
+	if uncached {
+		sp.End()
+		sp = co.child("normalize")
+	}
+	q = pattern.Minimize(q)
+	parseNanos := int64(time.Since(pt))
 	sp.End()
 	return q, parseNanos, nil
 }
 
-// answerSrcCached is AnswerContext's plan-cached path: the raw source
-// spelling is itself a cache key (aliasing the canonical pattern key),
-// so a textual repeat skips parsing, minimization, filtering and
-// selection — only §V's rewriting runs.
-func (s *System) answerSrcCached(ctx context.Context, src string, opts Options, co callObs, t0 time.Time) (*Result, error) {
-	ctx, cancel, err := servingContext(ctx, opts)
-	if err != nil {
-		co.abandon(err)
-		return nil, err
-	}
-	defer cancel()
-	b := opts.budget(ctx)
-	co.track(b)
-	var parseNanos int64
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	srcKey := planKey(opts.Strategy, normalizeQuery(src))
-	pl, hit := s.lookupPlan(srcKey)
-	if hit {
-		co.countPlan(true)
-		if co.sp != nil || co.ex != nil {
-			psp := co.child("plan")
-			annotatePlanSpan(psp, pl, "hit")
-			co.fillExplainPlan(s, pl, true, true)
-		}
-	} else {
-		sp := co.child("parse")
-		pt := time.Now()
-		q, err := xpath.Parse(src)
-		if err != nil {
-			sp.Err(err)
-			sp.End()
-			co.abandon(err)
-			return nil, err
-		}
-		qm := pattern.Minimize(q)
-		parseNanos = int64(time.Since(pt))
-		sp.End()
-		// Seam check: parse → plan.
-		if err := b.CtxErr(); err != nil {
-			co.abandon(err)
-			return nil, err
-		}
-		psp := co.child("plan")
-		pl, hit, err = s.planLocked(qm, opts.Strategy, b, true, co.withSpan(psp))
-		if err != nil {
-			if psp != nil {
-				psp.Err(err)
-				psp.End()
-			}
-			s.observe(qm, false, err)
-			s.finishCall(co, b, t0, src, nil, opts.Strategy.String(), nil, err)
-			return nil, err
-		}
-		annotatePlanSpan(psp, pl, cacheLabel(hit, true))
-		co.fillExplainPlan(s, pl, hit, true)
-		s.putPlanAlias(srcKey, pl)
-	}
-	res, err := s.answerPlanLocked(pl, opts.Strategy, b, co)
-	s.observe(pl.q, err == nil, err)
-	if err != nil {
-		s.finishCall(co, b, t0, src, pl.q, opts.Strategy.String(), nil, err)
-		return nil, err
-	}
-	res.PlanCacheHit = hit
-	res.ParseNanos = parseNanos
-	if !hit {
-		res.FilterNanos = pl.info.filterNanos
-		res.SelectNanos = pl.info.selectNanos
-	}
-	truncate(res, opts.MaxAnswers)
-	s.finishCall(co, b, t0, src, pl.q, opts.Strategy.String(), res, nil)
-	return res, nil
-}
-
-// AnswerPatternContext is AnswerContext for already-parsed queries.
-func (s *System) AnswerPatternContext(ctx context.Context, q *pattern.Pattern, opts Options) (*Result, error) {
-	co, t0 := s.startObs(opts)
-	return s.answerPatternObs(ctx, q, opts, co, t0, 0, "")
-}
-
-// answerPatternObs is the shared pattern-entry tail: minimize, answer
-// under the read lock, close out observation. parseNanos carries the
-// caller's parse cost when the query arrived as text.
-func (s *System) answerPatternObs(ctx context.Context, q *pattern.Pattern, opts Options, co callObs, t0 time.Time, parseNanos int64, src string) (*Result, error) {
-	ctx, cancel, err := servingContext(ctx, opts)
-	if err != nil {
-		co.abandon(err)
-		return nil, err
-	}
-	defer cancel()
-	b := opts.budget(ctx)
-	co.track(b)
-	nsp := co.child("normalize")
-	nt := time.Now()
-	qm := pattern.Minimize(q)
-	parseNanos += int64(time.Since(nt))
-	nsp.End()
-	// Seam check: parse/normalize → filter.
-	if err := b.CtxErr(); err != nil {
-		co.abandon(err)
-		return nil, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	res, err := s.answerLocked(qm, opts.Strategy, b, !opts.NoPlanCache, co)
-	s.observe(qm, err == nil && isViewStrategy(opts.Strategy), err)
-	if err != nil {
-		s.finishCall(co, b, t0, src, qm, opts.Strategy.String(), nil, err)
-		return nil, err
-	}
-	res.ParseNanos = parseNanos
-	truncate(res, opts.MaxAnswers)
-	s.finishCall(co, b, t0, src, qm, opts.Strategy.String(), res, nil)
-	return res, nil
-}
-
 // isViewStrategy reports whether the strategy answers from materialized
-// views (as opposed to direct evaluation on the document).
+// views (as opposed to direct evaluation on the document or a contained
+// rewriting).
 func isViewStrategy(s Strategy) bool {
 	switch s {
 	case MN, MV, HV, CV:
@@ -316,10 +287,9 @@ func isViewStrategy(s Strategy) bool {
 	return false
 }
 
-// SelectContext runs view selection only, with cancellation and budgets.
-// Strategy comes from the strat argument; opts contributes Timeout,
-// MaxSteps and MaxHoms.
-func (s *System) SelectContext(ctx context.Context, q *pattern.Pattern, strat Strategy, opts Options) (*selection.Selection, int, error) {
+// SelectContext runs view selection only under opts.Strategy, with
+// cancellation and budgets.
+func (s *System) SelectContext(ctx context.Context, q *pattern.Pattern, opts Options) (*selection.Selection, int, error) {
 	co, _ := s.startObs(opts)
 	ctx, cancel, err := servingContext(ctx, opts)
 	if err != nil {
@@ -331,7 +301,7 @@ func (s *System) SelectContext(ctx context.Context, q *pattern.Pattern, strat St
 	co.track(b)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sel, info, err := s.selectLocked(pattern.Minimize(q), strat, b, co)
+	sel, info, err := s.selectLocked(pattern.Minimize(q), opts.Strategy, b, co)
 	if co.sp != nil {
 		co.sp.Err(err)
 		co.sp.End()
@@ -339,130 +309,60 @@ func (s *System) SelectContext(ctx context.Context, q *pattern.Pattern, strat St
 	return sel, info.cand, err
 }
 
-// AnswerResilient serves the query through a fallback chain (default
-// HV → MV → contained → BN), degrading on ErrNotAnswerable, budget
-// exhaustion and contained internal failures. The returned Result
-// records which rung answered (Rung) and why earlier rungs were skipped
-// (DegradedReasons). Context cancellation aborts the whole chain — a
-// caller that went away is not served a degraded answer.
-func (s *System) AnswerResilient(ctx context.Context, src string, opts Options) (*Result, error) {
-	co, t0 := s.startObs(opts)
-	q, parseNanos, err := co.parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return s.answerResilientObs(ctx, q, opts, co, t0, parseNanos, src)
-}
-
-// AnswerPatternResilient is AnswerResilient for already-parsed queries.
-func (s *System) AnswerPatternResilient(ctx context.Context, q *pattern.Pattern, opts Options) (*Result, error) {
-	co, t0 := s.startObs(opts)
-	return s.answerResilientObs(ctx, q, opts, co, t0, 0, "")
-}
-
-// answerResilientObs is the shared resilient tail, the fallback-chain
-// counterpart of answerPatternObs.
-func (s *System) answerResilientObs(ctx context.Context, q *pattern.Pattern, opts Options, co callObs, t0 time.Time, parseNanos int64, src string) (*Result, error) {
-	ctx, cancel, err := servingContext(ctx, opts)
-	if err != nil {
-		co.abandon(err)
-		return nil, err
-	}
-	defer cancel()
-	chain := opts.Fallback
-	if len(chain) == 0 {
-		chain = DefaultFallback()
-	}
-	nsp := co.child("normalize")
-	nt := time.Now()
-	q = pattern.Minimize(q)
-	parseNanos += int64(time.Since(nt))
-	nsp.End()
-	var reasons []string
-	var lastErr error
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, rung := range chain {
-		if err := ctx.Err(); err != nil {
-			co.abandon(err)
-			return nil, err
+// answerLocked answers the minimized query q under one strategy, under
+// s.mu (read), with panic containment per stage. For a view strategy,
+// alias is the source-spelling plan key ("" bypasses the plan cache) and
+// pl the plan it already served (nil on a miss); a plan computed here is
+// stored under alias.
+func (s *System) answerLocked(q *pattern.Pattern, strat Strategy, alias string, pl *queryPlan, b *budget.B, co callObs) (*Result, error) {
+	switch strat {
+	case BN, BF:
+		eval, stage, eng := s.bn.EvalBudget, "engine.bn", "bn"
+		if strat == BF {
+			eval, stage, eng = s.lazyBF().EvalBudget, "engine.bf", "bf"
 		}
-		// Each rung gets a fresh step/hom budget; the deadline is shared.
-		b := opts.budget(ctx)
-		co.track(b)
-		var rsp *Span
-		if co.sp != nil {
-			rsp = co.sp.Child("rung:" + rung.String())
-		}
-		res, err := s.answerRungLocked(q, rung, b, !opts.NoPlanCache, co.withSpan(rsp))
-		if err == nil {
-			rsp.End()
-			res.Rung = rung.String()
-			res.Degraded = len(reasons) > 0
-			res.DegradedReasons = reasons
-			res.ParseNanos = parseNanos
-			truncate(res, opts.MaxAnswers)
-			s.observe(q, viewRung(rung), nil)
-			if co.m != nil && int(rung) < len(co.m.rungServed) {
-				co.m.rungServed[rung].Inc()
-			}
-			s.finishCall(co, b, t0, src, q, "resilient", res, nil)
-			return res, nil
-		}
-		if rsp != nil {
-			rsp.Err(err)
-			rsp.End()
-		}
-		if !degradable(err) {
-			s.finishCall(co, b, t0, src, q, "resilient", nil, err)
-			return nil, err
-		}
-		if co.m != nil {
-			co.m.rungFallbacks.Inc()
-		}
-		lastErr = err
-		reasons = append(reasons, fmt.Sprintf("%s: %v", rung, err))
-	}
-	if lastErr == nil {
-		lastErr = ErrNotAnswerable // empty chain cannot happen, but be safe
-	}
-	s.observe(q, false, lastErr)
-	err = fmt.Errorf("xpathviews: all fallback rungs failed (%s): %w",
-		strings.Join(reasons, "; "), lastErr)
-	s.finishCall(co, nil, t0, src, q, "resilient", nil, err)
-	return nil, err
-}
-
-// viewRung reports whether a fallback rung answers from materialized
-// views (equivalent rewriting), as opposed to direct or contained
-// evaluation.
-func viewRung(r Rung) bool {
-	switch r {
-	case RungHV, RungMV, RungCV, RungMN:
-		return true
-	}
-	return false
-}
-
-// answerRungLocked answers one fallback rung under s.mu (read).
-func (s *System) answerRungLocked(q *pattern.Pattern, rung Rung, b *budget.B, useCache bool, co callObs) (*Result, error) {
-	switch rung {
-	case RungHV:
-		return s.answerLocked(q, HV, b, useCache, co)
-	case RungMV:
-		return s.answerLocked(q, MV, b, useCache, co)
-	case RungCV:
-		return s.answerLocked(q, CV, b, useCache, co)
-	case RungMN:
-		return s.answerLocked(q, MN, b, useCache, co)
-	case RungBN:
-		return s.answerLocked(q, BN, b, useCache, co)
-	case RungBF:
-		return s.answerLocked(q, BF, b, useCache, co)
-	case RungContained:
-		res, err := s.containedLocked(q, b, co)
+		sp := co.child("eval")
+		nodes, err := runStage(stage, func() ([]*xmltree.Node, error) {
+			return eval(q, b)
+		})
 		if err != nil {
+			sp.Err(err)
+			sp.End()
 			return nil, err
+		}
+		if sp != nil {
+			sp.SetAttr("engine", eng)
+			sp.SetAttr("nodes", len(nodes))
+			sp.End()
+		}
+		// Seam check: eval → collect.
+		if err := b.CtxErr(); err != nil {
+			return nil, err
+		}
+		res := &Result{Strategy: strat}
+		if err := s.collectDoc(res, nodes); err != nil {
+			return nil, err
+		}
+		return res, nil
+	case Contained:
+		sp := co.child("contained")
+		out, err := runStage("rewrite.contained", func() (*rewrite.ContainedResult, error) {
+			return rewrite.ContainedBudget(q, s.registry.ViewList, s.fst, b)
+		})
+		if err != nil {
+			sp.Err(err)
+			sp.End()
+			return nil, err
+		}
+		res := &Result{Strategy: Contained, ViewsUsed: out.ViewsUsed, Partial: !out.Complete}
+		for _, a := range out.Answers {
+			res.Answers = append(res.Answers, Answer{Code: a.Code, Node: a.Node})
+		}
+		if sp != nil {
+			sp.SetAttr("views_used", len(out.ViewsUsed))
+			sp.SetAttr("complete", out.Complete)
+			sp.SetAttr("answers", len(res.Answers))
+			sp.End()
 		}
 		if len(res.Answers) == 0 && res.Partial {
 			// An empty uncertified result carries no information — let the
@@ -470,73 +370,23 @@ func (s *System) answerRungLocked(q *pattern.Pattern, rung Rung, b *budget.B, us
 			return nil, ErrNotAnswerable
 		}
 		return res, nil
-	default:
-		return nil, fmt.Errorf("xpathviews: unknown fallback rung %v", rung)
-	}
-}
-
-// answerLocked evaluates q under s.mu (read) with panic containment per
-// stage. q must already be minimized. useCache routes view strategies
-// through the plan cache (see plan.go).
-func (s *System) answerLocked(q *pattern.Pattern, strat Strategy, b *budget.B, useCache bool, co callObs) (*Result, error) {
-	res := &Result{Strategy: strat}
-	switch strat {
-	case BN:
-		sp := co.child("eval")
-		nodes, err := runStage("engine.bn", func() ([]*xmltree.Node, error) {
-			return s.bn.EvalBudget(q, b)
-		})
-		if err != nil {
-			sp.Err(err)
-			sp.End()
-			return nil, err
-		}
-		if sp != nil {
-			sp.SetAttr("engine", "bn")
-			sp.SetAttr("nodes", len(nodes))
-			sp.End()
-		}
-		// Seam check: eval → collect.
-		if err := b.CtxErr(); err != nil {
-			return nil, err
-		}
-		if err := s.collectDoc(res, nodes); err != nil {
-			return nil, err
-		}
-		return res, nil
-	case BF:
-		bf := s.lazyBF()
-		sp := co.child("eval")
-		nodes, err := runStage("engine.bf", func() ([]*xmltree.Node, error) {
-			return bf.EvalBudget(q, b)
-		})
-		if err != nil {
-			sp.Err(err)
-			sp.End()
-			return nil, err
-		}
-		if sp != nil {
-			sp.SetAttr("engine", "bf")
-			sp.SetAttr("nodes", len(nodes))
-			sp.End()
-		}
-		// Seam check: eval → collect.
-		if err := b.CtxErr(); err != nil {
-			return nil, err
-		}
-		if err := s.collectDoc(res, nodes); err != nil {
-			return nil, err
-		}
-		return res, nil
 	case MN, MV, HV, CV:
+		useCache := alias != ""
+		hit := pl != nil
 		psp := co.child("plan")
-		pl, hit, err := s.planLocked(q, strat, b, useCache, co.withSpan(psp))
-		if err != nil {
-			if psp != nil {
+		if hit {
+			co.countPlan(true)
+		} else {
+			var err error
+			pl, hit, err = s.planLocked(q, strat, b, useCache, co.withSpan(psp))
+			if err != nil {
 				psp.Err(err)
 				psp.End()
+				return nil, err
 			}
-			return nil, err
+			if useCache {
+				s.putPlanAlias(alias, pl)
+			}
 		}
 		annotatePlanSpan(psp, pl, cacheLabel(hit, useCache))
 		co.fillExplainPlan(s, pl, hit, useCache)

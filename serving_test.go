@@ -138,8 +138,8 @@ func TestMaxHomsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = sys.SelectContext(context.Background(), qp, xpathviews.MN,
-		xpathviews.Options{MaxHoms: 1})
+	_, _, err = sys.SelectContext(context.Background(), qp,
+		xpathviews.Options{Strategy: xpathviews.MN, MaxHoms: 1})
 	if !errors.Is(err, xpathviews.ErrBudgetExceeded) {
 		t.Fatalf("SelectContext err = %v, want ErrBudgetExceeded", err)
 	}
@@ -229,7 +229,7 @@ func TestResilientContainedRung(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := sys.AnswerResilient(context.Background(), "//b",
-		xpathviews.Options{Fallback: []xpathviews.Rung{xpathviews.RungContained}})
+		xpathviews.Options{Fallback: []xpathviews.Strategy{xpathviews.Contained}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestResilientAllRungsFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = sys.AnswerResilient(context.Background(), "//b",
-		xpathviews.Options{Fallback: []xpathviews.Rung{xpathviews.RungHV, xpathviews.RungMV}})
+		xpathviews.Options{Fallback: []xpathviews.Strategy{xpathviews.HV, xpathviews.MV}})
 	if err == nil {
 		t.Fatal("no views: a views-only chain must fail")
 	}

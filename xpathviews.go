@@ -39,7 +39,6 @@ import (
 	"xpathviews/internal/engine"
 	"xpathviews/internal/pattern"
 	"xpathviews/internal/plancache"
-	"xpathviews/internal/rewrite"
 	"xpathviews/internal/selection"
 	"xpathviews/internal/storage"
 	"xpathviews/internal/telemetry"
@@ -74,9 +73,14 @@ const (
 	// CV runs the cost-based selection (§IV-B's omitted cost model,
 	// implemented here) on VFILTER's candidates and rewrites.
 	CV
+	// Contained computes a contained rewriting (§VII's data-integration
+	// extension): every answer is a true answer, Result.Partial reports
+	// that some may be missing. A query no view certifies any answer of
+	// fails with ErrNotAnswerable.
+	Contained
 )
 
-var strategyNames = [...]string{"BN", "BF", "MN", "MV", "HV", "CV"}
+var strategyNames = [...]string{"BN", "BF", "MN", "MV", "HV", "CV", "contained"}
 
 func (s Strategy) String() string {
 	if int(s) < len(strategyNames) {
@@ -91,8 +95,8 @@ var ErrNotAnswerable = selection.ErrNotAnswerable
 // System owns a document, its encoding, its materialized views and the
 // view filter.
 //
-// Concurrency: a System is safe for concurrent use. Answer*, Select*,
-// Filtering and AnswerContained run under a read lock; AddView*,
+// Concurrency: a System is safe for concurrent use. Answer*, Select*
+// and Filtering run under a read lock; AddView*,
 // RemoveView, CompactFilter and EnableAttributePruning take the write
 // lock, so view mutation serializes against in-flight queries. The
 // accessors Registry and Filter return live internals — callers must not
@@ -176,7 +180,7 @@ func OpenWithFST(doc *xmltree.Tree, fst *dewey.FST) (*System, error) {
 		slow:        telemetry.NewSlowLog(0),
 		scopedInval: true,
 	}
-	sys.obsPtr.Store(metricsFor(telemetry.Default()))
+	sys.obsPtr.Store(newServingMetrics(telemetry.Default(), ""))
 	sys.vstats.Store(viewstats.New())
 	return sys, nil
 }
@@ -288,8 +292,8 @@ type Result struct {
 	// HomsComputed counts homomorphism computations during selection.
 	HomsComputed int
 
-	// Rung names the fallback rung that produced the answers (set by
-	// AnswerResilient only, e.g. "HV" or "contained").
+	// Rung names the strategy of the fallback chain that produced the
+	// answers (set by AnswerResilient only, e.g. "HV" or "contained").
 	Rung string
 	// Degraded reports that at least one earlier rung failed before this
 	// result was produced (AnswerResilient only).
@@ -315,8 +319,7 @@ type Result struct {
 	Memo bool
 	// Stage wall times, in nanoseconds, populated on every call without
 	// tracing. ParseNanos covers parsing + minimization and is zero when
-	// the caller supplied a pattern or the raw source hit the plan-cache
-	// alias; FilterNanos and SelectNanos cover §III filtering and §IV
+	// the raw source hit the plan-cache alias; FilterNanos and SelectNanos cover §III filtering and §IV
 	// selection and are zero on a plan-cache hit (the cached plan skips
 	// both — Explain still shows what the plan originally cost);
 	// RefineNanos/JoinNanos/ExtractNanos cover §V's rewriting stages;
@@ -356,16 +359,11 @@ func (s *System) Answer(src string, strat Strategy) (*Result, error) {
 	return s.AnswerContext(context.Background(), src, Options{Strategy: strat})
 }
 
-// AnswerPattern is Answer for already-parsed queries.
-func (s *System) AnswerPattern(q *pattern.Pattern, strat Strategy) (*Result, error) {
-	return s.AnswerPatternContext(context.Background(), q, Options{Strategy: strat})
-}
-
 // Select runs view selection only (the "lookup" of Figure 9), returning
 // the selection and the number of candidate views after filtering (the
 // registry size for MN).
 func (s *System) Select(q *pattern.Pattern, strat Strategy) (*selection.Selection, int, error) {
-	return s.SelectContext(context.Background(), q, strat, Options{Strategy: strat})
+	return s.SelectContext(context.Background(), q, Options{Strategy: strat})
 }
 
 // selectLocked runs selection under s.mu (read) with a budget,
@@ -482,50 +480,6 @@ func (s *System) EnableAttributePruning() {
 	defer s.mu.Unlock()
 	s.filter.EnableAttributePruning()
 	s.bumpPlanGen()
-}
-
-// AnswerContained computes a contained (sound but possibly incomplete)
-// rewriting of the query — §VII's data-integration extension. Every
-// returned answer is a true answer; Complete reports when the set is
-// known to be exact. Unlike the equivalent strategies it never fails
-// with ErrNotAnswerable: an empty result simply means no view certifies
-// any answer.
-func (s *System) AnswerContained(src string) (*Result, bool, error) {
-	q, err := xpath.Parse(src)
-	if err != nil {
-		return nil, false, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	res, err := s.containedLocked(pattern.Minimize(q), nil, callObs{})
-	if err != nil {
-		return nil, false, err
-	}
-	return res, !res.Partial, nil
-}
-
-// containedLocked runs the contained rewriting under s.mu (read).
-func (s *System) containedLocked(q *pattern.Pattern, b *budget.B, co callObs) (*Result, error) {
-	sp := co.child("contained")
-	out, err := runStage("rewrite.contained", func() (*rewrite.ContainedResult, error) {
-		return rewrite.ContainedBudget(q, s.registry.ViewList, s.fst, b)
-	})
-	if err != nil {
-		sp.Err(err)
-		sp.End()
-		return nil, err
-	}
-	res := &Result{Strategy: HV, ViewsUsed: out.ViewsUsed, Partial: !out.Complete}
-	for _, a := range out.Answers {
-		res.Answers = append(res.Answers, Answer{Code: a.Code, Node: a.Node})
-	}
-	if sp != nil {
-		sp.SetAttr("views_used", len(out.ViewsUsed))
-		sp.SetAttr("complete", out.Complete)
-		sp.SetAttr("answers", len(res.Answers))
-		sp.End()
-	}
-	return res, nil
 }
 
 // lazyBF returns the BF evaluator, building it race-free on first use.

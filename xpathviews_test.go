@@ -1,6 +1,7 @@
 package xpathviews_test
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -106,13 +107,13 @@ func TestStrategiesAgreeOnXMark(t *testing.T) {
 	answered := 0
 	for i := 0; i < 60; i++ {
 		q := gen.Query()
-		base, err := sys.AnswerPattern(q, xpathviews.BF)
+		base, err := sys.Answer(q.String(), xpathviews.BF)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := strings.Join(base.Codes(), ",")
 		for _, strat := range []xpathviews.Strategy{xpathviews.MN, xpathviews.MV, xpathviews.HV, xpathviews.CV} {
-			res, err := sys.AnswerPattern(q, strat)
+			res, err := sys.Answer(q.String(), strat)
 			if err != nil {
 				continue // not answerable by the views — fine
 			}
@@ -158,19 +159,16 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 
 	// Contained rewriting: the exact view makes it complete.
-	got, complete, err := sys.AnswerContained("//s[t]/p")
+	got, err := sys.Answer("//s[t]/p", xpathviews.Contained)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !complete || len(got.Answers) != 8 {
-		t.Fatalf("contained: complete=%v answers=%d, want complete with 8", complete, len(got.Answers))
+	if got.Partial || len(got.Answers) != 8 || got.Strategy != xpathviews.Contained {
+		t.Fatalf("contained: partial=%v answers=%d strategy=%v, want complete with 8",
+			got.Partial, len(got.Answers), got.Strategy)
 	}
-	// A query no view certifies: empty but no error.
-	got, complete, err = sys.AnswerContained("//s/f/i")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if complete || len(got.Answers) != 0 {
-		t.Fatalf("uncertifiable query: complete=%v answers=%d", complete, len(got.Answers))
+	// A query no view certifies any answer of is not answerable.
+	if _, err := sys.Answer("//s/f/i", xpathviews.Contained); !errors.Is(err, xpathviews.ErrNotAnswerable) {
+		t.Fatalf("uncertifiable query: err = %v, want ErrNotAnswerable", err)
 	}
 }
