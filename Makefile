@@ -27,7 +27,8 @@ test:
 
 # race runs the whole suite under the race detector, then ten more times
 # the rewrite-memo tests (concurrent first executions of one plan, hits
-# interleaved with mutations) and the filtering-pass tests (pooled
+# interleaved with mutations, shared answer slices), the contained
+# rung's dedup differential and the filtering-pass tests (pooled
 # scratch reused across filters, 64 readers of one filter): a publication
 # race or a scratch handed to two readers shows up in a few schedules,
 # not in every one. The same goes for the label-path tests: refinement
@@ -36,7 +37,7 @@ test:
 # Advise intern new paths.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestMemo' . ./internal/rewrite
+	$(GO) test -race -count=10 -run 'TestMemo|TestContainedDedup' . ./internal/rewrite
 	$(GO) test -race -count=10 -run 'TestFilter(Differential|ScratchReuse|Concurrent)' ./internal/vfilter
 	$(GO) test -race -count=10 -run 'TestRefine(Differential|ScratchReuse)|TestLabelPath' ./internal/rewrite ./internal/views
 	$(GO) test -race -count=10 -run 'TestLabelPathHammer' .

@@ -149,8 +149,8 @@ func TestOneAnsweringPath(t *testing.T) {
 							}
 							continue
 						}
-						if a.Strategy != strat || r.Rung != strat.String() {
-							t.Fatalf("%s: Strategy %v, Rung %q", where, a.Strategy, r.Rung)
+						if a.Strategy != strat || r.Strategy != strat {
+							t.Fatalf("%s: Strategy %v, resilient Strategy %v", where, a.Strategy, r.Strategy)
 						}
 						answered[strat]++
 						got := a.Codes()

@@ -151,9 +151,9 @@ func TestChaosResilientDegrades(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mode %v: resilient chain failed outright: %v", mode, err)
 		}
-		if !res.Degraded || res.Rung == "HV" {
-			t.Fatalf("mode %v: expected degradation past HV, got rung=%q degraded=%v reasons=%v",
-				mode, res.Rung, res.Degraded, res.DegradedReasons)
+		if !res.Degraded || res.Strategy == xpathviews.HV {
+			t.Fatalf("mode %v: expected degradation past HV, got strategy=%v degraded=%v reasons=%v",
+				mode, res.Strategy, res.Degraded, res.DegradedReasons)
 		}
 		if len(res.Answers) == 0 {
 			t.Fatalf("mode %v: degraded chain lost the answers", mode)
@@ -174,8 +174,8 @@ func TestChaosResilientDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resilient chain failed outright: %v", err)
 	}
-	if res.Rung != "BN" || !res.Degraded {
-		t.Fatalf("expected degradation to BN, got rung=%q degraded=%v", res.Rung, res.Degraded)
+	if res.Strategy != xpathviews.BN || !res.Degraded {
+		t.Fatalf("expected degradation to BN, got strategy=%v degraded=%v", res.Strategy, res.Degraded)
 	}
 	base, err := sys.Answer(paperdata.QueryE, xpathviews.BF)
 	if err != nil {

@@ -139,8 +139,8 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("%d answer(s) via %v", len(res.Answers), res.Strategy)
-	if res.Rung != "" {
-		fmt.Printf(" (rung %s)", res.Rung)
+	if *resilient {
+		fmt.Printf(" (rung %s)", res.Strategy)
 	}
 	if len(res.ViewsUsed) > 0 {
 		fmt.Printf(" using views %v (candidates after filter: %d)", res.ViewsUsed, res.CandidatesAfterFilter)

@@ -137,9 +137,9 @@ type Explanation struct {
 	Selected  []ExplainCover `json:"selected_views,omitempty"`
 	// Homs counts homomorphism computations during selection.
 	Homs int `json:"homs_computed,omitempty"`
-	// Memo is "hit" when the rewrite skipped refine + join on the plan's
-	// remembered Δ-list, "miss" when it ran them; empty when no rewrite
-	// ran.
+	// Memo is "hit" when the rewrite returned the plan's remembered
+	// answers, "miss" when it ran refine, join and extraction; empty when
+	// no rewrite ran.
 	Memo string `json:"memo,omitempty"`
 	// PathsTested counts the distinct (view, root label-path) verdicts
 	// refinement computed on a memo miss: its path work is proportional

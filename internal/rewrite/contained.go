@@ -1,8 +1,6 @@
 package rewrite
 
 import (
-	"sort"
-
 	"xpathviews/internal/budget"
 	"xpathviews/internal/dewey"
 	"xpathviews/internal/faults"
@@ -59,7 +57,6 @@ func ContainedBudget(q *pattern.Pattern, all []*views.View, fst *dewey.FST, b *b
 		return nil, err
 	}
 	res := &ContainedResult{}
-	seen := make(map[string]bool)
 	for _, v := range all {
 		if v == nil || v.IsEmpty() {
 			continue
@@ -81,17 +78,12 @@ func ContainedBudget(q *pattern.Pattern, all []*views.View, fst *dewey.FST, b *b
 			if err := b.Step(1); err != nil {
 				return nil, err
 			}
-			key := f.Code.String()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
 			res.Answers = append(res.Answers, Answer{Code: f.Code, Node: f.Tree.Root()})
 		}
 	}
-	sort.Slice(res.Answers, func(i, j int) bool {
-		return dewey.Compare(res.Answers[i].Code, res.Answers[j].Code) < 0
-	})
+	// Views overlap: the stable sort keeps view order, then fragment
+	// order, among equal codes, so the dedup keeps the first-seen answer.
+	res.Answers = dedupAnswers(sortAnswers(res.Answers))
 	return res, nil
 }
 

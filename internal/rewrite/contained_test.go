@@ -2,6 +2,7 @@ package rewrite_test
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"xpathviews/internal/dewey"
@@ -10,6 +11,7 @@ import (
 	"xpathviews/internal/pattern"
 	"xpathviews/internal/rewrite"
 	"xpathviews/internal/views"
+	"xpathviews/internal/xmark"
 	"xpathviews/internal/xpath"
 )
 
@@ -104,5 +106,93 @@ func TestContainedSoundnessRandomized(t *testing.T) {
 	}
 	if contributed < 15 {
 		t.Fatalf("only %d contributing cases", contributed)
+	}
+}
+
+// mapContained is the contained rung's former union: a Code.String() set
+// over the contributing views' fragments in view order, then an unstable
+// sort. The first-seen fragment of each code survives.
+func mapContained(reg *views.Registry, used []int) []rewrite.Answer {
+	seen := map[string]bool{}
+	var out []rewrite.Answer
+	for _, id := range used {
+		v := reg.Get(id)
+		for fi := range v.Fragments {
+			f := &v.Fragments[fi]
+			if key := f.Code.String(); !seen[key] {
+				seen[key] = true
+				out = append(out, rewrite.Answer{Code: f.Code, Node: f.Tree.Root()})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return dewey.Compare(out[i].Code, out[j].Code) < 0 })
+	return out
+}
+
+// TestContainedDedupMatchesMap: the sort-and-compact union of overlapping
+// views returns exactly the map-based union — same codes, same order, and
+// the same surviving fragment node for every code — on XMark views whose
+// fragment sets overlap, and on random documents and views.
+func TestContainedDedupMatchesMap(t *testing.T) {
+	check := func(tag string, reg *views.Registry, q *pattern.Pattern, fst *dewey.FST) (dups int) {
+		t.Helper()
+		res := rewrite.Contained(q, reg.ViewList, fst)
+		want := mapContained(reg, res.ViewsUsed)
+		if len(res.Answers) != len(want) {
+			t.Fatalf("%s %s: %d answers, map union has %d", tag, q, len(res.Answers), len(want))
+		}
+		for i, a := range res.Answers {
+			if dewey.Compare(a.Code, want[i].Code) != 0 || a.Node != want[i].Node {
+				t.Fatalf("%s %s: answer %d is %s (node %p), map union keeps %s (node %p)",
+					tag, q, i, a.Code, a.Node, want[i].Code, want[i].Node)
+			}
+		}
+		for _, id := range res.ViewsUsed {
+			dups += len(reg.Get(id).Fragments)
+		}
+		return dups - len(want)
+	}
+
+	tree := xmark.Generate(xmark.Config{Scale: 0.05, Seed: 61})
+	enc, fst, err := dewey.EncodeTree(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := views.NewRegistry(tree, enc)
+	for _, src := range []string{
+		"//person[address]/name", "//person[emailaddress]/name", "//people/person/name",
+		"//person/name", "//person[profile]/name", "//item/name",
+	} {
+		if _, err := reg.Add(xpath.MustParse(src), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dups := check("xmark", reg, pattern.Minimize(xpath.MustParse("//person/name")), fst); dups == 0 {
+		t.Fatal("xmark: the contributing views do not overlap")
+	}
+
+	r := rand.New(rand.NewSource(37))
+	labels := []string{"a", "b", "c"}
+	overlapping := 0
+	for doc := 0; doc < 8; doc++ {
+		tree := randomTree(r, 80, labels)
+		enc, fst, err := dewey.EncodeTree(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := views.NewRegistry(tree, enc)
+		for len(reg.ViewList) < 16 {
+			if _, err := reg.Add(randomPattern(r, labels, 3), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for qi := 0; qi < 20; qi++ {
+			if check("random", reg, pattern.Minimize(randomPattern(r, labels, 3)), fst) > 0 {
+				overlapping++
+			}
+		}
+	}
+	if overlapping < 10 {
+		t.Fatalf("only %d random cases had overlapping contributing views", overlapping)
 	}
 }

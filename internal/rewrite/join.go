@@ -50,18 +50,21 @@ type pinRef struct {
 	k int32 // Pin.K
 }
 
-// deltaMemo is the outcome of stages 1–3 for one JoinPlan, a pure
+// deltaMemo is the outcome of stages 1–4 for one JoinPlan, a pure
 // function of the plan and the covered views' fragments: while every view
-// is at the generation recorded here, an execution goes straight to
-// extraction. idx holds indices into the Δ-view's Fragments, not fragment
-// pointers, so a memo nobody reads again pins no fragment array that
-// maintenance has since replaced; it is nil when some view refined to
-// nothing (no answers, no stage 3), non-nil and possibly empty otherwise.
-// Answers are not remembered: extraction is §V's per-query residual and
-// callers own what it returns.
+// is at the generation recorded here, an execution returns answers
+// without refining, joining or extracting. answers is extraction's
+// sorted, duplicate-free output with cap == len, shared read-only by every
+// Result served from the memo; its Codes and Nodes alias fragment
+// storage, so a memo nobody reads again pins one answer set until its
+// plan is next validated or evicted. steps is extraction's budget charge
+// (one per joined Δ-fragment), which a hit pays again. empty marks that
+// some view refined to nothing (no answers, no stages 3–4).
 type deltaMemo struct {
-	gens []uint64 // covers[i].View.Gen when idx was computed
-	idx  []int32
+	gens    []uint64 // covers[i].View.Gen when the memo was computed
+	answers []Answer
+	steps   int
+	empty   bool
 }
 
 // plans reports whether p is the skeleton of exactly this pattern and
@@ -70,7 +73,7 @@ func (p *JoinPlan) plans(q *pattern.Pattern, covers []*selection.Cover) bool {
 	return p != nil && p.q == q && slices.Equal(p.covers, covers)
 }
 
-// memoized returns the remembered Δ-list if every covered view is still
+// memoized returns the remembered outcome if every covered view is still
 // at the generation it was computed from. Maintenance bumps View.Gen and
 // executions read it under the two sides of the owning System's lock.
 func (p *JoinPlan) memoized() *deltaMemo {
@@ -86,31 +89,15 @@ func (p *JoinPlan) memoized() *deltaMemo {
 	return m
 }
 
-// remember wraps a freshly computed Δ-list and, on a caller-supplied plan
-// (publish), leaves it there for later executions; concurrent first
-// executions each store an equal memo and the last wins.
-func (p *JoinPlan) remember(idx []int32, publish bool) *deltaMemo {
-	m := &deltaMemo{idx: idx}
-	if publish {
-		m.gens = make([]uint64, len(p.covers))
-		for i, c := range p.covers {
-			m.gens[i] = c.View.Gen
-		}
-		p.memo.Store(m)
+// remember stamps m with the covered views' generations and leaves it on
+// the plan for later executions; concurrent first executions each store
+// an equal memo and the last wins.
+func (p *JoinPlan) remember(m *deltaMemo) {
+	m.gens = make([]uint64, len(p.covers))
+	for i, c := range p.covers {
+		m.gens[i] = c.View.Gen
 	}
-	return m
-}
-
-// fragIndices maps frags — pointers into v.Fragments, in fragment order,
-// as refinement and the join produce them — to their indices.
-func fragIndices(v *views.View, frags []*views.Fragment) []int32 {
-	idx := make([]int32, 0, len(frags))
-	for i := 0; len(idx) < len(frags); i++ {
-		if &v.Fragments[i] == frags[len(idx)] {
-			idx = append(idx, int32(i))
-		}
-	}
-	return idx
+	p.memo.Store(m)
 }
 
 // DeltaIndex exposes the chosen Δ-view's position in the selection's

@@ -250,22 +250,22 @@ func TestJoinerEpochWraparound(t *testing.T) {
 }
 
 // TestDedupAnswers: duplicates collapse to the first-seen answer (the
-// map-based dedup's survivor) and the dropped tail is zeroed so pooled
-// buffers do not pin fragment nodes.
+// map-based dedup's survivor), the dropped tail is zeroed so pooled
+// buffers do not pin fragment nodes, and the result has no spare
+// capacity a caller's append could write through.
 func TestDedupAnswers(t *testing.T) {
 	c := func(xs ...uint32) dewey.Code { return dewey.Code(xs) }
-	res := &Result{Answers: []Answer{
+	backing := []Answer{
 		{Code: c(0, 1)}, {Code: c(0, 1)}, {Code: c(0, 2)}, {Code: c(0, 2)}, {Code: c(0, 2)}, {Code: c(0, 3)},
-	}}
-	backing := res.Answers
-	dedupAnswers(res)
+	}
+	got := dedupAnswers(backing)
 	want := []dewey.Code{c(0, 1), c(0, 2), c(0, 3)}
-	if len(res.Answers) != len(want) {
-		t.Fatalf("dedup kept %d answers, want %d", len(res.Answers), len(want))
+	if len(got) != len(want) || cap(got) != len(got) {
+		t.Fatalf("dedup kept %d answers (cap %d), want %d with cap == len", len(got), cap(got), len(want))
 	}
 	for i, w := range want {
-		if dewey.Compare(res.Answers[i].Code, w) != 0 {
-			t.Fatalf("answer %d = %v, want %v", i, res.Answers[i].Code, w)
+		if dewey.Compare(got[i].Code, w) != 0 {
+			t.Fatalf("answer %d = %v, want %v", i, got[i].Code, w)
 		}
 	}
 	for i := len(want); i < len(backing); i++ {

@@ -65,7 +65,7 @@ func ExecuteNaive(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) 
 		}
 	}
 	res.FragmentsJoined = len(joined)
-	if err := extract(q, covers[deltaIdx], fragIndices(covers[deltaIdx].View, joined), res, nil); err != nil {
+	if err := extract(q, covers[deltaIdx], joined, res, nil); err != nil {
 		return nil, err
 	}
 	return res, nil

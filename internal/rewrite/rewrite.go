@@ -46,19 +46,27 @@ var (
 // size so attribution adds no allocation to the hot path.
 const AttrMaxViews = 8
 
-// Answer is one query result produced from view fragments only.
+// Answer is one query result: rewriting produces it from view fragments
+// only, and the serving layer uses the same type for every strategy's
+// answers.
 type Answer struct {
 	// Code is the answer node's extended Dewey code in the base document.
 	Code dewey.Code
-	// Node is the answer node inside the owning fragment's copy.
+	// Node is the answer node; for an answer rewriting produced, the node
+	// inside the owning fragment's copy.
 	Node *xmltree.Node
 }
 
 // Result is the outcome of rewriting.
 type Result struct {
+	// Answers are sorted in document order with cap == len. They are
+	// read-only: under a caller-supplied Options.Plan the slice is shared
+	// with the plan and with every later Result it serves while the
+	// covered views stand still.
 	Answers []Answer
-	// Memo reports that the Δ-list came from the caller's JoinPlan: stages
-	// 1–3 did not run, and their counters and times below stay zero.
+	// Memo reports that the answers came from the caller's JoinPlan:
+	// stages 1–4 did not run, and their counters and times below stay
+	// zero (ExtractNanos covers the extraction checks a hit still makes).
 	Memo bool
 	// Stats for benchmarking/ablation.
 	FragmentsScanned int
@@ -121,11 +129,11 @@ func (r *Result) Codes() []dewey.Code {
 type Options struct {
 	// Plan, when non-nil, supplies a precomputed join skeleton for
 	// exactly this call's (pattern, covers) pair — the serving layer
-	// caches one per query plan. The first call through a Plan leaves the
-	// Δ-list of stages 1–3 on it; later calls, while no covered view's
-	// Gen has moved, go straight to extraction (Result.Memo). A
-	// mismatched or nil Plan is recomputed on the fly and remembers
-	// nothing, so passing it is purely an optimization.
+	// caches one per query plan. The first call through a Plan leaves its
+	// answers on it; later calls, while no covered view's Gen has moved,
+	// return them again without refining, joining or extracting
+	// (Result.Memo). A mismatched or nil Plan is recomputed on the fly
+	// and remembers nothing, so passing it is purely an optimization.
 	Plan *JoinPlan
 }
 
@@ -141,9 +149,10 @@ func Execute(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) (*Res
 // explicit options: refinement charges one step per scanned fragment,
 // the holistic join one step per embedding attempt, extraction one step
 // per fragment. A nil budget never aborts on its own, but the stage
-// fault points may. A caller-supplied Options.Plan that remembers the
-// Δ-list skips stages 1–3 and their budget steps (Result.Memo);
-// extraction and every check between the stages still run.
+// fault points may. A caller-supplied Options.Plan that remembers its
+// answers skips the stages' work and the refine and join budget steps
+// (Result.Memo); extraction's steps, the stage fault points and every
+// check between the stages still run.
 func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST, b *budget.B, opt Options) (*Result, error) {
 	if len(sel.Covers) == 0 {
 		return nil, fmt.Errorf("rewrite: empty selection")
@@ -168,11 +177,11 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 	dc := covers[deltaIdx]
 	res := &Result{}
 
-	// A caller's plan remembers the Δ-list stages 1–3 last produced for it
-	// (deltaMemo): while every cover is at the generation the list was
-	// computed from, m is that list and the stages' work below is skipped.
-	// Their fault points and seam checks are not — a hit fails and cancels
-	// exactly where a miss would.
+	// A caller's plan remembers the answers stages 1–4 last produced for
+	// it (deltaMemo): while every cover is at the generation they were
+	// computed from, m holds them and the stages' work below is skipped.
+	// Their fault points, seam checks and extraction's budget charge are
+	// not — a hit fails and cancels exactly where a miss would.
 	if err := fpRefine.Fire(); err != nil {
 		return nil, err
 	}
@@ -201,12 +210,14 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 			return nil, err
 		}
 		if empty {
-			m = jp.remember(nil, publish)
+			if publish {
+				jp.remember(&deltaMemo{empty: true})
+			}
+			return res, nil // some view contributes nothing → empty result
 		}
 		joined = refined[deltaIdx].frags
-	}
-	if m != nil && m.idx == nil {
-		return res, nil // some view contributes nothing → empty result
+	} else if m.empty {
+		return res, nil
 	}
 
 	// Seam check: refine → join/extract. Refinement polls the context only
@@ -233,13 +244,20 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 			return nil, err
 		}
 	}
-	if m == nil {
-		m = jp.remember(fragIndices(dc.View, joined), publish)
-	}
 
-	// Stage 4: extraction from the Δ-view's joined fragments.
+	// Stage 4: extraction from the Δ-view's joined fragments — on a hit,
+	// its remembered outcome, charged as the miss was.
 	stage := time.Now()
-	err := extract(q, dc, m.idx, res, b)
+	var err error
+	if m == nil {
+		err = extract(q, dc, joined, res, b)
+		if err == nil && publish {
+			jp.remember(&deltaMemo{answers: res.Answers, steps: len(joined)})
+		}
+	} else if err = fpExtract.Fire(); err == nil {
+		err = b.Step(m.steps)
+		res.Answers = m.answers
+	}
 	res.ExtractNanos = int64(time.Since(stage))
 	if err != nil {
 		return nil, err

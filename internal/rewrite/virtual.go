@@ -279,80 +279,78 @@ func buildVirtual(fst *dewey.FST, refined []refinedView) (*vtree, [][]int32, int
 }
 
 // extract runs the answer-extraction compensating query on the Δ-view's
-// joined fragments (§V's final step) — idx indexes dc.View.Fragments in
-// ascending order — and appends results, charging one budget step per
-// fragment.
-func extract(q *pattern.Pattern, dc *selection.Cover, idx []int32, res *Result, b *budget.B) error {
+// joined fragments (§V's final step), given in fragment order, and sets
+// res.Answers — sorted, duplicate-free and with cap == len, so that a
+// caller's append can never write into a slice the plan memo shares —
+// charging one budget step per fragment.
+func extract(q *pattern.Pattern, dc *selection.Cover, joined []*views.Fragment, res *Result, b *budget.B) error {
 	if err := fpExtract.Fire(); err != nil {
 		return err
 	}
-	frags := dc.View.Fragments
 	comp := compensating(q, dc.X)
 	if dc.X == q.Ret && len(comp.Root.Children) == 0 && len(comp.Root.Attrs) == 0 {
 		// The view's answers are the query's answers: no compensating
 		// work inside fragments. Fragment roots are distinct by
-		// construction and stored in code order, so walking idx yields the
-		// sorted, duplicate-free answer list directly.
-		if err := b.Step(len(idx)); err != nil {
+		// construction and stored in code order, so walking joined yields
+		// the sorted, duplicate-free answer list directly.
+		if err := b.Step(len(joined)); err != nil {
 			return err
 		}
-		res.Answers = make([]Answer, len(idx))
-		for k, i := range idx {
-			res.Answers[k] = Answer{Code: frags[i].Code, Node: frags[i].Tree.Root()}
+		res.Answers = make([]Answer, len(joined))
+		for k, f := range joined {
+			res.Answers[k] = Answer{Code: f.Code, Node: f.Tree.Root()}
 		}
 		return nil
 	}
-	for _, i := range idx {
+	var out []Answer
+	for _, f := range joined {
 		if err := b.Step(1); err != nil {
 			return err
 		}
-		appendFragAnswers(comp, &frags[i], &res.Answers)
+		out = appendFragAnswers(comp, f, out)
 	}
 	// Answers are appended in fragment order; the stable sort keeps that
 	// order among equal codes, so dropping adjacent duplicates keeps the
-	// first-seen Answer — the same survivor the old map-based dedup kept,
-	// without a Code.String() key allocation per answer.
-	sortAnswers(res)
-	dedupAnswers(res)
+	// first-seen Answer.
+	res.Answers = dedupAnswers(sortAnswers(out))
 	return nil
 }
 
 // appendFragAnswers runs the compensating query on one fragment and
-// appends its (not yet deduplicated) answers.
-func appendFragAnswers(comp *pattern.Pattern, f *views.Fragment, out *[]Answer) {
-	answers := engine.AnswersAtRoot(f.Tree, comp)
-	for _, a := range answers {
+// appends its (not yet deduplicated) answers to out.
+func appendFragAnswers(comp *pattern.Pattern, f *views.Fragment, out []Answer) []Answer {
+	for _, a := range engine.AnswersAtRoot(f.Tree, comp) {
 		ord := f.Tree.Ord(a)
 		var code dewey.Code
 		if ord < len(f.NodeCodes) {
 			code = f.NodeCodes[ord]
 		}
-		*out = append(*out, Answer{Code: code, Node: a})
+		out = append(out, Answer{Code: code, Node: a})
 	}
+	return out
 }
 
 // sortAnswers orders answers in document order. The sort is stable so
-// that among equal codes the fragment-order first answer stays first —
-// dedupAnswers relies on that to pick the sequential path's survivor.
-// Disjoint fragments walked in order already yield sorted answers, which
-// one linear pass confirms for far less than the sort would spend.
-func sortAnswers(res *Result) {
-	less := func(i, j int) bool {
-		return dewey.Compare(res.Answers[i].Code, res.Answers[j].Code) < 0
+// that among equal codes the first-appended answer stays first —
+// dedupAnswers relies on that to pick the survivor. Disjoint fragments
+// walked in order already yield sorted answers, which one linear pass
+// confirms for far less than the sort would spend.
+func sortAnswers(a []Answer) []Answer {
+	less := func(i, j int) bool { return dewey.Compare(a[i].Code, a[j].Code) < 0 }
+	if !sort.SliceIsSorted(a, less) {
+		sort.SliceStable(a, less)
 	}
-	if !sort.SliceIsSorted(res.Answers, less) {
-		sort.SliceStable(res.Answers, less)
-	}
+	return a
 }
 
-// dedupAnswers drops adjacent equal-code answers from the sorted list.
-// Overlapping Δ-fragments can extract the same base node more than once;
-// since answers are sorted, duplicates are adjacent and the whole dedup
-// is one compaction pass — no per-answer key strings, no map.
-func dedupAnswers(res *Result) {
-	a := res.Answers
+// dedupAnswers drops adjacent equal-code answers from the sorted list
+// and returns it with cap == len. Overlapping fragments can yield the
+// same base node more than once; since answers are sorted, duplicates
+// are adjacent and the whole dedup is one compaction pass — no
+// per-answer key strings, no map.
+func dedupAnswers(a []Answer) []Answer {
 	if len(a) < 2 {
-		return
+		return a[:len(a):len(a)]
 	}
 	out := 1
 	for i := 1; i < len(a); i++ {
@@ -363,8 +361,6 @@ func dedupAnswers(res *Result) {
 		out++
 	}
 	// Zero the dropped tail so fragment nodes aren't pinned past reuse.
-	for i := out; i < len(a); i++ {
-		a[i] = Answer{}
-	}
-	res.Answers = a[:out]
+	clear(a[out:])
+	return a[:out:out]
 }

@@ -512,10 +512,7 @@ func (s *Server) answerOne(ctx context.Context, t *Tenant, src, strat string, pr
 	}
 	s.met.servedByPressure[pr].Inc()
 	qr.Status = http.StatusOK
-	qr.Rung = res.Rung
-	if qr.Rung == "" {
-		qr.Rung = res.Strategy.String()
-	}
+	qr.Rung = res.Strategy.String()
 	qr.Degraded = res.Degraded
 	qr.DegradedReasons = res.DegradedReasons
 	qr.Truncated = res.Truncated

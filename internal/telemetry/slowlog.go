@@ -35,8 +35,8 @@ type SlowQuery struct {
 	Err string `json:"err,omitempty"`
 	// CacheHit reports that the call served from a cached plan.
 	CacheHit bool `json:"cache_hit"`
-	// Memo reports that the rewrite skipped refine + join on the plan's
-	// remembered Δ-list (view strategies only).
+	// Memo reports that the rewrite returned the plan's remembered
+	// answers (view strategies only).
 	Memo bool `json:"memo,omitempty"`
 	// Views lists the IDs of the materialized views the rewriting
 	// joined (empty for non-view strategies and failed calls) — a slow

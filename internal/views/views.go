@@ -54,7 +54,7 @@ type View struct {
 	// it whenever a mutation changes this view's fragment store (or fails
 	// partway through doing so), under every invalidation policy. Scoped
 	// plan invalidation tells dirty views from clean ones by it, and a
-	// join plan's remembered Δ-list is valid exactly while it stands
+	// join plan's remembered answers are valid exactly while it stands
 	// still. It is written under the owning System's write lock.
 	Gen uint64
 }

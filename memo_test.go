@@ -41,8 +41,9 @@ func firstCode(t *testing.T, sys *xpathviews.System, label string) dewey.Code {
 
 // TestMemoDifferentialXMark interleaves inserts and deletes with repeated
 // hot queries over XMark, in scoped and in coarse invalidation mode.
-// Every view answer — served from a memo or recomputed — must equal BN on
-// the document as it stands, every query must see both a memo hit and a
+// Every view answer — the shared slice a memo hit returns, or a recompute
+// — must equal a fresh (plan-cache-bypassing) rewrite and BN on the
+// document as it stands, every query must see both a memo hit and a
 // recompute right after a mutation that dirtied its views, and a
 // mutation must move the generation of exactly the views it dirtied.
 func TestMemoDifferentialXMark(t *testing.T) {
@@ -83,6 +84,15 @@ func TestMemoDifferentialXMark(t *testing.T) {
 						t.Fatalf("%s: BN %s: %v", tag, q, err)
 					}
 					want := answerCodes(base)
+					fresh, err := sys.AnswerContext(context.Background(), q,
+						xpathviews.Options{Strategy: xpathviews.HV, NoPlanCache: true})
+					if err != nil {
+						t.Fatalf("%s: fresh HV %s: %v", tag, q, err)
+					}
+					if fresh.Memo || !slices.Equal(answerCodes(fresh), want) {
+						t.Fatalf("%s: fresh HV %s (memo=%v) diverges from BN:\n got %v\nwant %v",
+							tag, q, fresh.Memo, answerCodes(fresh), want)
+					}
 					for rep := 0; rep < 3; rep++ {
 						res, err := sys.Answer(q, xpathviews.HV)
 						if err != nil {
@@ -237,5 +247,132 @@ func TestMemoBudgetOnHit(t *testing.T) {
 	res, err := ask(n)
 	if err != nil || !res.Memo || len(res.Answers) != int(n) {
 		t.Fatalf("warm plan, MaxSteps %d: memo=%v err=%v", n, res != nil && res.Memo, err)
+	}
+}
+
+// sameArray reports whether two non-empty answer slices share a backing
+// array.
+func sameArray(a, b []xpathviews.Answer) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// memoXMarkSystem opens an XMark document with the given views.
+func memoXMarkSystem(t testing.TB, scale float64, viewSrcs ...string) *xpathviews.System {
+	t.Helper()
+	sys, err := xpathviews.Open(xmark.Generate(xmark.Config{Scale: scale, Seed: 77}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range viewSrcs {
+		if _, err := sys.AddView(v, xpathviews.DefaultFragmentLimit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sys
+}
+
+// TestMemoSharedAnswers: a memo hit returns the memo's answer slice
+// itself — two consecutive hits share one backing array — and a mutation
+// of a covered view makes the next call build a new array that equals BN
+// on the mutated document, which the following hit shares in turn.
+func TestMemoSharedAnswers(t *testing.T) {
+	sys := memoXMarkSystem(t, 0.02, "//person/address/city", "//person[address]/name", "//person/name")
+	for _, q := range []string{"//person/name", "//person[address/city]/name"} {
+		ask := func() *xpathviews.Result {
+			t.Helper()
+			res, err := sys.Answer(q, xpathviews.HV)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			return res
+		}
+		prev := ask()
+		people := firstCode(t, sys, "people")
+		for _, step := range []string{"warm", "insert", "delete"} {
+			var ins *xpathviews.MaintainResult
+			switch step {
+			case "insert":
+				var err error
+				if ins, err = sys.InsertSubtree(people, "<person><name/><address><city/></address></person>"); err != nil {
+					t.Fatal(err)
+				}
+			case "delete":
+				if _, err := sys.DeleteSubtree(firstCode(t, sys, "person")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r1 := ask()
+			if step != "warm" && (r1.Memo || sameArray(r1.Answers, prev.Answers)) {
+				t.Fatalf("%s after %s: memo=%v, shares the stale array: %v", q, step, r1.Memo, sameArray(r1.Answers, prev.Answers))
+			}
+			if step == "insert" && ins.DirtyViews == 0 {
+				t.Fatalf("%s: the insert dirtied no view", q)
+			}
+			base, err := sys.Answer(q, xpathviews.BN)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(answerCodes(r1), answerCodes(base)) {
+				t.Fatalf("%s after %s: view answers diverge from BN", q, step)
+			}
+			r2 := ask()
+			if !r2.Memo || !sameArray(r1.Answers, r2.Answers) || len(r1.Answers) != len(r2.Answers) {
+				t.Fatalf("%s after %s: consecutive calls memo=%v share=%v, want a hit on the same array",
+					q, step, r2.Memo, sameArray(r1.Answers, r2.Answers))
+			}
+			if cap(r2.Answers) != len(r2.Answers) {
+				t.Fatalf("%s: shared answers have spare capacity %d > %d", q, cap(r2.Answers), len(r2.Answers))
+			}
+			prev = r2
+		}
+	}
+}
+
+// TestMemoTruncatedAppend: MaxAnswers hands out a prefix of the shared
+// slice with no spare capacity, so appending to a truncated result (or to
+// a full one) reallocates and the next uncapped hit still equals BN —
+// whether extraction copied fragment roots or ran a compensating query
+// inside the fragments.
+func TestMemoTruncatedAppend(t *testing.T) {
+	for _, c := range []struct{ view, q string }{
+		{"//person/name", "//person/name"},
+		{"//person[address]", "//person[address]/name"},
+	} {
+		memoTruncatedAppend(t, memoXMarkSystem(t, 0.03, c.view), c.q)
+	}
+}
+
+func memoTruncatedAppend(t *testing.T, sys *xpathviews.System, q string) {
+	base, err := sys.Answer(q, xpathviews.BN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := answerCodes(base)
+	if len(want) < 10 {
+		t.Fatalf("%s: fixture too small: %d answers", q, len(want))
+	}
+	if _, err := sys.Answer(q, xpathviews.HV); err != nil { // warm the plan and its memo
+		t.Fatalf("%s: %v", q, err)
+	}
+	bogus := xpathviews.Answer{Code: base.Answers[0].Code, Node: base.Answers[0].Node}
+	for _, k := range []int{1, len(want) / 2, 0} {
+		res, err := sys.AnswerContext(context.Background(), q, xpathviews.Options{Strategy: xpathviews.HV, MaxAnswers: k})
+		if err != nil || !res.Memo {
+			t.Fatalf("%s, MaxAnswers %d: memo=%v err=%v", q, k, res != nil && res.Memo, err)
+		}
+		if cap(res.Answers) != len(res.Answers) {
+			t.Fatalf("%s, MaxAnswers %d: answers have spare capacity %d > %d", q, k, cap(res.Answers), len(res.Answers))
+		}
+		if k > 0 && (len(res.Answers) != k || !res.Truncated) {
+			t.Fatalf("%s, MaxAnswers %d: %d answers, truncated=%v", q, k, len(res.Answers), res.Truncated)
+		}
+		_ = append(res.Answers, bogus, bogus)
+		full, err := sys.Answer(q, xpathviews.HV)
+		if err != nil || !full.Memo {
+			t.Fatalf("%s: after appending to a MaxAnswers %d hit: memo=%v err=%v", q, k, full != nil && full.Memo, err)
+		}
+		if got := answerCodes(full); !slices.Equal(got, want) {
+			t.Fatalf("%s: appending to a MaxAnswers %d hit changed the next hit's answers:\n got %v\nwant %v", q, k, got, want)
+		}
 	}
 }

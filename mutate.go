@@ -420,7 +420,7 @@ func (s *System) maintainViewsLocked(mutCode dewey.Code, chain []*xmltree.Node, 
 			res.NodesScanned += st.NodesScanned
 		}
 		// Gen is the unconditional truth about v's fragments: cached plans
-		// and the Δ-lists they remember are valid exactly while it stands
+		// and the answers they remember are valid exactly while it stands
 		// still, in either invalidation mode. A failed pass may have
 		// spliced or refreshed part of the store before it stopped.
 		if st.Changed || err != nil {

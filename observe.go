@@ -118,8 +118,8 @@ type servingMetrics struct {
 
 	// Join-kernel internals: gallop-hit volume per joined call, as a
 	// total plus a unitless distribution. joinsTotal counts joins
-	// actually run; memoHits the rewrites that skipped refine + join on a
-	// remembered Δ-list instead.
+	// actually run; memoHits the rewrites served from a plan's
+	// remembered answers instead.
 	memoHits        *telemetry.Counter   // xpv_rewrite_memo_hits_total
 	joinsTotal      *telemetry.Counter   // xpv_joins_total
 	joinGallopTotal *telemetry.Counter   // xpv_join_gallop_hits_total
@@ -401,7 +401,9 @@ func (s *System) finishCall(co callObs, b *budget.B, t0 time.Time, src, strat st
 			e.Err = err.Error()
 		}
 		if res != nil {
-			e.Rung = res.Rung
+			if strat == "resilient" {
+				e.Rung = res.Strategy.String()
+			}
 			e.CacheHit = res.PlanCacheHit
 			e.Memo = res.Memo
 			e.Views = res.ViewsUsed

@@ -333,8 +333,8 @@ func TestResilientRungMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rung != "BN" {
-		t.Fatalf("rung = %q, want BN", res.Rung)
+	if res.Strategy != xpathviews.BN {
+		t.Fatalf("strategy = %v, want BN", res.Strategy)
 	}
 	if !res.Degraded {
 		t.Fatal("result not marked degraded")
@@ -368,8 +368,8 @@ func TestTraceShapeResilient(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := spanNames(tr.Root())
-	if len(names) != 2 || names[0] != "parse" || names[1] != "rung:"+res.Rung {
-		t.Fatalf("resilient trace children %v, want [parse rung:%s]\n%s", names, res.Rung, tr.Text())
+	if len(names) != 2 || names[0] != "parse" || names[1] != "rung:"+res.Strategy.String() {
+		t.Fatalf("resilient trace children %v, want [parse rung:%v]\n%s", names, res.Strategy, tr.Text())
 	}
 	if res.ParseNanos <= 0 {
 		t.Fatalf("resilient ParseNanos = %d, want > 0", res.ParseNanos)

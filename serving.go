@@ -136,7 +136,7 @@ func (s *System) AnswerContext(ctx context.Context, src string, opts Options) (*
 // AnswerResilient serves the query through a fallback chain (default
 // HV → MV → contained → BN), degrading on ErrNotAnswerable, budget
 // exhaustion and contained internal failures. The returned Result
-// records which rung answered (Rung) and why earlier rungs were skipped
+// records which rung answered (Strategy) and why earlier rungs were skipped
 // (DegradedReasons). Context cancellation aborts the whole chain — a
 // caller that went away is not served a degraded answer.
 func (s *System) AnswerResilient(ctx context.Context, src string, opts Options) (*Result, error) {
@@ -156,7 +156,7 @@ func (s *System) AnswerResilient(ctx context.Context, src string, opts Options) 
 // strategy needs the pattern and no cached plan supplied it.
 //
 // resilient adds AnswerResilient's bookkeeping: a "rung:X" span per
-// strategy, the rung counters, Result.Rung and the degradation record,
+// strategy, the rung counters and the degradation record,
 // the "resilient" call label, and falling through to the next strategy
 // on a degradable error. Without it the chain has one strategy whose
 // error is the call's.
@@ -221,7 +221,6 @@ func (s *System) answerChain(ctx context.Context, src string, opts Options, chai
 		rsp.End()
 		if err == nil {
 			if resilient {
-				res.Rung = strat.String()
 				res.Degraded = len(reasons) > 0
 				res.DegradedReasons = reasons
 				if co.m != nil {
@@ -354,10 +353,7 @@ func (s *System) answerLocked(q *pattern.Pattern, strat Strategy, alias string, 
 			sp.End()
 			return nil, err
 		}
-		res := &Result{Strategy: Contained, ViewsUsed: out.ViewsUsed, Partial: !out.Complete}
-		for _, a := range out.Answers {
-			res.Answers = append(res.Answers, Answer{Code: a.Code, Node: a.Node})
-		}
+		res := &Result{Strategy: Contained, Answers: out.Answers, ViewsUsed: out.ViewsUsed, Partial: !out.Complete}
 		if sp != nil {
 			sp.SetAttr("views_used", len(out.ViewsUsed))
 			sp.SetAttr("complete", out.Complete)
@@ -406,10 +402,11 @@ func (s *System) answerLocked(q *pattern.Pattern, strat Strategy, alias string, 
 }
 
 // answerPlanLocked runs §V's rewriting for a (possibly cached) plan
-// under s.mu (read). Only extraction is paid on every call: refinement
-// and the join re-run when a covered view's generation moved since the
-// plan last remembered their outcome (Result.Memo). A plan carrying a
-// cached negative outcome returns it immediately.
+// under s.mu (read). Refinement, the join and extraction re-run only
+// when a covered view's generation moved since the plan last remembered
+// their answers (Result.Memo); Result.Answers is then the plan's shared
+// slice, not a copy. A plan carrying a cached negative outcome returns
+// it immediately.
 func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co callObs) (*Result, error) {
 	// Feed the drift detector before the negative-plan check:
 	// unanswerable traffic is exactly the drift the design workload did
@@ -513,10 +510,7 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 		return nil, err
 	}
 	csp := co.child("collect")
-	res.Answers = make([]Answer, len(out.Answers))
-	for i, a := range out.Answers {
-		res.Answers[i] = Answer{Code: a.Code, Node: a.Node}
-	}
+	res.Answers = out.Answers
 	if csp != nil {
 		csp.SetAttr("answers", len(res.Answers))
 		csp.End()
@@ -550,10 +544,12 @@ func degradable(err error) bool {
 		errors.Is(err, ErrInternal)
 }
 
-// truncate enforces Options.MaxAnswers on a successful result.
+// truncate enforces Options.MaxAnswers on a successful result. The full
+// slice expression keeps an append to the truncated answers from writing
+// into the shared slice behind them.
 func truncate(res *Result, max int) {
 	if max > 0 && len(res.Answers) > max {
-		res.Answers = res.Answers[:max]
+		res.Answers = res.Answers[:max:max]
 		res.Truncated = true
 	}
 }

@@ -179,8 +179,8 @@ func TestResilientDegradesToBN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rung != "BN" {
-		t.Fatalf("Rung = %q, want BN", res.Rung)
+	if res.Strategy != xpathviews.BN {
+		t.Fatalf("Strategy = %v, want BN", res.Strategy)
 	}
 	if !res.Degraded || len(res.DegradedReasons) != 3 {
 		t.Fatalf("Degraded=%v reasons=%v, want 3 skipped rungs", res.Degraded, res.DegradedReasons)
@@ -206,8 +206,8 @@ func TestResilientFirstRungWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rung != "HV" || res.Degraded || len(res.DegradedReasons) != 0 {
-		t.Fatalf("rung=%q degraded=%v reasons=%v", res.Rung, res.Degraded, res.DegradedReasons)
+	if res.Strategy != xpathviews.HV || res.Degraded || len(res.DegradedReasons) != 0 {
+		t.Fatalf("strategy=%v degraded=%v reasons=%v", res.Strategy, res.Degraded, res.DegradedReasons)
 	}
 	base, err := sys.Answer(paperdata.QueryE, xpathviews.BF)
 	if err != nil {
@@ -233,8 +233,8 @@ func TestResilientContainedRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rung != "contained" || len(res.Answers) != 2 || res.Partial {
-		t.Fatalf("rung=%q answers=%d partial=%v", res.Rung, len(res.Answers), res.Partial)
+	if res.Strategy != xpathviews.Contained || len(res.Answers) != 2 || res.Partial {
+		t.Fatalf("strategy=%v answers=%d partial=%v", res.Strategy, len(res.Answers), res.Partial)
 	}
 }
 

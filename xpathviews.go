@@ -39,6 +39,7 @@ import (
 	"xpathviews/internal/engine"
 	"xpathviews/internal/pattern"
 	"xpathviews/internal/plancache"
+	"xpathviews/internal/rewrite"
 	"xpathviews/internal/selection"
 	"xpathviews/internal/storage"
 	"xpathviews/internal/telemetry"
@@ -272,19 +273,19 @@ func (s *System) CompactFilter() {
 	s.bumpPlanGen()
 }
 
-// Answer is one query result.
-type Answer struct {
-	// Code is the answer node's extended Dewey code.
-	Code dewey.Code
-	// Node is the answer node: a document node for BN/BF, a fragment
-	// node for the view strategies.
-	Node *xmltree.Node
-}
+// Answer is one query result: the answer node's extended Dewey code and
+// the node itself — a document node for BN/BF, a fragment node for the
+// view strategies.
+type Answer = rewrite.Answer
 
 // Result reports a query's answers plus strategy metadata.
 type Result struct {
 	Strategy Strategy
-	Answers  []Answer
+	// Answers are read-only. A view strategy's answers are shared with
+	// the cached plan that produced them and with every later call it
+	// serves while the covered views' generations hold; copy the slice
+	// before modifying it.
+	Answers []Answer
 	// ViewsUsed lists the IDs of the selected views (view strategies).
 	ViewsUsed []int
 	// CandidatesAfterFilter is |V'| (MV/HV only).
@@ -292,9 +293,6 @@ type Result struct {
 	// HomsComputed counts homomorphism computations during selection.
 	HomsComputed int
 
-	// Rung names the strategy of the fallback chain that produced the
-	// answers (set by AnswerResilient only, e.g. "HV" or "contained").
-	Rung string
 	// Degraded reports that at least one earlier rung failed before this
 	// result was produced (AnswerResilient only).
 	Degraded bool
@@ -312,10 +310,10 @@ type Result struct {
 	// plan: filtering and selection were skipped entirely (view
 	// strategies only).
 	PlanCacheHit bool
-	// Memo reports the cached plan remembered which Δ-view fragments
-	// survive refinement and the join, and no covered view has changed
-	// since: only extraction ran, and the refine/join times and join
-	// counters below (work done by this call) are zero.
+	// Memo reports the cached plan remembered its answers and no covered
+	// view has changed since: refinement, the join and extraction did not
+	// run, and the refine/join times and join counters below (work done
+	// by this call) are zero.
 	Memo bool
 	// Stage wall times, in nanoseconds, populated on every call without
 	// tracing. ParseNanos covers parsing + minimization and is zero when
