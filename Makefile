@@ -3,8 +3,8 @@ GO ?= go
 .PHONY: check bench-check build vet test race fuzz-smoke fmt-check advise-demo obs-demo serve-demo statusz-demo bench-server update-demo views-demo bench-views
 
 # check is the full local gate: static checks, build, the race-enabled
-# test suite, a short fuzz smoke of the XPath parser, and the benchmark
-# module.
+# test suite, a short fuzz smoke of the XPath parser and the response
+# encoder, and the benchmark module.
 check: vet build race fuzz-smoke bench-check
 
 # bench-check compiles, vets, tests and smoke-runs bench/, a nested
@@ -42,8 +42,11 @@ race:
 	$(GO) test -race -count=10 -run 'TestRefine(Differential|ScratchReuse)|TestLabelPath' ./internal/rewrite ./internal/views
 	$(GO) test -race -count=10 -run 'TestLabelPathHammer' .
 
+# fuzz-smoke fuzzes the XPath parser and the daemon's query-response
+# encoder (against encoding/json) for ten seconds each.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/xpath
+	$(GO) test -run='^$$' -fuzz=FuzzQueryResponse -fuzztime=10s ./internal/server
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -153,7 +156,7 @@ views-demo:
 	for i in $$(seq 1 100); do curl -fsS http://127.0.0.1:8935/readyz >/dev/null 2>&1 && break; sleep 0.1; done; \
 	for i in 1 2 3; do curl -fsS -X POST -d '{"query": "//s[f//i][t]/p"}' http://127.0.0.1:8935/v1/query >/dev/null; done; \
 	curl -fsS http://127.0.0.1:8935/v1/views; \
-	curl -fsS http://127.0.0.1:8935/v1/views | grep -q '"hits": 3'; \
+	curl -fsS http://127.0.0.1:8935/v1/views | grep -q '"hits":3'; \
 	curl -fsS http://127.0.0.1:8935/statusz | grep -q 'calibration_err'; \
 	curl -fsS http://127.0.0.1:8935/statusz | grep -q 'drift: armed='; \
 	curl -fsS http://127.0.0.1:8935/metrics | grep -q 'xpv_joins_total'; \

@@ -12,6 +12,7 @@
 package dewey
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -36,17 +37,25 @@ func (c Code) String() string {
 	if len(c) == 0 {
 		return ""
 	}
-	buf := make([]byte, 0, 4*len(c))
-	for i, v := range c {
-		if i > 0 {
-			buf = append(buf, '.')
-		}
-		buf = strconv.AppendUint(buf, uint64(v), 10)
-	}
-	return string(buf)
+	return string(c.AppendTo(make([]byte, 0, 4*len(c))))
 }
 
-// ParseCode parses the dotted form produced by String.
+// AppendTo appends the code's dotted form to dst and returns the
+// extended slice: String without the allocation, for encoders that
+// write many codes into one buffer.
+func (c Code) AppendTo(dst []byte) []byte {
+	for i, v := range c {
+		if i > 0 {
+			dst = append(dst, '.')
+		}
+		dst = strconv.AppendUint(dst, uint64(v), 10)
+	}
+	return dst
+}
+
+// ParseCode parses the dotted form produced by String. Every component
+// is a plain unsigned decimal that fits 32 bits: no sign, no spaces, no
+// trailing bytes.
 func ParseCode(s string) (Code, error) {
 	if s == "" {
 		return nil, fmt.Errorf("dewey: empty code")
@@ -54,13 +63,57 @@ func ParseCode(s string) (Code, error) {
 	parts := strings.Split(s, ".")
 	c := make(Code, len(parts))
 	for i, p := range parts {
-		var v uint32
-		if _, err := fmt.Sscanf(p, "%d", &v); err != nil {
+		v, err := strconv.ParseUint(p, 10, 32)
+		if err != nil {
 			return nil, fmt.Errorf("dewey: bad component %q in %q", p, s)
 		}
-		c[i] = v
+		c[i] = uint32(v)
 	}
 	return c, nil
+}
+
+// CompareDotted orders codes as their dotted forms (String) sort as
+// strings, without rendering them. Components compare as decimal
+// strings, where a proper prefix sorts first: '.' and the end of the
+// string both sort before any digit, so "1" < "1.2" < "12".
+func CompareDotted(a, b Code) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return compareDecimal(a[i], b[i])
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// compareDecimal compares x and y by their decimal spellings: the
+// longer spelling is cut to the shorter one's digit count, and a tie
+// means the shorter spelling is a prefix of the longer and sorts first.
+func compareDecimal(x, y uint32) int {
+	dx, dy := decimalDigits(x), decimalDigits(y)
+	tx, ty := x, y
+	for d := dx; d > dy; d-- {
+		tx /= 10
+	}
+	for d := dy; d > dx; d-- {
+		ty /= 10
+	}
+	switch {
+	case tx < ty:
+		return -1
+	case tx > ty:
+		return 1
+	}
+	return cmp.Compare(dx, dy)
+}
+
+// decimalDigits is the length of v's decimal spelling.
+func decimalDigits(v uint32) int {
+	d := 1
+	for ; v >= 10; v /= 10 {
+		d++
+	}
+	return d
 }
 
 // Compare orders codes in document order: component-wise numeric, with a

@@ -178,9 +178,38 @@ func TestParseCodeRoundTrip(t *testing.T) {
 }
 
 func TestParseCodeErrors(t *testing.T) {
-	for _, bad := range []string{"", "a", "1..2", "1.x", "."} {
+	for _, bad := range []string{"", "a", "1..2", "1.x", ".", "0.1x", "0. 1", " 0.1", "+1", "-1", "0.4294967296"} {
 		if _, err := dewey.ParseCode(bad); err == nil {
 			t.Errorf("ParseCode(%q) unexpectedly succeeded", bad)
+		}
+	}
+}
+
+// TestCompareDottedIsStringOrder: CompareDotted agrees with comparing
+// the rendered dotted strings, including components whose spellings are
+// prefixes of each other (1 vs 12 vs 1.2) and 32-bit extremes.
+func TestCompareDottedIsStringOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(38))
+	comps := []uint32{0, 1, 2, 9, 10, 11, 12, 19, 20, 99, 100, 101, 120, 1000, 4294967295, 429496729}
+	code := func() dewey.Code {
+		c := make(dewey.Code, r.Intn(4))
+		for i := range c {
+			if r.Intn(4) == 0 {
+				c[i] = r.Uint32()
+			} else {
+				c[i] = comps[r.Intn(len(comps))]
+			}
+		}
+		return c
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := code(), code()
+		want := strings.Compare(a.String(), b.String())
+		if got := dewey.CompareDotted(a, b); got != want {
+			t.Fatalf("CompareDotted(%v, %v) = %d, strings compare %d", a, b, got, want)
+		}
+		if got := string(a.AppendTo([]byte("x"))); got != "x"+a.String() {
+			t.Fatalf("AppendTo(%v) = %q", a, got)
 		}
 	}
 }

@@ -53,18 +53,19 @@ type pinRef struct {
 // deltaMemo is the outcome of stages 1–4 for one JoinPlan, a pure
 // function of the plan and the covered views' fragments: while every view
 // is at the generation recorded here, an execution returns answers
-// without refining, joining or extracting. answers is extraction's
-// sorted, duplicate-free output with cap == len, shared read-only by every
-// Result served from the memo; its Codes and Nodes alias fragment
-// storage, so a memo nobody reads again pins one answer set until its
-// plan is next validated or evicted. steps is extraction's budget charge
-// (one per joined Δ-fragment), which a hit pays again. empty marks that
-// some view refined to nothing (no answers, no stages 3–4).
+// without refining, joining or extracting. text holds extraction's
+// sorted, duplicate-free answers with cap == len, shared read-only by
+// every Result served from the memo, and their code text once a caller
+// renders it; the answers' Codes and Nodes alias fragment storage, so a
+// memo nobody reads again pins one answer set until its plan is next
+// validated or evicted. steps is extraction's budget charge (one per
+// joined Δ-fragment), which a hit pays again. empty marks that some view
+// refined to nothing (no answers, no stages 3–4).
 type deltaMemo struct {
-	gens    []uint64 // covers[i].View.Gen when the memo was computed
-	answers []Answer
-	steps   int
-	empty   bool
+	gens  []uint64 // covers[i].View.Gen when the memo was computed
+	text  CodeText
+	steps int
+	empty bool
 }
 
 // plans reports whether p is the skeleton of exactly this pattern and

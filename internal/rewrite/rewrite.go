@@ -68,6 +68,9 @@ type Result struct {
 	// stages 1–4 did not run, and their counters and times below stay
 	// zero (ExtractNanos covers the extraction checks a hit still makes).
 	Memo bool
+	// Text is the memo's rendering of Answers' codes when Answers is the
+	// memo's slice, shared like it; nil otherwise.
+	Text *CodeText
 	// Stats for benchmarking/ablation.
 	FragmentsScanned int
 	FragmentsJoined  int
@@ -252,11 +255,12 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 	if m == nil {
 		err = extract(q, dc, joined, res, b)
 		if err == nil && publish {
-			jp.remember(&deltaMemo{answers: res.Answers, steps: len(joined)})
+			jp.remember(&deltaMemo{text: CodeText{answers: res.Answers}, steps: len(joined)})
 		}
 	} else if err = fpExtract.Fire(); err == nil {
 		err = b.Step(m.steps)
-		res.Answers = m.answers
+		res.Answers = m.text.answers
+		res.Text = &m.text
 	}
 	res.ExtractNanos = int64(time.Since(stage))
 	if err != nil {

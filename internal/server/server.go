@@ -334,6 +334,10 @@ type queryResponse struct {
 	XML             []string `json:"xml,omitempty"`
 	ElapsedNS       int64    `json:"elapsed_ns"`
 	Error           string   `json:"error,omitempty"`
+
+	// res, when set, is the answered Result: the encoder writes its codes
+	// as "answers" in place of Answers, which stays nil.
+	res *xpathviews.Result
 }
 
 type batchResponse struct {
@@ -423,7 +427,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		t.reqNs.ObserveExemplar(int64(el), traceID)
 		s.recordSLO(t, qr.Status >= 500, el)
 		s.countResponse(qr.Status)
-		writeJSON(w, qr.Status, qr)
+		writeQuery(w, qr.Status, &qr, nil)
 		return
 	}
 	// Batch: the whole batch runs under one admission slot (one client,
@@ -443,7 +447,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t.reqNs.ObserveExemplar(int64(el), traceID)
 	s.recordSLO(t, failed, el)
 	s.countResponse(http.StatusOK)
-	writeJSON(w, http.StatusOK, out)
+	writeQuery(w, http.StatusOK, nil, &out)
 }
 
 // recordSLO folds one request outcome into the tenant's burn-rate
@@ -517,10 +521,11 @@ func (s *Server) answerOne(ctx context.Context, t *Tenant, src, strat string, pr
 	qr.DegradedReasons = res.DegradedReasons
 	qr.Truncated = res.Truncated
 	qr.PlanCacheHit = res.PlanCacheHit
-	qr.Answers = res.Codes()
+	qr.res = res
 	if includeXML {
+		// xml[i] is the subtree of answers[i]: both follow Codes() order.
 		qr.XML = make([]string, 0, len(res.Answers))
-		for _, a := range res.Answers {
+		for _, a := range res.InCodeOrder() {
 			x, merr := xpathviews.MarshalAnswer(a)
 			if merr != nil {
 				x = ""
@@ -614,12 +619,12 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
+// writeJSON sends v as compact JSON; query responses go through
+// writeQuery instead.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // ---------------------------------------------------------------------

@@ -511,6 +511,7 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 	}
 	csp := co.child("collect")
 	res.Answers = out.Answers
+	res.text = out.Text
 	if csp != nil {
 		csp.SetAttr("answers", len(res.Answers))
 		csp.End()
@@ -550,6 +551,7 @@ func degradable(err error) bool {
 func truncate(res *Result, max int) {
 	if max > 0 && len(res.Answers) > max {
 		res.Answers = res.Answers[:max:max]
+		res.text = nil // the memo's text renders every answer
 		res.Truncated = true
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -339,15 +338,38 @@ type Result struct {
 	// produced beyond its first per-advance emission — a measure of how
 	// run-structured the fragment lists were.
 	GallopHits int64
+
+	// text is the plan memo's rendering of Answers' codes when Answers is
+	// the memo's whole shared slice (a memo hit MaxAnswers did not cut).
+	text *rewrite.CodeText
 }
 
-// Codes returns the sorted answer codes as strings.
+// Codes returns the answer codes as dotted strings, sorted as strings.
+// A call served from a plan's memo reads the memo's rendering (built by
+// the first caller that asks for it) and allocates only the slice.
 func (r *Result) Codes() []string {
-	out := make([]string, len(r.Answers))
-	for i, a := range r.Answers {
-		out[i] = a.Code.String()
+	if r.text != nil {
+		return rewrite.SplitQuoted(r.text.Quoted())
 	}
-	sort.Strings(out)
+	return rewrite.SplitQuoted(string(rewrite.AppendQuoted(nil, r.Answers)))
+}
+
+// AppendQuotedCodes appends Codes() to dst as JSON strings joined by
+// commas ("0.1","0.10","0.2") — the body of a JSON array — without
+// building the strings.
+func (r *Result) AppendQuotedCodes(dst []byte) []byte {
+	if r.text != nil {
+		return append(dst, r.text.Quoted()...)
+	}
+	return rewrite.AppendQuoted(dst, r.Answers)
+}
+
+// InCodeOrder returns a copy of Answers in the order of Codes().
+func (r *Result) InCodeOrder() []Answer {
+	out := make([]Answer, len(r.Answers))
+	for k, i := range rewrite.TextOrder(r.Answers) {
+		out[k] = r.Answers[i]
+	}
 	return out
 }
 
