@@ -160,7 +160,11 @@ func main() {
 		}()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// ReadHeaderTimeout closes a connection that sends no request header:
+	// net/http's Shutdown waits up to 5 s for a connection that never left
+	// StateNew (a spare keep-alive dial the client never used), which
+	// would otherwise hold a short drain open until its deadline.
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 2 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	log.Printf("xpvserved listening on %s (%d tenants)", *addr, len(tenants))

@@ -1,25 +1,28 @@
-// Package budget provides cooperative cancellation and resource budgets
-// for the answering pipeline. A *B is threaded through the traversal and
-// enumeration loops of engine, vfilter, selection and rewrite; each loop
-// reports progress via Step (cheap work units) or Hom (homomorphism
-// computations, the cost driver of §IV) and aborts with a typed error
-// when the caller's context is done or a budget is exhausted.
+// Package budget provides the per-call meter of the answering pipeline:
+// cooperative cancellation, resource budgets and the call's stage clock.
+// A *B is threaded through the traversal and enumeration loops of
+// engine, vfilter, selection and rewrite; each loop reports progress via
+// Step (cheap work units) or Hom (homomorphism computations, the cost
+// driver of §IV) and aborts with a typed error when the caller's context
+// is done or a budget is exhausted. The serving layer brackets each
+// stage with Mark and Lap, so the meter also holds the call's per-stage
+// wall times.
 //
-// A nil *B is valid everywhere and means "unlimited, uncancellable" —
-// legacy entry points pass nil so the hot paths stay check-free.
+// A nil *B is valid everywhere and means "unlimited, uncancellable,
+// untimed" — legacy entry points pass nil so the hot paths stay
+// check-free.
 //
-// Charging is atomic, so a budget a caller shares across goroutines
-// keeps its caps exact — every unit is debited exactly once, and the
-// first debit that crosses zero reports exhaustion. The pipeline itself
-// charges a call's budget from that call's goroutine only, where the
-// atomics are uncontended.
+// A B belongs to one call and is charged from that call's goroutine
+// only: its fields are plain, and it is not safe for concurrent use.
+// Sharing one across goroutines is a data race.
 package budget
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"math"
+	"time"
 )
 
 // ErrBudget reports that a configured resource budget ran out before the
@@ -39,55 +42,62 @@ var (
 // contexts returning within microseconds without measurable overhead.
 const checkInterval = 256
 
-// B tracks one call's remaining budgets. It is safe for concurrent use.
+// epoch anchors the stage clock: time.Since reads only the monotonic
+// clock, which is all a stage's duration needs.
+var epoch = time.Now()
+
+// Stage names one timed pipeline stage.
+type Stage uint8
+
+// The timed stages, in pipeline order: parsing with minimization, §III
+// filtering, §IV selection, and §V's refinement, join and extraction.
+const (
+	Parse Stage = iota
+	Filter
+	Select
+	Refine
+	Join
+	Extract
+	numStages
+)
+
+// B is one call's meter: its remaining budgets and its stage clock.
 type B struct {
-	ctx        context.Context
-	stepBound  bool
-	homBound   bool
-	track      bool
-	steps      atomic.Int64
-	homs       atomic.Int64
-	sinceCheck atomic.Int64
-	usedSteps  atomic.Int64
-	usedHoms   atomic.Int64
+	ctx context.Context
+	// maxSteps/maxHoms are the starting caps (math.MaxInt64 when
+	// unlimited) and steps/homs what remains of them, so the spend is
+	// their difference. A charge that crosses zero still counts.
+	maxSteps, maxHoms int64
+	steps, homs       int64
+	untilPoll         int           // steps left before the next context poll
+	mark              time.Duration // stage clock reading, since epoch
+	nanos             [numStages]int64
 }
 
-// New builds a budget over ctx. maxSteps caps cheap work units, maxHoms
+// New builds a meter over ctx. maxSteps caps cheap work units, maxHoms
 // caps homomorphism computations; zero or negative means unlimited. A nil
 // ctx means context.Background().
 func New(ctx context.Context, maxSteps, maxHoms int64) *B {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	b := &B{ctx: ctx}
-	if maxSteps > 0 {
-		b.stepBound = true
-		b.steps.Store(maxSteps)
+	if maxSteps <= 0 {
+		maxSteps = math.MaxInt64
 	}
-	if maxHoms > 0 {
-		b.homBound = true
-		b.homs.Store(maxHoms)
+	if maxHoms <= 0 {
+		maxHoms = math.MaxInt64
 	}
-	return b
+	return &B{ctx: ctx, maxSteps: maxSteps, maxHoms: maxHoms,
+		steps: maxSteps, homs: maxHoms, untilPoll: checkInterval}
 }
 
-// EnableTracking turns on spend accounting: Step and Hom additionally
-// accumulate how much was consumed, readable via Spent. Off by default
-// so the untraced hot path pays only a predictable-false branch; must
-// be called before the budget is shared with other goroutines.
-func (b *B) EnableTracking() {
-	if b != nil {
-		b.track = true
-	}
-}
-
-// Spent returns the work consumed so far. Zero until EnableTracking is
-// called; safe to read while another goroutine is still charging.
+// Spent returns the work charged so far, including a charge that
+// exhausted a budget.
 func (b *B) Spent() (steps, homs int64) {
 	if b == nil {
 		return 0, 0
 	}
-	return b.usedSteps.Load(), b.usedHoms.Load()
+	return b.maxSteps - b.steps, b.maxHoms - b.homs
 }
 
 // Step consumes n work units, returning ErrSteps when the step budget is
@@ -97,17 +107,12 @@ func (b *B) Step(n int) error {
 	if b == nil {
 		return nil
 	}
-	if b.track {
-		b.usedSteps.Add(int64(n))
-	}
-	if b.stepBound && b.steps.Add(-int64(n)) < 0 {
+	if b.steps -= int64(n); b.steps < 0 {
 		return ErrSteps
 	}
-	if b.sinceCheck.Add(int64(n)) >= checkInterval {
-		b.sinceCheck.Store(0)
-		if err := b.ctx.Err(); err != nil {
-			return err
-		}
+	if b.untilPoll -= n; b.untilPoll <= 0 {
+		b.untilPoll = checkInterval
+		return b.ctx.Err()
 	}
 	return nil
 }
@@ -118,13 +123,11 @@ func (b *B) Hom() error {
 	if b == nil {
 		return nil
 	}
-	if b.track {
-		b.usedHoms.Add(1)
-	}
+	b.homs--
 	if err := b.ctx.Err(); err != nil {
 		return err
 	}
-	if b.homBound && b.homs.Add(-1) < 0 {
+	if b.homs < 0 {
 		return ErrHoms
 	}
 	return nil
@@ -143,19 +146,31 @@ func (b *B) CtxErr() error {
 	return b.ctx.Err()
 }
 
-// Err polls the context and the budgets without consuming anything.
-func (b *B) Err() error {
+// Mark starts the stage clock: the next Lap charges the time from here.
+func (b *B) Mark() {
+	if b != nil {
+		b.mark = time.Since(epoch)
+	}
+}
+
+// Lap charges the time since the last Mark or Lap to stage s and returns
+// it; the clock keeps running, so adjacent stages share one clock read.
+// Laps into the same stage add up. A Lap must follow a Mark.
+func (b *B) Lap(s Stage) int64 {
 	if b == nil {
-		return nil
+		return 0
 	}
-	if err := b.ctx.Err(); err != nil {
-		return err
+	now := time.Since(epoch)
+	d := int64(now - b.mark)
+	b.nanos[s] += d
+	b.mark = now
+	return d
+}
+
+// Nanos returns the wall time charged to stage s.
+func (b *B) Nanos(s Stage) int64 {
+	if b == nil {
+		return 0
 	}
-	if b.stepBound && b.steps.Load() <= 0 {
-		return ErrSteps
-	}
-	if b.homBound && b.homs.Load() <= 0 {
-		return ErrHoms
-	}
-	return nil
+	return b.nanos[s]
 }

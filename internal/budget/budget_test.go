@@ -3,9 +3,8 @@ package budget_test
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"xpathviews/internal/budget"
 )
@@ -20,8 +19,18 @@ func TestNilBudgetIsUnlimited(t *testing.T) {
 	if err := b.Hom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Err(); err != nil {
+	if err := b.CtxErr(); err != nil {
 		t.Fatal(err)
+	}
+	if steps, homs := b.Spent(); steps != 0 || homs != 0 {
+		t.Fatalf("nil Spent = %d, %d", steps, homs)
+	}
+	b.Mark()
+	if d := b.Lap(budget.Refine); d != 0 {
+		t.Fatalf("nil Lap = %d", d)
+	}
+	if d := b.Nanos(budget.Refine); d != 0 {
+		t.Fatalf("nil Nanos = %d", d)
 	}
 }
 
@@ -36,8 +45,11 @@ func TestStepBudget(t *testing.T) {
 	if !errors.Is(err, budget.ErrBudget) || !errors.Is(err, budget.ErrSteps) {
 		t.Fatalf("exhausted step budget returned %v", err)
 	}
-	if err := b.Err(); !errors.Is(err, budget.ErrBudget) {
-		t.Fatalf("Err after exhaustion = %v", err)
+	if err := b.Step(1); !errors.Is(err, budget.ErrSteps) {
+		t.Fatalf("Step after exhaustion = %v", err)
+	}
+	if err := b.CtxErr(); err != nil {
+		t.Fatalf("CtxErr reported budget exhaustion: %v", err)
 	}
 }
 
@@ -67,8 +79,8 @@ func TestContextCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled context not observed: %v", err)
 	}
-	if err := b.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Err = %v", err)
+	if err := b.CtxErr(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CtxErr = %v", err)
 	}
 	if err := b.Hom(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Hom = %v", err)
@@ -82,33 +94,102 @@ func TestBigStepExhaustsAtOnce(t *testing.T) {
 	}
 }
 
-// TestConcurrentStepExactness shares one budget across goroutines and
-// verifies the cap is exact: the number of
-// successful unit debits equals the configured budget.
-func TestConcurrentStepExactness(t *testing.T) {
-	const cap = 10_000
-	b := budget.New(context.Background(), cap, cap)
-	var ok, okHoms atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < cap; i++ {
-				if b.Step(1) == nil {
-					ok.Add(1)
-				}
-				if b.Hom() == nil {
-					okHoms.Add(1)
-				}
+// charge runs a fixed mix of charges against b and returns the first
+// error.
+func charge(b *budget.B) error {
+	for i := 1; i <= 40; i++ {
+		if err := b.Step(i % 7); err != nil {
+			return err
+		}
+		if i%5 == 0 {
+			if err := b.Hom(); err != nil {
+				return err
 			}
-		}()
+		}
 	}
-	wg.Wait()
-	if got := ok.Load(); got != cap {
-		t.Fatalf("successful steps = %d, want exactly %d", got, cap)
+	return nil
+}
+
+// TestSpentExact: Spent counts every charge with no opt-in, on bounded
+// and unbounded meters alike, and keeps counting the charge that
+// exhausted a budget and those after it.
+func TestSpentExact(t *testing.T) {
+	const wantSteps, wantHoms = 120, 8 // sum of i%7, count of multiples of 5, over 1..40
+	for _, caps := range [][2]int64{{0, 0}, {1000, 1000}, {wantSteps, wantHoms}} {
+		b := budget.New(context.Background(), caps[0], caps[1])
+		if err := charge(b); err != nil {
+			t.Fatalf("caps %v: %v", caps, err)
+		}
+		if steps, homs := b.Spent(); steps != wantSteps || homs != wantHoms {
+			t.Fatalf("caps %v: Spent = %d, %d, want %d, %d", caps, steps, homs, wantSteps, wantHoms)
+		}
 	}
-	if got := okHoms.Load(); got != cap {
-		t.Fatalf("successful homs = %d, want exactly %d", got, cap)
+	b := budget.New(context.Background(), 3, 1)
+	if err := b.Step(5); !errors.Is(err, budget.ErrSteps) {
+		t.Fatalf("Step(5) under cap 3 = %v", err)
+	}
+	b.Step(2)
+	b.Hom()
+	if err := b.Hom(); !errors.Is(err, budget.ErrHoms) {
+		t.Fatalf("second Hom under cap 1 = %v", err)
+	}
+	if steps, homs := b.Spent(); steps != 7 || homs != 2 {
+		t.Fatalf("Spent after exhaustion = %d, %d, want 7, 2", steps, homs)
+	}
+}
+
+// TestCapAtSpend: with the spend S of an unbounded run, every cap below S
+// fails with the matching error and the cap S itself succeeds, for steps
+// and for homomorphisms.
+func TestCapAtSpend(t *testing.T) {
+	free := budget.New(context.Background(), 0, 0)
+	if err := charge(free); err != nil {
+		t.Fatal(err)
+	}
+	steps, homs := free.Spent()
+	for c := int64(1); c < steps; c++ {
+		if err := charge(budget.New(context.Background(), c, 0)); !errors.Is(err, budget.ErrSteps) {
+			t.Fatalf("step cap %d < %d: %v", c, steps, err)
+		}
+	}
+	for c := int64(1); c < homs; c++ {
+		if err := charge(budget.New(context.Background(), 0, c)); !errors.Is(err, budget.ErrHoms) {
+			t.Fatalf("hom cap %d < %d: %v", c, homs, err)
+		}
+	}
+	if err := charge(budget.New(context.Background(), steps, homs)); err != nil {
+		t.Fatalf("caps equal to the spend (%d, %d): %v", steps, homs, err)
+	}
+}
+
+// TestStageSlots: laps charge the time since the previous Mark or Lap to
+// their stage, laps into one stage add up, and untouched stages stay 0.
+func TestStageSlots(t *testing.T) {
+	b := budget.New(context.Background(), 0, 0)
+	b.Mark()
+	time.Sleep(time.Millisecond)
+	first := b.Lap(budget.Join)
+	time.Sleep(time.Millisecond)
+	second := b.Lap(budget.Join)
+	extract := b.Lap(budget.Extract)
+	if first < int64(time.Millisecond) || second < int64(time.Millisecond) {
+		t.Fatalf("laps %d, %d shorter than the sleeps", first, second)
+	}
+	if got := b.Nanos(budget.Join); got != first+second {
+		t.Fatalf("Join = %d, want %d + %d", got, first, second)
+	}
+	if got := b.Nanos(budget.Extract); got != extract || extract < 0 {
+		t.Fatalf("Extract = %d, lap returned %d", got, extract)
+	}
+	for _, s := range []budget.Stage{budget.Parse, budget.Filter, budget.Select, budget.Refine} {
+		if got := b.Nanos(s); got != 0 {
+			t.Fatalf("untimed stage %d = %d", s, got)
+		}
+	}
+	// Mark restarts the clock: time before it belongs to no stage.
+	time.Sleep(20 * time.Millisecond)
+	b.Mark()
+	if d := b.Lap(budget.Parse); d >= int64(20*time.Millisecond) {
+		t.Fatalf("lap after Mark charged %d, including time before the Mark", d)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"xpathviews/internal/budget"
 	"xpathviews/internal/dewey"
@@ -80,11 +81,23 @@ func memoFixtures(t testing.TB) []*memoFixture {
 }
 
 // didNoStageWork reports that a Result carries none of the refine/join
-// counters or times: the call skipped stages 1–3.
-func didNoStageWork(r *rewrite.Result) bool {
+// counters and its meter none of their times: the call skipped stages
+// 1–3.
+func didNoStageWork(r *rewrite.Result, b *budget.B) bool {
 	return r.FragmentsScanned == 0 && r.FragmentsJoined == 0 &&
 		r.ViewScanned == [rewrite.AttrMaxViews]int32{} && r.ViewKept == [rewrite.AttrMaxViews]int32{} &&
-		r.JoinPartitions == 0 && r.GallopHits == 0 && r.RefineNanos == 0 && r.JoinNanos == 0
+		r.JoinPartitions == 0 && r.GallopHits == 0 && b.Nanos(budget.Refine) == 0 && b.Nanos(budget.Join) == 0
+}
+
+// timedWithin runs one ExecuteOptions under b and reports whether the
+// stage times it charged fit inside the call's wall time: every stage
+// clock started inside the call.
+func timedWithin(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST, b *budget.B, opt rewrite.Options) (*rewrite.Result, bool, error) {
+	t0 := time.Now()
+	res, err := rewrite.ExecuteOptions(q, sel, fst, b, opt)
+	wall := int64(time.Since(t0))
+	staged := b.Nanos(budget.Refine) + b.Nanos(budget.Join) + b.Nanos(budget.Extract)
+	return res, staged <= wall, err
 }
 
 // TestMemoHitMatchesFreshAndNaive: for a single strong cover, 2-view
@@ -116,22 +129,24 @@ func TestMemoHitMatchesFreshAndNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := rewrite.Options{Plan: jp}
-		first, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, opt)
+		fb := budget.New(nil, 0, 0)
+		first, within, err := timedWithin(fx.q, fx.sel, fx.fst, fb, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", fx.name, err)
 		}
-		if first.Memo || first.FragmentsScanned == 0 || first.RefineNanos == 0 {
+		if first.Memo || first.FragmentsScanned == 0 || fb.Nanos(budget.Refine) == 0 || !within {
 			t.Fatalf("%s: first execution did not run the stages: %+v", fx.name, first)
 		}
 		if !sameCodes(first, fresh) {
 			t.Fatalf("%s: first %v != fresh %v", fx.name, first.Codes(), fresh.Codes())
 		}
 		for i := 0; i < 3; i++ {
-			hit, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, opt)
+			hb := budget.New(nil, 0, 0)
+			hit, within, err := timedWithin(fx.q, fx.sel, fx.fst, hb, opt)
 			if err != nil {
 				t.Fatalf("%s hit %d: %v", fx.name, i, err)
 			}
-			if !hit.Memo || !didNoStageWork(hit) {
+			if !hit.Memo || !didNoStageWork(hit, hb) || !within {
 				t.Fatalf("%s hit %d: not served from the memo: %+v", fx.name, i, hit)
 			}
 			if !sameCodes(hit, fresh) {
@@ -309,7 +324,6 @@ func TestMemoHitStillChargesExtraction(t *testing.T) {
 		t.Fatalf("hit under a budget of %d steps for %d fragments: err = %v, want budget exhaustion", n-1, n, err)
 	}
 	b := budget.New(nil, n, 0)
-	b.EnableTracking()
 	hit, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, b, opt)
 	if err != nil || !hit.Memo || !sameCodes(hit, warm) {
 		t.Fatalf("hit under an exact budget: memo=%v err=%v", hit != nil && hit.Memo, err)

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xpathviews/internal/budget"
 	"xpathviews/internal/dewey"
@@ -65,8 +64,9 @@ type Result struct {
 	// covered views stand still.
 	Answers []Answer
 	// Memo reports that the answers came from the caller's JoinPlan:
-	// stages 1–4 did not run, and their counters and times below stay
-	// zero (ExtractNanos covers the extraction checks a hit still makes).
+	// stages 1–4 did not run, and their counters below stay zero. The
+	// meter's Refine and Join slots are not charged either; its Extract
+	// slot covers the extraction checks a hit still makes.
 	Memo bool
 	// Text is the memo's rendering of Answers' codes when Answers is the
 	// memo's slice, shared like it; nil otherwise.
@@ -78,13 +78,10 @@ type Result struct {
 	// refinement computed: its path work is proportional to this, not to
 	// FragmentsScanned.
 	PathsTested int
-	// Per-stage wall time. Refine covers stages 1+2 and Extract stage 4;
-	// Join covers stage 3 — the virtual-tree merge build plus the
-	// per-fragment embeds — and JoinBuildNanos isolates the build.
-	RefineNanos    int64
-	JoinNanos      int64
+	// JoinBuildNanos is the virtual-tree merge build's share of the
+	// meter's Join slot (the rest is the per-fragment embeds); zero under
+	// a nil meter.
 	JoinBuildNanos int64
-	ExtractNanos   int64
 
 	// Per-cover refinement accounting for view attribution, indexed by
 	// cover position in the selection (the serving layer maps positions
@@ -148,11 +145,12 @@ func Execute(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) (*Res
 	return ExecuteOptions(q, sel, fst, nil, Options{})
 }
 
-// ExecuteOptions is Execute under a cancellation/step budget and with
-// explicit options: refinement charges one step per scanned fragment,
-// the holistic join one step per embedding attempt, extraction one step
-// per fragment. A nil budget never aborts on its own, but the stage
-// fault points may. A caller-supplied Options.Plan that remembers its
+// ExecuteOptions is Execute under a meter and with explicit options:
+// refinement charges one step per scanned fragment, the holistic join
+// one step per embedding attempt, extraction one step per fragment, and
+// each stage's wall time goes to the meter's Refine, Join and Extract
+// slots. A nil meter never aborts on its own, but the stage fault points
+// may. A caller-supplied Options.Plan that remembers its
 // answers skips the stages' work and the refine and join budget steps
 // (Result.Memo); extraction's steps, the stage fault points and every
 // check between the stages still run.
@@ -198,9 +196,9 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 		// early (the query's answer is certainly empty).
 		refined = make([]refinedView, len(covers))
 		defer releaseRefined(refined)
-		stage := time.Now()
+		b.Mark()
 		empty, err := refineAll(q, covers, refined, b)
-		res.RefineNanos = int64(time.Since(stage))
+		b.Lap(budget.Refine)
 		for i := range refined {
 			res.FragmentsScanned += refined[i].scanned
 			res.PathsTested += refined[i].paths
@@ -249,8 +247,11 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 	}
 
 	// Stage 4: extraction from the Δ-view's joined fragments — on a hit,
-	// its remembered outcome, charged as the miss was.
-	stage := time.Now()
+	// its remembered outcome, charged as the miss was. On a miss the
+	// stage clock runs on from the previous stage's lap.
+	if m != nil {
+		b.Mark()
+	}
 	var err error
 	if m == nil {
 		err = extract(q, dc, joined, res, b)
@@ -262,7 +263,7 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 		res.Answers = m.text.answers
 		res.Text = &m.text
 	}
-	res.ExtractNanos = int64(time.Since(stage))
+	b.Lap(budget.Extract)
 	if err != nil {
 		return nil, err
 	}
@@ -271,16 +272,16 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 
 // joinStage is stage 3 proper: one loser-tree merge scan builds the
 // arena, then the upper pattern is embedded once per Δ-fragment. It
-// returns the Δ-view fragments that join, in fragment order.
+// returns the Δ-view fragments that join, in fragment order. Both parts
+// lap into the meter's Join slot, continuing refinement's clock.
 func joinStage(jp *JoinPlan, fst *dewey.FST, refined []refinedView, b *budget.B, res *Result) ([]*views.Fragment, error) {
-	stage := time.Now()
 	vt, anchors, gallop := buildVirtual(fst, refined)
-	res.JoinBuildNanos = int64(time.Since(stage))
+	res.JoinBuildNanos = b.Lap(budget.Join)
 	res.GallopHits = gallop
 	joined, err := joinUpper(jp, refined, vt, anchors, b)
 	res.JoinPartitions = 1
 	putVtree(vt)
-	res.JoinNanos = int64(time.Since(stage))
+	b.Lap(budget.Join)
 	res.FragmentsJoined = len(joined)
 	return joined, err
 }

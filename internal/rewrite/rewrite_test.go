@@ -346,7 +346,6 @@ func TestExecuteExactBudget(t *testing.T) {
 				}
 			}
 			b := budget.New(nil, 0, 0)
-			b.EnableTracking()
 			ref, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, b, tc.opt)
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)

@@ -46,7 +46,10 @@ func TestSIGTERMDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	// The client transport may dial a spare connection it never uses;
+	// Shutdown counts one stuck in StateNew as busy for 5 s, the drain
+	// deadline below, unless the header timeout closes it first.
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: time.Second}
 	serveDone := make(chan struct{})
 	go func() { defer close(serveDone); _ = hs.Serve(ln) }()
 	base := "http://" + ln.Addr().String()

@@ -313,13 +313,11 @@ func TestFilterBudgetExact(t *testing.T) {
 	p, queries := xmarkPair(13, 500, 30)
 	for _, q := range queries {
 		tracked := budget.New(context.Background(), 0, 0)
-		tracked.EnableTracking()
 		if _, err := p.ref.FilteringBudget(q, tracked); err != nil {
 			t.Fatal(err)
 		}
 		total, _ := tracked.Spent()
 		mine := budget.New(context.Background(), 0, 0)
-		mine.EnableTracking()
 		if _, err := p.f.FilteringBudget(q, mine); err != nil {
 			t.Fatal(err)
 		}
@@ -330,8 +328,6 @@ func TestFilterBudgetExact(t *testing.T) {
 		// having spent the same when they stop.
 		for max := int64(1); max <= total; max++ {
 			rb, fb := budget.New(context.Background(), max, 0), budget.New(context.Background(), max, 0)
-			rb.EnableTracking()
-			fb.EnableTracking()
 			_, rerr := p.ref.FilteringBudget(q, rb)
 			res, ferr := p.f.FilteringBudget(q, fb)
 			if (max < total) != errors.Is(ferr, budget.ErrSteps) || !errors.Is(ferr, rerr) {

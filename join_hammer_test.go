@@ -32,7 +32,6 @@ func TestJoinMutationHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetScopedInvalidation(true)
 	viewIDs := []int{}
 	for _, v := range []string{
 		"//person/name",

@@ -404,7 +404,7 @@ func TestWALTornTail(t *testing.T) {
 }
 
 // TestScopedInvalidation: a mutation drops exactly the cached plans that
-// cover a dirtied view; the global mode drops everything.
+// cover a dirtied view.
 func TestScopedInvalidation(t *testing.T) {
 	doc := xmark.Generate(xmark.Config{Scale: 0.02, Seed: 5})
 	sys, err := xpathviews.Open(doc)
@@ -452,9 +452,6 @@ func TestScopedInvalidation(t *testing.T) {
 	}
 	itemCode := sys.Encoding().MustCode(item)
 
-	if !sys.ScopedInvalidation() {
-		t.Fatal("scoped invalidation should be the default")
-	}
 	warm(qCity)
 	warm(qLoc)
 	genCity0, _ := sys.ViewGeneration(idCity)
@@ -485,20 +482,6 @@ func TestScopedInvalidation(t *testing.T) {
 	}
 	if !hit(qLoc) {
 		t.Fatal("recomputed location plan did not re-enter the cache")
-	}
-
-	// Global mode: any mutation drops every plan.
-	sys.SetScopedInvalidation(false)
-	warm(qCity)
-	warm(qLoc)
-	if _, err := sys.InsertSubtree(itemCode, "<location/>"); err != nil {
-		t.Fatal(err)
-	}
-	if hit(qCity) {
-		t.Fatal("global: plan over the untouched city view survived a mutation")
-	}
-	if hit(qLoc) {
-		t.Fatal("global: plan over the location view survived a mutation")
 	}
 }
 

@@ -3,8 +3,9 @@ package xpathviews_test
 // The rewrite memo through the whole stack: a cached plan's join skeleton
 // remembers which Δ-view fragments survive refinement and the join, so a
 // plan-cache hit pays for extraction only. These tests pin what that may
-// never cost: a wrong answer after a mutation (in either invalidation
-// mode), a fault point or a budget that no longer fires on a hit.
+// never cost: a wrong answer after a mutation (with or without a
+// view-set change beside it), a fault point or a budget that no longer
+// fires on a hit.
 
 import (
 	"context"
@@ -40,20 +41,20 @@ func firstCode(t *testing.T, sys *xpathviews.System, label string) dewey.Code {
 }
 
 // TestMemoDifferentialXMark interleaves inserts and deletes with repeated
-// hot queries over XMark, in scoped and in coarse invalidation mode.
-// Every view answer — the shared slice a memo hit returns, or a recompute
-// — must equal a fresh (plan-cache-bypassing) rewrite and BN on the
+// hot queries over XMark; in the addview run every mutation is followed
+// by an AddView, which drops every cached plan, so each memo-backed plan
+// is recomputed from scratch after the mutation. Every view answer —
+// the shared slice a memo hit returns, or a recompute — must equal a fresh (plan-cache-bypassing) rewrite and BN on the
 // document as it stands, every query must see both a memo hit and a
 // recompute right after a mutation that dirtied its views, and a
 // mutation must move the generation of exactly the views it dirtied.
 func TestMemoDifferentialXMark(t *testing.T) {
-	for _, scoped := range []bool{true, false} {
-		t.Run(fmt.Sprintf("scoped=%v", scoped), func(t *testing.T) {
+	for _, run := range []string{"mutations", "mutations+addview"} {
+		t.Run(run, func(t *testing.T) {
 			sys, err := xpathviews.Open(xmark.Generate(xmark.Config{Scale: 0.02, Seed: 77}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.SetScopedInvalidation(scoped)
 			var viewIDs []int
 			for _, v := range []string{
 				"//person/address/city",
@@ -139,6 +140,12 @@ func TestMemoDifferentialXMark(t *testing.T) {
 				}
 				if moved != res.DirtyViews {
 					t.Fatalf("%s: %d generations moved, %d views dirtied", tag, moved, res.DirtyViews)
+				}
+				if run == "mutations+addview" {
+					// A view no hot query uses: only the plan generation moves.
+					if _, err := sys.AddView("//closed_auction/price", xpathviews.DefaultFragmentLimit); err != nil {
+						t.Fatalf("%s: AddView: %v", tag, err)
+					}
 				}
 				return res
 			}

@@ -25,9 +25,7 @@ package xpathviews
 //  4. Plan invalidation is scoped: a maintenance pass that changes a
 //     view's fragments bumps that view's generation, and cached plans
 //     record the (view, generation) pairs they cover — only plans
-//     touching a dirty view are dropped (see plan.go). A global
-//     generation bump per mutation is available for comparison via
-//     SetScopedInvalidation(false).
+//     touching a dirty view are dropped (see plan.go).
 //  5. With a WAL attached (AttachWAL), each applied mutation appends one
 //     CRC-framed record to the store; a torn final append is truncated
 //     by storage.Open before replay sees it.
@@ -146,8 +144,8 @@ func (s *System) DeleteSubtreeOpts(code dewey.Code, opts MutateOptions) (*Mainta
 }
 
 // ViewGeneration returns the named view's content generation — bumped
-// whenever incremental maintenance changes its fragments, in either
-// invalidation mode. ok is false for unknown IDs.
+// whenever incremental maintenance changes its fragments. ok is false
+// for unknown IDs.
 func (s *System) ViewGeneration(id int) (gen uint64, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -156,24 +154,6 @@ func (s *System) ViewGeneration(id int) (gen uint64, ok bool) {
 		return 0, false
 	}
 	return v.Gen, true
-}
-
-// SetScopedInvalidation toggles between scoped plan invalidation (true,
-// the default: only plans covering a dirtied view are dropped) and the
-// coarse global-generation bump per mutation (false). Switching modes
-// invalidates every cached plan.
-func (s *System) SetScopedInvalidation(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.scopedInval = on
-	s.bumpPlanGen()
-}
-
-// ScopedInvalidation reports the current invalidation mode.
-func (s *System) ScopedInvalidation() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.scopedInval
 }
 
 // AttachWAL attaches an append-only mutation log. Any mutation records
@@ -446,11 +426,6 @@ func (s *System) maintainViewsLocked(mutCode dewey.Code, chain []*xmltree.Node, 
 				int64(st.Added), int64(st.Removed), int64(st.Refreshed),
 				int64(len(v.Fragments)))
 		}
-	}
-	if !s.scopedInval {
-		// Coarse mode: every mutation drops the whole plan cache, like a
-		// view-set change would.
-		s.bumpPlanGen()
 	}
 	if sp != nil {
 		sp.SetAttr("views", res.ViewsChecked)

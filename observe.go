@@ -281,14 +281,6 @@ func (co callObs) withSpan(sp *telemetry.Span) callObs {
 	return co
 }
 
-// track enables budget spend accounting when this call is being traced
-// or explained (Spent feeds the root span and the explain output).
-func (co callObs) track(b *budget.B) {
-	if co.sp != nil || co.ex != nil {
-		b.EnableTracking()
-	}
-}
-
 // countPlan records a plan-cache outcome.
 func (m *servingMetrics) countPlan(hit bool) {
 	if m == nil {
@@ -325,13 +317,16 @@ func annotatePlanSpan(sp *telemetry.Span, pl *queryPlan, cache string) {
 	sp.End()
 }
 
-// finishCall closes out one serving call: error classification
-// counters, latency histograms, root span attributes, budget spend for
-// explain, and the slow-query log.
+// finishCall closes out one serving call: the result's stage times read
+// off the answering rung's meter b, error classification counters,
+// latency histograms, root span attributes, budget spend for explain,
+// and the slow-query log.
 func (s *System) finishCall(co callObs, b *budget.B, t0 time.Time, src, strat string, res *Result, err error) {
 	total := time.Since(t0)
 	if res != nil {
 		res.TotalNanos = int64(total)
+		res.FilterNanos, res.SelectNanos = b.Nanos(budget.Filter), b.Nanos(budget.Select)
+		res.RefineNanos, res.JoinNanos, res.ExtractNanos = b.Nanos(budget.Refine), b.Nanos(budget.Join), b.Nanos(budget.Extract)
 	}
 	if co.sp != nil || co.ex != nil {
 		steps, homs := b.Spent()

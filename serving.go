@@ -174,8 +174,8 @@ func (s *System) answerChain(ctx context.Context, src string, opts Options, chai
 	}
 	var (
 		q          *pattern.Pattern // minimized query; nil until parsed or read off a plan
-		parseNanos int64
-		norm       string // normalizeQuery(src), computed on first use
+		parseNanos int64            // from the meter of the rung that parsed
+		norm       string           // normalizeQuery(src), computed on first use
 		reasons    []string
 		lastErr    error
 	)
@@ -187,7 +187,6 @@ func (s *System) answerChain(ctx context.Context, src string, opts Options, chai
 			return nil, err
 		}
 		b := opts.budget(ctx)
-		co.track(b)
 		var alias string
 		var pl *queryPlan
 		if !opts.NoPlanCache && isViewStrategy(strat) {
@@ -202,9 +201,10 @@ func (s *System) answerChain(ctx context.Context, src string, opts Options, chai
 			}
 		}
 		if q == nil {
-			if q, parseNanos, err = co.parse(src, alias == ""); err != nil {
+			if q, err = co.parse(src, alias == "", b); err != nil {
 				return nil, err
 			}
+			parseNanos = b.Nanos(budget.Parse)
 			// Seam check: parse → plan.
 			if err := b.CtxErr(); err != nil {
 				co.abandon(err)
@@ -251,28 +251,29 @@ func (s *System) answerChain(ctx context.Context, src string, opts Options, chai
 	return nil, err
 }
 
-// parse parses and minimizes src, abandoning the call on a parse error.
-// A call that consults the plan cache times both under one "parse"
-// span; one that bypasses it (uncached) times minimization under its
-// own "normalize" span after the "parse" span.
-func (co callObs) parse(src string, uncached bool) (*pattern.Pattern, int64, error) {
+// parse parses and minimizes src, abandoning the call on a parse error,
+// and charges both to b's Parse slot. A call that consults the plan
+// cache traces both under one "parse" span; one that bypasses it
+// (uncached) traces minimization under its own "normalize" span after
+// the "parse" span.
+func (co callObs) parse(src string, uncached bool, b *budget.B) (*pattern.Pattern, error) {
 	sp := co.child("parse")
-	pt := time.Now()
+	b.Mark()
 	q, err := xpath.Parse(src)
 	if err != nil {
 		sp.Err(err)
 		sp.End()
 		co.abandon(err)
-		return nil, 0, err
+		return nil, err
 	}
 	if uncached {
 		sp.End()
 		sp = co.child("normalize")
 	}
 	q = pattern.Minimize(q)
-	parseNanos := int64(time.Since(pt))
+	b.Lap(budget.Parse)
 	sp.End()
-	return q, parseNanos, nil
+	return q, nil
 }
 
 // isViewStrategy reports whether the strategy answers from materialized
@@ -297,7 +298,6 @@ func (s *System) SelectContext(ctx context.Context, q *pattern.Pattern, opts Opt
 	}
 	defer cancel()
 	b := opts.budget(ctx)
-	co.track(b)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sel, info, err := s.selectLocked(pattern.Minimize(q), opts.Strategy, b, co)
@@ -391,10 +391,6 @@ func (s *System) answerLocked(q *pattern.Pattern, strat Strategy, alias string, 
 			return nil, err
 		}
 		res.PlanCacheHit = hit
-		if !hit {
-			res.FilterNanos = pl.info.filterNanos
-			res.SelectNanos = pl.info.selectNanos
-		}
 		return res, nil
 	default:
 		return nil, fmt.Errorf("xpathviews: unknown strategy %v", strat)
@@ -437,7 +433,6 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 		res.ViewsUsed = append(res.ViewsUsed, c.View.ID)
 	}
 	rsp := co.child("rewrite")
-	rstart := time.Now()
 	out, err := runStage("rewrite", func() (*rewrite.Result, error) {
 		return rewrite.ExecuteOptions(pl.q, pl.sel, s.fst, b, rewrite.Options{Plan: pl.join})
 	})
@@ -450,11 +445,9 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 	if co.ex != nil {
 		co.ex.pathsTested = out.PathsTested
 	}
-	res.RefineNanos = out.RefineNanos
-	res.JoinNanos = out.JoinNanos
-	res.ExtractNanos = out.ExtractNanos
 	res.JoinPartitions = out.JoinPartitions
 	res.GallopHits = out.GallopHits
+	refine, join, extract := b.Nanos(budget.Refine), b.Nanos(budget.Join), b.Nanos(budget.Extract)
 	// Attribute the answered call to its contributing views and fold the
 	// predicted §IV-B cost against the realized rewrite time into the
 	// calibration model. The cost predicts refine + join + extract, so a
@@ -462,7 +455,7 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 	// against. All counters are atomics over pre-grown slots — no
 	// allocation on the steady-state path.
 	if vs != nil {
-		realized := out.RefineNanos + out.JoinNanos + out.ExtractNanos
+		realized := refine + join + extract
 		if out.Memo {
 			realized = 0
 		}
@@ -488,18 +481,19 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 		co.m.joinGallopHist.Observe(out.GallopHits)
 	}
 	if rsp != nil {
-		t := rstart
+		// The meter's stages ran back to back and ended just now.
+		t := time.Now().Add(-time.Duration(refine + join + extract))
 		if !out.Memo {
-			ref := rsp.ChildTimed("refine", t, time.Duration(out.RefineNanos))
+			ref := rsp.ChildTimed("refine", t, time.Duration(refine))
 			ref.SetAttr("paths", out.PathsTested)
-			t = t.Add(time.Duration(out.RefineNanos))
+			t = t.Add(time.Duration(refine))
 		}
-		if out.JoinNanos > 0 {
-			jn := rsp.ChildTimed("join", t, time.Duration(out.JoinNanos))
+		if join > 0 {
+			jn := rsp.ChildTimed("join", t, time.Duration(join))
 			jn.SetAttr("fragments_joined", out.FragmentsJoined)
-			t = t.Add(time.Duration(out.JoinNanos))
+			t = t.Add(time.Duration(join))
 		}
-		rsp.ChildTimed("extract", t, time.Duration(out.ExtractNanos))
+		rsp.ChildTimed("extract", t, time.Duration(extract))
 		rsp.SetAttr("views", len(pl.sel.Covers))
 		rsp.SetAttr("memo", cacheLabel(out.Memo, true))
 		rsp.SetAttr("fragments_scanned", out.FragmentsScanned)

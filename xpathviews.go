@@ -30,7 +30,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xpathviews/internal/advisor"
 	"xpathviews/internal/budget"
@@ -141,9 +140,6 @@ type System struct {
 	// mutate.go).
 	wal    *storage.Store
 	walSeq uint64
-	// scopedInval selects per-view-generation plan invalidation (the
-	// default) over a global generation bump per mutation. Guarded by mu.
-	scopedInval bool
 
 	// vstats is the always-on view observatory (per-view utility
 	// attribution, cost-model calibration, workload-drift detection; see
@@ -169,16 +165,15 @@ func OpenWithFST(doc *xmltree.Tree, fst *dewey.FST) (*System, error) {
 		return nil, fmt.Errorf("xpathviews: %w", err)
 	}
 	sys := &System{
-		doc:         doc,
-		enc:         enc,
-		fst:         fst,
-		registry:    views.NewRegistry(doc, enc),
-		filter:      vfilter.New(),
-		bn:          engine.NewBN(doc),
-		bfOnce:      &sync.Once{},
-		plans:       plancache.New(0, 0),
-		slow:        telemetry.NewSlowLog(0),
-		scopedInval: true,
+		doc:      doc,
+		enc:      enc,
+		fst:      fst,
+		registry: views.NewRegistry(doc, enc),
+		filter:   vfilter.New(),
+		bn:       engine.NewBN(doc),
+		bfOnce:   &sync.Once{},
+		plans:    plancache.New(0, 0),
+		slow:     telemetry.NewSlowLog(0),
 	}
 	sys.obsPtr.Store(newServingMetrics(telemetry.Default(), ""))
 	sys.vstats.Store(viewstats.New())
@@ -314,8 +309,8 @@ type Result struct {
 	// run, and the refine/join times and join counters below (work done
 	// by this call) are zero.
 	Memo bool
-	// Stage wall times, in nanoseconds, populated on every call without
-	// tracing. ParseNanos covers parsing + minimization and is zero when
+	// Stage wall times, in nanoseconds, read off the call's meter on
+	// every call without tracing. ParseNanos covers parsing + minimization and is zero when
 	// the raw source hit the plan-cache alias; FilterNanos and SelectNanos cover §III filtering and §IV
 	// selection and are zero on a plan-cache hit (the cached plan skips
 	// both — Explain still shows what the plan originally cost);
@@ -395,11 +390,11 @@ func (s *System) selectLocked(q *pattern.Pattern, strat Strategy, b *budget.B, c
 	var info planInfo
 	filtering := func() (*vfilter.Result, error) {
 		sp := co.child("vfilter")
-		t := time.Now()
+		b.Mark()
 		fres, err := runStage("vfilter.filtering", func() (*vfilter.Result, error) {
 			return s.filter.FilteringBudget(q, b)
 		})
-		info.filterNanos = int64(time.Since(t))
+		info.filterNanos = b.Lap(budget.Filter)
 		if sp != nil {
 			sp.SetAttr("views", s.registry.Len())
 			if fres != nil {
@@ -424,9 +419,9 @@ func (s *System) selectLocked(q *pattern.Pattern, strat Strategy, b *budget.B, c
 			return nil, info, err
 		}
 		sp := co.child("select")
-		t := time.Now()
+		b.Mark()
 		out, err := runStage(algo, f)
-		info.selectNanos = int64(time.Since(t))
+		info.selectNanos = b.Lap(budget.Select)
 		if sp != nil {
 			sp.SetAttr("algo", algo)
 			sp.SetAttr("candidates", info.cand)
