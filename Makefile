@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check bench-check build vet test race fuzz-smoke fmt-check advise-demo obs-demo serve-demo statusz-demo bench-server update-demo views-demo bench-views
+.PHONY: check bench-check build vet test race fuzz-smoke fmt-check advise-demo obs-demo serve-demo statusz-demo update-demo views-demo
 
 # check is the full local gate: static checks, build, the race-enabled
 # test suite, a short fuzz smoke of the XPath parser and the response
@@ -53,14 +53,14 @@ fmt-check:
 
 # obs-demo exercises the observability surface end to end: an -explain
 # run of the paper's running example (Figure 2 document, Table I views,
-# query Q_e) with the slow-query log and metrics dump armed, then the
-# telemetry-overhead benchmark, which refreshes BENCH_obs.json.
+# query Q_e) with the slow-query log and metrics dump armed. It writes
+# nothing into the tree; the hit path's telemetry cost is held by
+# TestTelemetryOverheadAllocs.
 obs-demo:
 	printf '%s' '<b><t/><a/><a/><s><t/><p/><p/><f><i/></f><s><t/><p/><p/><f><i/></f></s></s><s><t/><p/><p/><s><t/><p/><f><i/></f></s><s><t/><p/></s></s></b>' > /tmp/xpv-book.xml
 	$(GO) run ./cmd/xpvquery -doc /tmp/xpv-book.xml \
 		-view '//s[t]/p' -view '//s[a][.//i]//p' -view '//s[*//t]//p' -view '//s[p]/f' \
 		-strategy HV -explain -slowlog 1ns -metrics '//s[f//i][t]/p'
-	$(GO) run ./cmd/xpvbench -obs -quick
 
 # serve-demo boots xpvserved on the paper's running example (Figure 2
 # document, Table I views), round-trips a query, the explain endpoint,
@@ -134,12 +134,6 @@ update-demo:
 	wait $$pid; \
 	echo "update-demo: insert/delete round-trip visible to queries, drained cleanly"
 
-# bench-server runs the daemon load-test harness (sustained, overload
-# with degraded-rung serving, SIGTERM drain) and refreshes the
-# machine-readable report in BENCH_server.json.
-bench-server:
-	XPV_BENCH_SERVER=1 $(GO) test -run=TestServerBenchReport -count=1 -v ./internal/server
-
 # views-demo exercises the view observatory end to end: boots xpvserved
 # on the paper's running example, serves a few queries, reads the
 # per-view attribution from GET /v1/views and the drift/calibration
@@ -167,13 +161,6 @@ views-demo:
 		-view '//s[t]/p' -view '//s[a][.//i]//p' -view '//s[*//t]//p' -view '//s[p]/f' \
 		-strategy HV -viewstats '//s[f//i][t]/p' | grep -q '"benefit_per_kb"'; \
 	echo "views-demo: per-view attribution visible over HTTP and CLI"
-
-# bench-views replays the paper's running example through the view
-# observatory (per-view attribution + cost-model calibration) and the
-# XMark drift demo (steady replay stays quiet, a shifted workload trips
-# the threshold), refreshing the machine-readable BENCH_views.json.
-bench-views:
-	XPV_BENCH_VIEWS=1 $(GO) test -run=TestViewStatsBenchReport -count=1 -v .
 
 # advise-demo generates a positive workload and runs the advisor against
 # the naive top-k baseline at the same byte budget.

@@ -2,9 +2,7 @@ package xpathviews_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"os"
 	"testing"
 
 	"xpathviews"
@@ -193,7 +191,7 @@ func replayFraction(t testing.TB, sys *xpathviews.System, stats []advisor.QueryS
 // per-query views, the advised set must answer (HV or MV) a strictly
 // higher frequency-weighted fraction of a held-out slice than the
 // naive top-k baseline at the same budget. The measured numbers are
-// echoed to BENCH_advisor.json.
+// logged.
 func TestAdvisedBeatsNaiveTopK(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acceptance benchmark; skipped in -short")
@@ -253,33 +251,6 @@ func TestAdvisedBeatsNaiveTopK(t *testing.T) {
 			advisedFrac, naiveFrac)
 	}
 
-	report := map[string]any{
-		"source":           "TestAdvisedBeatsNaiveTopK",
-		"scale":            scale,
-		"seed":             seed,
-		"train_queries":    len(train),
-		"holdout_queries":  len(holdout),
-		"naive_full_bytes": naiveFullBytes,
-		"byte_budget":      budget,
-		"advised": map[string]any{
-			"views":              len(adv.Views),
-			"bytes":              adv.TotalBytes,
-			"predicted_fraction": adv.Predicted.WeightedFraction,
-			"holdout_fraction":   advisedFrac,
-		},
-		"naive_topk": map[string]any{
-			"views":            len(naiveViews),
-			"bytes":            naiveBytes,
-			"holdout_fraction": naiveFrac,
-		},
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_advisor.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("advised %.1f%% vs naive %.1f%% at %d bytes (%d vs %d views)",
-		100*advisedFrac, 100*naiveFrac, budget, len(adv.Views), len(naiveViews))
+	t.Logf("advised %.1f%% vs naive %.1f%% at %d bytes (%d vs %d views, %d vs %d bytes)",
+		100*advisedFrac, 100*naiveFrac, budget, len(adv.Views), len(naiveViews), adv.TotalBytes, naiveBytes)
 }

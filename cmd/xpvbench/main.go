@@ -4,23 +4,17 @@
 // Usage:
 //
 //	xpvbench [-quick] [-table3] [-fig8] [-fig9] [-fig10] [-fig11] [-fig12]
-//	         [-obs] [-cpuprofile out.prof] [-memprofile out.prof]
 //
 // With no figure flags, everything runs. -quick shrinks the workload for
-// a fast smoke run. -obs runs the telemetry-overhead benchmark instead
-// (hot serving path with metrics off / on / traced) and writes
-// BENCH_obs.json. -cpuprofile/-memprofile write pprof profiles of the
-// run for digging into the serving hot path (`go tool pprof`). View maintenance is measured by the repository
-// benchmark (`bash bench/run.sh`, workload lib-churn and the mutation
-// probe of the others).
+// a fast smoke run. This system's own performance (serving, view
+// maintenance, telemetry) is measured by the repository benchmark
+// (`bash bench/run.sh`), which also takes -cpuprofile.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"text/tabwriter"
 
 	"xpathviews/internal/experiments"
@@ -34,46 +28,7 @@ func main() {
 	f10 := flag.Bool("fig10", false, "run Figure 10 (utility)")
 	f11 := flag.Bool("fig11", false, "run Figure 11 (VFilter size scaling)")
 	f12 := flag.Bool("fig12", false, "run Figure 12 (filtering time)")
-	obs := flag.Bool("obs", false, "run the telemetry-overhead benchmark and write BENCH_obs.json")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile reflects live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
-
-	if *obs {
-		if err := runObs(os.Stdout, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	all := !(*t3 || *f8 || *f9 || *f10 || *f11 || *f12)
 	cfg := experiments.Default()

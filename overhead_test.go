@@ -1,9 +1,8 @@
 package xpathviews_test
 
-// Telemetry overhead regression guard: the serving hot path (plan-cache
-// hit) must cost at most one extra allocation per call with metrics
-// disabled versus the instrumented default, and enabling the default
-// metrics must itself be allocation-free (atomics only).
+// Telemetry overhead regression guard: on the serving hot path
+// (plan-cache hit) the default metrics, unlabeled or tenant-labeled,
+// must add no allocation over metrics disabled (atomics only).
 
 import (
 	"context"
@@ -47,8 +46,8 @@ func TestTelemetryOverheadAllocs(t *testing.T) {
 	labeled := testing.AllocsPerRun(200, call)
 
 	t.Logf("hit path allocs/op: disabled %.1f, enabled %.1f, labeled %.1f", disabled, enabled, labeled)
-	if enabled > disabled+1 {
-		t.Fatalf("metrics add %.1f allocs/op (disabled %.1f, enabled %.1f); budget is 1",
+	if enabled > disabled {
+		t.Fatalf("metrics add %.1f allocs/op (disabled %.1f, enabled %.1f); budget is 0",
 			enabled-disabled, disabled, enabled)
 	}
 	if labeled > enabled {

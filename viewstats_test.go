@@ -5,13 +5,11 @@ package xpathviews_test
 // maintenance feeding the upkeep side, slow-log view attribution, the
 // metrics exposition of the calibration/drift/join-kernel instruments,
 // and the workload-drift detector tripping on a shifted XMark workload
-// while steady traffic stays quiet. TestViewStatsBenchReport (gated on
-// XPV_BENCH_VIEWS, run via `make bench-views`) writes BENCH_views.json.
+// while steady traffic stays quiet.
 
 import (
 	"context"
 	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -329,78 +327,4 @@ func TestWorkloadDriftSteadyAndShifted(t *testing.T) {
 	if !strings.Contains(b.String(), "xpv_workload_drift_events_total 1") {
 		t.Error("drift event not visible in the metrics exposition")
 	}
-}
-
-// viewsBenchReport is the BENCH_views.json shape.
-type viewsBenchReport struct {
-	GeneratedBy  string `json:"generated_by"`
-	PaperExample struct {
-		Queries        int64                       `json:"queries"`
-		ScaleNsPerCost float64                     `json:"scale_ns_per_cost"`
-		CalibrationErr float64                     `json:"calibration_err"`
-		CalibrationObs int64                       `json:"calibration_obs"`
-		Views          []xpathviews.ViewStatReport `json:"views"`
-	} `json:"paper_example"`
-	DriftDemo struct {
-		ThresholdPPM  int64 `json:"threshold_ppm"`
-		SteadyPPM     int64 `json:"steady_ppm"`
-		SteadyEvents  int64 `json:"steady_events"`
-		ShiftedPPM    int64 `json:"shifted_ppm"`
-		ShiftedEvents int64 `json:"shifted_events"`
-	} `json:"drift_demo"`
-}
-
-func TestViewStatsBenchReport(t *testing.T) {
-	if os.Getenv("XPV_BENCH_VIEWS") == "" {
-		t.Skip("set XPV_BENCH_VIEWS=1 (or run `make bench-views`) to write BENCH_views.json")
-	}
-	var rep viewsBenchReport
-	rep.GeneratedBy = "TestViewStatsBenchReport"
-
-	// Per-view attribution + calibration on the paper's running example.
-	sys := paperObservatory(t)
-	for i := 0; i < 200; i++ {
-		if _, err := sys.Answer(paperdata.QueryE, xpathviews.HV); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := sys.ViewStatsReport()
-	rep.PaperExample.Queries = s.Queries
-	rep.PaperExample.ScaleNsPerCost = s.ScaleNsPerCost
-	rep.PaperExample.CalibrationErr = s.CalibrationErr
-	rep.PaperExample.CalibrationObs = s.CalibrationObs
-	rep.PaperExample.Views = s.Views
-	if s.CalibrationObs < 100 || s.ScaleNsPerCost <= 0 {
-		t.Fatalf("calibration did not converge: %+v", s)
-	}
-
-	// Drift demo: steady replay stays quiet, a shifted workload trips.
-	steadySys, stats := driftFixture(t)
-	replayMix(steadySys, stats, 32)
-	steady := steadySys.ViewStatsReport()
-	shiftSys, _ := driftFixture(t)
-	for i := 0; i < 256; i++ {
-		shiftSys.Answer("//item/name", xpathviews.HV)
-	}
-	shifted := shiftSys.ViewStatsReport()
-	rep.DriftDemo.ThresholdPPM = steady.DriftThresholdPPM
-	rep.DriftDemo.SteadyPPM = steady.DriftPPM
-	rep.DriftDemo.SteadyEvents = steady.DriftEvents
-	rep.DriftDemo.ShiftedPPM = shifted.DriftPPM
-	rep.DriftDemo.ShiftedEvents = shifted.DriftEvents
-	if steady.DriftEvents != 0 {
-		t.Fatalf("steady replay fired %d events", steady.DriftEvents)
-	}
-	if shifted.DriftEvents < 1 {
-		t.Fatalf("shifted workload fired no event (ppm=%d)", shifted.DriftPPM)
-	}
-
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_views.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Log("wrote BENCH_views.json")
 }
