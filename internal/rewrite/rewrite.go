@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"xpathviews/internal/budget"
 	"xpathviews/internal/dewey"
@@ -343,25 +342,7 @@ func (sc *refineScratch) pathMatches(lp *dewey.LabelPath, rootPath pattern.Path,
 	return v.ok
 }
 
-var refineScratchPool = sync.Pool{New: func() any {
-	poolNews.Add(1)
-	return new(refineScratch)
-}}
-
-// poolGets/poolNews count refine-scratch pool traffic: a Get that did
-// not hit the New func reused pooled scratch. Exposed via PoolStats for
-// the metrics exposition.
-var (
-	poolGets atomic.Int64
-	poolNews atomic.Int64
-)
-
-// PoolStats reports refine-scratch pool traffic since process start:
-// total Gets and how many had to allocate fresh scratch. gets-news is
-// the number of reuses.
-func PoolStats() (gets, news int64) {
-	return poolGets.Load(), poolNews.Load()
-}
+var refineScratchPool = sync.Pool{New: func() any { return new(refineScratch) }}
 
 // releaseRefined returns every view's scratch to the pool, dropping
 // fragment references so pooled scratch does not pin view data.
@@ -398,7 +379,6 @@ func refineAll(q *pattern.Pattern, covers []*selection.Cover, refined []refinedV
 // to every fragment of one cover, on pooled scratch that releaseRefined
 // returns.
 func refineView(q *pattern.Pattern, c *selection.Cover, out *refinedView, b *budget.B) error {
-	poolGets.Add(1)
 	sc := refineScratchPool.Get().(*refineScratch)
 	out.sc = sc
 	return sc.refine(q, c, out, b)

@@ -155,7 +155,6 @@ func (a *admission) acquire(ctx context.Context, t *Tenant) (release func(), pr 
 	if max := int64(t.cfg.MaxInFlight); max > 0 {
 		if t.inflight.Add(1) > max {
 			t.inflight.Add(-1)
-			t.shed.Inc()
 			return nil, Saturated, &ShedError{Reason: ShedTenantLimit, Scope: "tenant", RetryAfter: a.retryAfter()}
 		}
 	} else {

@@ -151,9 +151,8 @@ func TestChaosOverloadShedCountersVisible(t *testing.T) {
 	}
 	text := sb.String()
 	for _, want := range []string{
-		`xpvd_shed_total{reason="queue_full"} 1`,
-		`xpvd_shed_total{reason="tenant_limit"} 1`,
-		`xpvd_tenant_shed_total{tenant="default"} 1`,
+		`xpvd_shed_total{tenant="default",reason="queue_full"} 1`,
+		`xpvd_shed_total{tenant="default",reason="tenant_limit"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition lacks %q:\n%s", want, text)

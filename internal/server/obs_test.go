@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -171,8 +172,8 @@ tenant acme
   latency_burn: short=0.00 long=0.00
   burning: false
   drift: armed=false ppm=0 events=0
-  calibration_err: 0.000
-  view 0: hits=0 bytes=56 benefit_kb=0.00 net_kb=0.00 cal_err=0.000 last_splice=0
+  calibration_err: n/a (0 obs)
+  view 0: hits=0 bytes=56 benefit_kb=0.00 net_kb=0.00 cal_err=n/a last_splice=0
 
 tenant zeta
   inflight: 0
@@ -183,7 +184,7 @@ tenant zeta
   latency_burn: short=0.00 long=0.00
   burning: false
   drift: armed=false ppm=0 events=0
-  calibration_err: 0.000
+  calibration_err: n/a (0 obs)
 `
 	if got := rr.Body.String(); got != want {
 		t.Fatalf("statusz text mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -213,6 +214,9 @@ tenant zeta
 	if rep.Tenants[1].Availability != 0.999 || rep.Tenants[1].LatencyThresholdMS != 100 {
 		t.Fatalf("per-tenant SLO overrides not reported: %+v", rep.Tenants[1])
 	}
+	if rep.Tenants[0].CalibrationObs != 0 || rep.Tenants[0].ViewStats[0].CalibrationObs != 0 {
+		t.Fatalf("quiet server reports calibration observations: %+v", rep.Tenants[0])
+	}
 
 	// The runtime scrape is opt-in and nondeterministic; just check it
 	// appears on request and not otherwise.
@@ -228,6 +232,158 @@ tenant zeta
 	srv.Handler().ServeHTTP(rru, httptest.NewRequest("GET", "/statusz", nil))
 	if !strings.Contains(rru.Body.String(), "uptime_s: 90\n") {
 		t.Fatalf("uptime not clock-driven:\n%s", rru.Body.String())
+	}
+}
+
+// TestStatuszCalibrationObs: once the cost model has been checked
+// against a realized rewrite, /statusz prints the calibration error
+// with the observation count behind it, for the tenant and the view.
+// The first memo-miss query only seeds the cost scale; the second,
+// distinct one is the first observation.
+func TestStatuszCalibrationObs(t *testing.T) {
+	srv := newBookServer(t, Config{}, TenantConfig{Views: []string{"//s/p"}})
+	for _, q := range []string{"//s/p", "//b//s/p"} {
+		if rr, _ := postQuery(t, srv.Handler(), fmt.Sprintf(`{"query": %q}`, q)); rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", q, rr.Code, rr.Body.String())
+		}
+	}
+	vs := srv.Tenant(DefaultTenant).System().ViewStatsReport()
+	if vs.CalibrationObs < 1 || vs.Views[0].CalibrationObs < 1 {
+		t.Fatalf("no calibration observed: %+v", vs)
+	}
+	rr := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/statusz", nil))
+	text := rr.Body.String()
+	for _, want := range []string{
+		fmt.Sprintf("  calibration_err: %.3f (%d obs)\n", vs.CalibrationErr, vs.CalibrationObs),
+		fmt.Sprintf(" cal_err=%.3f cal_obs=%d ", vs.Views[0].CalibrationErr, vs.Views[0].CalibrationObs),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("statusz lacks %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "n/a") {
+		t.Errorf("observed calibration printed as n/a:\n%s", text)
+	}
+	rrj := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rrj, httptest.NewRequest("GET", "/statusz?format=json", nil))
+	var rep statuszReport
+	if err := json.Unmarshal(rrj.Body.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Tenants[0]; got.CalibrationObs != vs.CalibrationObs ||
+		got.ViewStats[0].CalibrationObs != vs.Views[0].CalibrationObs {
+		t.Fatalf("statusz json calibration_obs = %d / %d, report %d / %d", got.CalibrationObs,
+			got.ViewStats[0].CalibrationObs, vs.CalibrationObs, vs.Views[0].CalibrationObs)
+	}
+}
+
+// TestMetricsLabelEscaping: tenant names holding a quote, a backslash,
+// a tab and a newline keep every /metrics row one "name value" line,
+// and each tenant has one label spelling across the library's xpv_*
+// and the daemon's xpvd_* families.
+func TestMetricsLabelEscaping(t *testing.T) {
+	names := []string{`q"uo\te`, "tab\there\nline"}
+	var tenants []*Tenant
+	for _, n := range names {
+		ten, err := NewTenant(TenantConfig{Name: n, Views: paperdata.TableIViews(), MaxInFlight: 1}, paperdata.BookTree())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenants = append(tenants, ten)
+	}
+	srv, err := New(Config{Metrics: telemetry.NewRegistry()}, tenants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(tenant string) int {
+		body, _ := json.Marshal(map[string]string{"query": paperdata.QueryE, "tenant": tenant})
+		rr, _ := postQuery(t, srv.Handler(), string(body))
+		return rr.Code
+	}
+	for _, n := range names {
+		if code := post(n); code != http.StatusOK {
+			t.Fatalf("tenant %q: status %d", n, code)
+		}
+	}
+	// A tenant-limit shed: the first tenant's one slot is held.
+	release, _, err := srv.adm.acquire(context.Background(), srv.Tenant(names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post(names[0]); code != http.StatusTooManyRequests {
+		t.Fatalf("tenant-limit shed: status %d", code)
+	}
+	release()
+
+	rr := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	spellings := map[string]map[string]bool{} // tenant -> label spellings seen
+	families := map[string]bool{}             // "family tenant" pairs seen
+	for _, line := range strings.Split(strings.TrimSuffix(rr.Body.String(), "\n"), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i <= 0 {
+			t.Fatalf("row %q is not \"name value\"", line)
+		}
+		name, value := line[:i], line[i+1:]
+		if _, err := strconv.ParseFloat(value, 64); err != nil {
+			t.Fatalf("row %q: value %q: %v", line, value, err)
+		}
+		family, _, _ := strings.Cut(name, "_")
+		if family != "xpv" && family != "xpvd" {
+			t.Fatalf("row %q: no xpv_/xpvd_ family", line)
+		}
+		_, rest, ok := strings.Cut(name, `tenant="`)
+		if !ok {
+			continue
+		}
+		// Decode the label value by the text format's escapes.
+		var raw, val strings.Builder
+		for j := 0; ; j++ {
+			if j == len(rest) {
+				t.Fatalf("row %q: unterminated tenant label", line)
+			}
+			c := rest[j]
+			if c == '"' {
+				break
+			}
+			raw.WriteByte(c)
+			if c == '\\' && j+1 < len(rest) {
+				j++
+				raw.WriteByte(rest[j])
+				switch rest[j] {
+				case 'n':
+					c = '\n'
+				case '\\', '"':
+					c = rest[j]
+				default:
+					t.Fatalf("row %q: invalid escape \\%c", line, rest[j])
+				}
+			}
+			val.WriteByte(c)
+		}
+		if spellings[val.String()] == nil {
+			spellings[val.String()] = map[string]bool{}
+		}
+		spellings[val.String()][raw.String()] = true
+		families[family+" "+val.String()] = true
+	}
+	if len(spellings) != len(names) {
+		t.Fatalf("tenant label values %v, want %q", spellings, names)
+	}
+	for _, n := range names {
+		if len(spellings[n]) != 1 {
+			t.Errorf("tenant %q is spelled %d ways: %v", n, len(spellings[n]), spellings[n])
+		}
+		for _, family := range []string{"xpv", "xpvd"} {
+			if !families[family+" "+n] {
+				t.Errorf("tenant %q has no %s_* series", n, family)
+			}
+		}
+	}
+	shed := telemetry.WithLabel(telemetry.WithLabel("xpvd_shed_total", "tenant", names[0]), "reason", ShedTenantLimit)
+	if !strings.Contains(rr.Body.String(), shed+" 1\n") {
+		t.Errorf("exposition lacks %s 1", shed)
 	}
 }
 

@@ -98,15 +98,13 @@ type serverMetrics struct {
 	respClient *telemetry.Counter // xpvd_responses_client_error_total
 	respServer *telemetry.Counter // xpvd_responses_server_error_total
 
-	shed             map[string]*telemetry.Counter // xpvd_shed_total{reason=...}
-	servedByPressure [2]*telemetry.Counter         // xpvd_served_total{pressure=...}
-	coalesced        *telemetry.Counter            // xpvd_coalesced_answers_total
-	batchQueries     *telemetry.Counter            // xpvd_batch_queries_total
-	updates          *telemetry.Counter            // xpvd_updates_total
-	updateErrs       *telemetry.Counter            // xpvd_update_errors_total
+	servedByPressure [2]*telemetry.Counter // xpvd_served_total{pressure=...}
+	coalesced        *telemetry.Counter    // xpvd_coalesced_answers_total
+	batchQueries     *telemetry.Counter    // xpvd_batch_queries_total
+	updates          *telemetry.Counter    // xpvd_updates_total
+	updateErrs       *telemetry.Counter    // xpvd_update_errors_total
 
-	drains      *telemetry.Counter // xpvd_drains_total
-	drainLastNs *telemetry.Gauge   // xpvd_drain_last_ns
+	drainLastNs *telemetry.Gauge // xpvd_drain_last_ns
 
 	sloTrips *telemetry.Counter // xpvd_slo_watchdog_trips_total
 
@@ -123,17 +121,13 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		batchQueries: reg.Counter("xpvd_batch_queries_total"),
 		updates:      reg.Counter("xpvd_updates_total"),
 		updateErrs:   reg.Counter("xpvd_update_errors_total"),
-		drains:       reg.Counter("xpvd_drains_total"),
 		drainLastNs:  reg.Gauge("xpvd_drain_last_ns"),
 		sloTrips:     reg.Counter("xpvd_slo_watchdog_trips_total"),
 		reqNs:        reg.Histogram("xpvd_request_ns"),
-		shed:         map[string]*telemetry.Counter{},
 	}
-	for _, reason := range []string{ShedTenantLimit, ShedQueueFull, ShedQueueTimeout, ShedDraining} {
-		m.shed[reason] = reg.Counter(fmt.Sprintf("xpvd_shed_total{reason=%q}", reason))
+	for _, pr := range []Pressure{Healthy, Pressured} {
+		m.servedByPressure[pr] = reg.Counter(telemetry.WithLabel("xpvd_served_total", "pressure", pr.String()))
 	}
-	m.servedByPressure[Healthy] = reg.Counter(`xpvd_served_total{pressure="healthy"}`)
-	m.servedByPressure[Pressured] = reg.Counter(`xpvd_served_total{pressure="pressured"}`)
 	return m
 }
 
@@ -188,8 +182,6 @@ func New(cfg Config, tenants []*Tenant) (*Server, error) {
 		sloCfg:   cfg.SLO.withDefaults(),
 	}
 	s.adm.queueWaitNs = reg.Histogram("xpvd_queue_wait_ns")
-	tenantQueueWait := reg.HistogramVec("xpvd_queue_wait_ns", "tenant")
-	tenantReqNs := reg.HistogramVec("xpvd_tenant_request_ns", "tenant")
 	for _, t := range tenants {
 		if _, dup := s.tenants[t.cfg.Name]; dup {
 			return nil, fmt.Errorf("server: duplicate tenant %q", t.cfg.Name)
@@ -202,11 +194,14 @@ func New(cfg Config, tenants []*Tenant) (*Server, error) {
 		if cfg.SlowQueryThreshold > 0 {
 			t.sys.SetSlowQueryThreshold(cfg.SlowQueryThreshold)
 		}
-		t.reqs = reg.Counter(fmt.Sprintf("xpvd_tenant_requests_total{tenant=%q}", t.cfg.Name))
-		t.shed = reg.Counter(fmt.Sprintf("xpvd_tenant_shed_total{tenant=%q}", t.cfg.Name))
-		t.shedBy = reg.CounterVec(telemetry.WithLabel("xpvd_shed_total", "tenant", t.cfg.Name), "reason")
-		t.queueWaitNs = tenantQueueWait.With(t.cfg.Name)
-		t.reqNs = tenantReqNs.With(t.cfg.Name)
+		label := func(name string) string { return telemetry.WithLabel(name, "tenant", t.cfg.Name) }
+		t.reqs = reg.Counter(label("xpvd_tenant_requests_total"))
+		t.shedNames = make(map[string]string, 4)
+		for _, reason := range []string{ShedTenantLimit, ShedQueueFull, ShedQueueTimeout, ShedDraining} {
+			t.shedNames[reason] = telemetry.WithLabel(label("xpvd_shed_total"), "reason", reason)
+		}
+		t.queueWaitNs = reg.Histogram(label("xpvd_queue_wait_ns"))
+		t.reqNs = reg.Histogram(label("xpvd_tenant_request_ns"))
 		sloCfg := s.sloCfg
 		if t.cfg.SLOAvailability > 0 {
 			sloCfg.Availability = t.cfg.SLOAvailability
@@ -216,19 +211,19 @@ func New(cfg Config, tenants []*Tenant) (*Server, error) {
 		}
 		t.slo = newSLOTracker(sloCfg, clock)
 		tt := t
-		reg.GaugeFunc(fmt.Sprintf("xpvd_tenant_inflight{tenant=%q}", t.cfg.Name), tt.InFlight)
-		reg.GaugeFunc(fmt.Sprintf("xpvd_tenant_slo_burning{tenant=%q}", t.cfg.Name),
+		reg.GaugeFunc(label("xpvd_tenant_inflight"), tt.InFlight)
+		reg.GaugeFunc(label("xpvd_tenant_slo_burning"),
 			func() int64 {
 				if tt.burning.Load() {
 					return 1
 				}
 				return 0
 			})
-		reg.GaugeFunc(fmt.Sprintf("xpvd_tenant_views{tenant=%q}", t.cfg.Name),
+		reg.GaugeFunc(label("xpvd_tenant_views"),
 			func() int64 { return int64(tt.sys.NumViews()) })
-		reg.GaugeFunc(fmt.Sprintf("xpvd_tenant_view_bytes{tenant=%q}", t.cfg.Name),
+		reg.GaugeFunc(label("xpvd_tenant_view_bytes"),
 			func() int64 { return int64(tt.sys.Registry().TotalBytes()) })
-		reg.GaugeFunc(fmt.Sprintf("xpvd_tenant_plancache_len{tenant=%q}", t.cfg.Name),
+		reg.GaugeFunc(label("xpvd_tenant_plancache_len"),
 			func() int64 { return int64(tt.sys.PlanCacheLen()) })
 	}
 	reg.GaugeFunc("xpvd_inflight", s.adm.inflight)
@@ -241,13 +236,6 @@ func New(cfg Config, tenants []*Tenant) (*Server, error) {
 	})
 	reg.GaugeFunc("xpvd_draining", func() int64 {
 		if s.adm.draining.Load() {
-			return 1
-		}
-		return 0
-	})
-	reg.GaugeFunc("xpvd_slo_burning_tenants", s.burningTenants.Load)
-	reg.GaugeFunc("xpvd_pressure_forced", func() int64 {
-		if s.adm.forcePressured.Load() {
 			return 1
 		}
 		return 0
@@ -587,8 +575,7 @@ func (s *Server) shedResponse(w http.ResponseWriter, t *Tenant, err error) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 		return
 	}
-	s.met.shed[shed.Reason].Inc()
-	t.shedBy.With(shed.Reason).Inc()
+	s.reg.Counter(t.shedNames[shed.Reason]).Inc()
 	s.recordSLO(t, shed.Scope == "process", -1)
 	status := http.StatusServiceUnavailable
 	if shed.Scope == "tenant" {
@@ -700,9 +687,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // (so load balancers stop routing here) and every new query is shed with
 // 503 + Retry-After. In-flight queries are unaffected. Idempotent.
 func (s *Server) BeginDrain() {
-	if s.adm.draining.CompareAndSwap(false, true) {
-		s.met.drains.Inc()
-	}
+	s.adm.draining.Store(true)
 	s.ready.Store(false)
 }
 

@@ -36,12 +36,14 @@ type statuszTenant struct {
 	P99Exemplar *telemetry.Exemplar `json:"p99_exemplar,omitempty"`
 	// View-observatory summary: workload-drift distance (ppm of total
 	// variation) and cumulative threshold crossings, the global
-	// cost-model calibration error, and one compact row per view. GET
-	// /v1/views serves the full report.
+	// cost-model calibration error with the observation count behind it
+	// (0 = the model was never checked), and one compact row per view.
+	// GET /v1/views serves the full report.
 	DriftArmed     bool          `json:"drift_armed"`
 	DriftPPM       int64         `json:"drift_ppm"`
 	DriftEvents    int64         `json:"drift_events"`
 	CalibrationErr float64       `json:"calibration_err"`
+	CalibrationObs int64         `json:"calibration_obs"`
 	ViewStats      []statuszView `json:"view_stats,omitempty"`
 }
 
@@ -53,6 +55,7 @@ type statuszView struct {
 	BenefitPerKB   float64 `json:"benefit_per_kb"`
 	NetBenefitKB   float64 `json:"net_benefit_per_kb"`
 	CalibrationErr float64 `json:"calibration_err"`
+	CalibrationObs int64   `json:"calibration_obs"`
 	LastSpliceSize int64   `json:"last_splice_size"`
 }
 
@@ -161,7 +164,7 @@ func (s *Server) statusz(withRuntime bool) statuszReport {
 		row.DriftArmed = vs.DriftArmed
 		row.DriftPPM = vs.DriftPPM
 		row.DriftEvents = vs.DriftEvents
-		row.CalibrationErr = vs.CalibrationErr
+		row.CalibrationErr, row.CalibrationObs = vs.CalibrationErr, vs.CalibrationObs
 		for _, v := range vs.Views {
 			row.ViewStats = append(row.ViewStats, statuszView{
 				ID:             v.ID,
@@ -170,6 +173,7 @@ func (s *Server) statusz(withRuntime bool) statuszReport {
 				BenefitPerKB:   v.BenefitPerKB,
 				NetBenefitKB:   v.NetBenefitPerKB,
 				CalibrationErr: v.CalibrationErr,
+				CalibrationObs: v.CalibrationObs,
 				LastSpliceSize: v.LastSpliceSize,
 			})
 		}
@@ -214,10 +218,20 @@ func writeStatuszText(b *strings.Builder, rep statuszReport) {
 		}
 		fmt.Fprintf(b, "  drift: armed=%t ppm=%d events=%d\n",
 			t.DriftArmed, t.DriftPPM, t.DriftEvents)
-		fmt.Fprintf(b, "  calibration_err: %.3f\n", t.CalibrationErr)
+		// An error with no observation behind it is unmeasured, not
+		// perfect: it prints as n/a.
+		if t.CalibrationObs == 0 {
+			fmt.Fprintf(b, "  calibration_err: n/a (0 obs)\n")
+		} else {
+			fmt.Fprintf(b, "  calibration_err: %.3f (%d obs)\n", t.CalibrationErr, t.CalibrationObs)
+		}
 		for _, v := range t.ViewStats {
-			fmt.Fprintf(b, "  view %d: hits=%d bytes=%d benefit_kb=%.2f net_kb=%.2f cal_err=%.3f last_splice=%d\n",
-				v.ID, v.Hits, v.Bytes, v.BenefitPerKB, v.NetBenefitKB, v.CalibrationErr, v.LastSpliceSize)
+			cal := "cal_err=n/a"
+			if v.CalibrationObs > 0 {
+				cal = fmt.Sprintf("cal_err=%.3f cal_obs=%d", v.CalibrationErr, v.CalibrationObs)
+			}
+			fmt.Fprintf(b, "  view %d: hits=%d bytes=%d benefit_kb=%.2f net_kb=%.2f %s last_splice=%d\n",
+				v.ID, v.Hits, v.Bytes, v.BenefitPerKB, v.NetBenefitKB, cal, v.LastSpliceSize)
 		}
 	}
 	for _, sm := range rep.Runtime {

@@ -73,11 +73,14 @@ type Tenant struct {
 	inflight atomic.Int64
 
 	// Pre-resolved per-tenant instruments (nil-safe when metrics off).
-	reqs        *telemetry.Counter    // xpvd_tenant_requests_total{tenant=...}
-	shed        *telemetry.Counter    // xpvd_tenant_shed_total{tenant=...}
-	shedBy      *telemetry.CounterVec // xpvd_shed_total{tenant=...} × reason
-	queueWaitNs *telemetry.Histogram  // xpvd_queue_wait_ns{tenant=...}
-	reqNs       *telemetry.Histogram  // xpvd_tenant_request_ns{tenant=...} (exemplared)
+	reqs        *telemetry.Counter   // xpvd_tenant_requests_total{tenant=...}
+	queueWaitNs *telemetry.Histogram // xpvd_queue_wait_ns{tenant=...}
+	reqNs       *telemetry.Histogram // xpvd_tenant_request_ns{tenant=...} (exemplared)
+	// shedNames maps each shed reason to its
+	// xpvd_shed_total{tenant=...,reason=...} name. The counter is
+	// registered at the reason's first shed, so the exposition lists
+	// only the reasons a tenant was shed for.
+	shedNames map[string]string
 
 	// slo is the tenant's burn-rate watchdog (see slo.go); burning
 	// mirrors its last verdict so state flips are edge-detected.

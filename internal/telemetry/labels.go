@@ -1,32 +1,9 @@
 package telemetry
 
-// Labeled metric families. A family (CounterVec, GaugeVec,
-// HistogramVec) owns one low-cardinality label dimension — tenant,
-// rung, strategy, shed reason — and hands out ordinary *Counter /
-// *Gauge / *Histogram children per label value. Children are plain
-// registry metrics under a composite exposed name
-// (`name{label="value"}`), so the existing deterministic WriteText /
-// WriteJSON exposition, Reset and snapshotting all apply unchanged.
-//
-// Cost model: With(value) is one lock-free sync.Map load after a
-// value's first use — zero allocations — so a serving path may resolve
-// per-request labels inline. First use of a value takes the registry
-// lock once to register the child. Hot paths that know their label up
-// front (a tenant fixed at construction) should still pre-resolve and
-// hold the child pointer, same as unlabeled metrics.
-//
-// Cardinality policy: label values must come from a small closed set
-// (configured tenants, the fixed rung/strategy/reason enums). Families
-// never evict; an unbounded value stream (query text, user IDs) would
-// grow the registry without bound. Callers enforce this — the serving
-// layer only labels by names it validated at config time.
+import "strings"
 
-import (
-	"strings"
-	"sync"
-)
-
-// WithLabel composes an exposed metric name with one more label:
+// WithLabel composes an exposed metric name with one more label, and is
+// the only way a labeled metric name is built:
 //
 //	WithLabel("xpv_answers_total", "tenant", "acme")
 //	  = `xpv_answers_total{tenant="acme"}`
@@ -34,8 +11,15 @@ import (
 //	  = `xpv_rung_total{rung="HV",tenant="acme"}`
 //
 // Labels are appended in composition order; compose in a fixed order
-// for a deterministic exposition. Quotes and backslashes in the value
-// are escaped.
+// for a deterministic exposition. The value is escaped as the
+// Prometheus text format requires — backslash, double quote and
+// newline become \\, \" and \n — so every exposition row stays one
+// line and one label value has one spelling. Printable ASCII spells
+// exactly as %q would.
+//
+// Label values must come from a small closed set (configured tenants,
+// the strategy and shed-reason enums): the registry never evicts, so
+// an unbounded value stream would grow it without bound.
 func WithLabel(name, key, value string) string {
 	var b strings.Builder
 	b.Grow(len(name) + len(key) + len(value) + 8)
@@ -53,138 +37,12 @@ func WithLabel(name, key, value string) string {
 		case '"', '\\':
 			b.WriteByte('\\')
 			b.WriteByte(c)
+		case '\n':
+			b.WriteString(`\n`)
 		default:
 			b.WriteByte(c)
 		}
 	}
 	b.WriteString(`"}`)
 	return b.String()
-}
-
-// vec is the shared family core: name+label key, the owning registry,
-// and a lock-free child cache keyed by label value.
-type vec struct {
-	reg      *Registry
-	name     string
-	label    string
-	children sync.Map // label value -> child metric
-}
-
-// load returns the cached child for value (nil, false when unseen).
-func (v *vec) load(value string) (any, bool) { return v.children.Load(value) }
-
-// childName is the composite exposed name for one label value.
-func (v *vec) childName(value string) string { return WithLabel(v.name, v.label, value) }
-
-// CounterVec is a counter family over one label dimension. A nil
-// *CounterVec hands out nil (no-op) counters.
-type CounterVec struct{ vec }
-
-// CounterVec returns the named counter family, creating it on first
-// use. The same (name, label) pair always yields the same family.
-func (r *Registry) CounterVec(name, label string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counterVecs == nil {
-		r.counterVecs = map[string]*CounterVec{}
-	}
-	key := name + "\x00" + label
-	v, ok := r.counterVecs[key]
-	if !ok {
-		v = &CounterVec{vec{reg: r, name: name, label: label}}
-		r.counterVecs[key] = v
-	}
-	return v
-}
-
-// With returns the counter for one label value, registering it on
-// first use. Subsequent calls are a single allocation-free map load.
-func (v *CounterVec) With(value string) *Counter {
-	if v == nil {
-		return nil
-	}
-	if c, ok := v.load(value); ok {
-		return c.(*Counter)
-	}
-	c := v.reg.Counter(v.childName(value))
-	actual, _ := v.children.LoadOrStore(value, c)
-	return actual.(*Counter)
-}
-
-// GaugeVec is a gauge family over one label dimension. A nil *GaugeVec
-// hands out nil (no-op) gauges.
-type GaugeVec struct{ vec }
-
-// GaugeVec returns the named gauge family, creating it on first use.
-func (r *Registry) GaugeVec(name, label string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gaugeVecs == nil {
-		r.gaugeVecs = map[string]*GaugeVec{}
-	}
-	key := name + "\x00" + label
-	v, ok := r.gaugeVecs[key]
-	if !ok {
-		v = &GaugeVec{vec{reg: r, name: name, label: label}}
-		r.gaugeVecs[key] = v
-	}
-	return v
-}
-
-// With returns the gauge for one label value, registering it on first
-// use.
-func (v *GaugeVec) With(value string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	if g, ok := v.load(value); ok {
-		return g.(*Gauge)
-	}
-	g := v.reg.Gauge(v.childName(value))
-	actual, _ := v.children.LoadOrStore(value, g)
-	return actual.(*Gauge)
-}
-
-// HistogramVec is a histogram family over one label dimension. A nil
-// *HistogramVec hands out nil (no-op) histograms.
-type HistogramVec struct{ vec }
-
-// HistogramVec returns the named histogram family, creating it on
-// first use.
-func (r *Registry) HistogramVec(name, label string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.histVecs == nil {
-		r.histVecs = map[string]*HistogramVec{}
-	}
-	key := name + "\x00" + label
-	v, ok := r.histVecs[key]
-	if !ok {
-		v = &HistogramVec{vec{reg: r, name: name, label: label}}
-		r.histVecs[key] = v
-	}
-	return v
-}
-
-// With returns the histogram for one label value, registering it on
-// first use.
-func (v *HistogramVec) With(value string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	if h, ok := v.load(value); ok {
-		return h.(*Histogram)
-	}
-	h := v.reg.Histogram(v.childName(value))
-	actual, _ := v.children.LoadOrStore(value, h)
-	return actual.(*Histogram)
 }

@@ -1,8 +1,7 @@
 package telemetry
 
 import (
-	"strings"
-	"sync"
+	"fmt"
 	"testing"
 )
 
@@ -11,132 +10,55 @@ func TestWithLabel(t *testing.T) {
 		{"xpv_answers_total", "tenant", "acme", `xpv_answers_total{tenant="acme"}`},
 		{`xpv_rung_total{rung="HV"}`, "tenant", "acme", `xpv_rung_total{rung="HV",tenant="acme"}`},
 		{"m", "k", `a"b\c`, `m{k="a\"b\\c"}`},
+		{"m", "k", "tab\there\nline", "m{k=\"tab\there\\nline\"}"},
 	}
 	for _, c := range cases {
 		if got := WithLabel(c.name, c.key, c.value); got != c.want {
 			t.Errorf("WithLabel(%q, %q, %q) = %q, want %q", c.name, c.key, c.value, got, c.want)
 		}
 	}
-}
-
-func TestVecChildrenAreRegistryMetrics(t *testing.T) {
-	r := NewRegistry()
-	cv := r.CounterVec("req_total", "tenant")
-	cv.With("a").Inc()
-	cv.With("a").Add(2)
-	cv.With("b").Inc()
-	if got := r.Counter(`req_total{tenant="a"}`).Value(); got != 3 {
-		t.Fatalf("child a = %d, want 3", got)
+	// Printable ASCII spells as %q does, so every series name built from
+	// a plain-ASCII label value is the one a %q-formatted name gave.
+	var ascii []byte
+	for c := byte(' '); c <= '~'; c++ {
+		ascii = append(ascii, c)
 	}
-	if cv.With("a") != r.Counter(`req_total{tenant="a"}`) {
-		t.Fatal("With must hand out the registry's own child metric")
-	}
-	if r.CounterVec("req_total", "tenant") != cv {
-		t.Fatal("CounterVec is not get-or-create")
-	}
-	gv := r.GaugeVec("depth", "tenant")
-	gv.With("a").Set(7)
-	if got := r.Gauge(`depth{tenant="a"}`).Value(); got != 7 {
-		t.Fatalf("gauge child = %d, want 7", got)
-	}
-	hv := r.HistogramVec("lat_ns", "tenant")
-	hv.With("a").Observe(1000)
-	if got := r.Histogram(`lat_ns{tenant="a"}`).Snapshot().Count; got != 1 {
-		t.Fatalf("histogram child count = %d, want 1", got)
-	}
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`req_total{tenant="a"} 3`, `req_total{tenant="b"} 1`,
-		`depth{tenant="a"} 7`, `lat_ns{tenant="a"}_count 1`,
-	} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("exposition missing %q:\n%s", want, b.String())
+	for _, v := range []string{"default", "acme-1", string(ascii)} {
+		if got, want := WithLabel("m", "k", v), fmt.Sprintf("m{k=%q}", v); got != want {
+			t.Errorf("WithLabel(%q) = %s, %%q spelling %s", v, got, want)
 		}
 	}
 }
 
-func TestNilVecsAreNoOps(t *testing.T) {
-	var r *Registry
-	if r.CounterVec("c", "l") != nil || r.GaugeVec("g", "l") != nil || r.HistogramVec("h", "l") != nil {
-		t.Fatal("nil registry must hand out nil families")
-	}
-	var cv *CounterVec
-	cv.With("x").Inc()
-	var gv *GaugeVec
-	gv.With("x").Set(1)
-	var hv *HistogramVec
-	hv.With("x").Observe(1)
-}
-
-// TestVecHammer drives 64 goroutines through concurrent With() on a
-// shared set of label values (run under -race in CI). Afterwards the
-// per-label children must reconcile exactly with what was recorded.
-func TestVecHammer(t *testing.T) {
-	const (
-		goroutines = 64
-		perG       = 1000
-	)
-	r := NewRegistry()
-	cv := r.CounterVec("hammer_total", "tenant")
-	hv := r.HistogramVec("hammer_ns", "tenant")
-	labels := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				l := labels[(g+i)%len(labels)]
-				cv.With(l).Inc()
-				hv.With(l).Observe(int64(i%100) * 1000)
-			}
-		}(g)
-	}
-	wg.Wait()
-	var countSum, histSum int64
-	for _, l := range labels {
-		countSum += cv.With(l).Value()
-		histSum += hv.With(l).Snapshot().Count
-	}
-	if want := int64(goroutines * perG); countSum != want {
-		t.Fatalf("counter sum across labels = %d, want %d", countSum, want)
-	}
-	if want := int64(goroutines * perG); histSum != want {
-		t.Fatalf("histogram count across labels = %d, want %d", histSum, want)
-	}
-}
-
+// TestHistogramExemplars: a bucket's first traced observation becomes
+// its exemplar, every 64th after replaces it, untraced observations
+// count without sampling, and the tail is the highest populated bucket.
 func TestHistogramExemplars(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_ns")
 	h.ObserveExemplar(10_000, "aaaa")
 	h.ObserveExemplar(10_000, "") // no trace: metric counted, exemplar unchanged
-	h.ObserveExemplar(50_000_000, "bbbb")
-	if got := h.Snapshot().Count; got != 3 {
-		t.Fatalf("count = %d, want 3", got)
+	if got := h.Snapshot().Count; got != 2 {
+		t.Fatalf("count = %d, want 2", got)
 	}
-	ex, ok := h.TailExemplar()
-	if !ok || ex.TraceID != "bbbb" || ex.ValueNs != 50_000_000 {
-		t.Fatalf("tail exemplar = %+v ok=%t, want bbbb@50ms", ex, ok)
+	if ex, ok := h.TailExemplar(); !ok || ex.TraceID != "aaaa" || ex.ValueNs != 10_000 {
+		t.Fatalf("tail exemplar = %+v ok=%t, want aaaa@10µs", ex, ok)
 	}
-	all := h.Exemplars()
-	if len(all) != 2 {
-		t.Fatalf("exemplar buckets = %d, want 2", len(all))
-	}
-	if all[0].Exemplar.TraceID != "aaaa" {
-		t.Fatalf("low bucket exemplar = %+v", all[0])
-	}
-	// The first observation in a bucket is always sampled; the ones
-	// after ride the 1-in-64 rule.
-	for i := 0; i < 10; i++ {
+	// Traced observations 2..63 of the bucket do not resample; the
+	// 64th does.
+	for i := 2; i < exemplarEvery; i++ {
 		h.ObserveExemplar(10_000, "cccc")
 	}
-	ex2 := h.Exemplars()[0].Exemplar
-	if ex2.TraceID != "aaaa" {
-		t.Fatalf("exemplar resampled too eagerly: %+v", ex2)
+	if ex, _ := h.TailExemplar(); ex.TraceID != "aaaa" {
+		t.Fatalf("exemplar resampled too eagerly: %+v", ex)
+	}
+	h.ObserveExemplar(10_000, "dddd")
+	if ex, _ := h.TailExemplar(); ex.TraceID != "dddd" {
+		t.Fatalf("64th observation not sampled: %+v", ex)
+	}
+	h.ObserveExemplar(50_000_000, "bbbb")
+	if ex, ok := h.TailExemplar(); !ok || ex.TraceID != "bbbb" || ex.ValueNs != 50_000_000 {
+		t.Fatalf("tail exemplar = %+v ok=%t, want bbbb@50ms", ex, ok)
 	}
 	r.Reset()
 	if _, ok := h.TailExemplar(); ok {

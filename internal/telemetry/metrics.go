@@ -19,7 +19,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/bits"
@@ -187,36 +186,9 @@ func (h *Histogram) ObserveExemplar(ns int64, traceID string) {
 	}
 }
 
-// BucketExemplar is one bucket's retained exemplar with the bucket's
-// upper bound and current count.
-type BucketExemplar struct {
-	BoundNs  int64    `json:"bound_ns"`
-	Count    int64    `json:"count"`
-	Exemplar Exemplar `json:"exemplar"`
-}
-
-// Exemplars returns the retained exemplars of every bucket that has
-// one, in ascending bucket order. The last entry is the histogram's
-// current tail (slowest) exemplar — the one a p99 investigation wants.
-func (h *Histogram) Exemplars() []BucketExemplar {
-	if h == nil {
-		return nil
-	}
-	var out []BucketExemplar
-	for i := 0; i < histBuckets; i++ {
-		if e := h.exemplars[i].Load(); e != nil {
-			out = append(out, BucketExemplar{
-				BoundNs:  bucketBound(i),
-				Count:    h.buckets[i].Load(),
-				Exemplar: *e,
-			})
-		}
-	}
-	return out
-}
-
 // TailExemplar returns the exemplar of the highest populated bucket
-// (the slowest retained observation), or a zero Exemplar and false.
+// (the slowest retained observation, the one a p99 investigation
+// wants), or a zero Exemplar and false.
 func (h *Histogram) TailExemplar() (Exemplar, bool) {
 	if h == nil {
 		return Exemplar{}, false
@@ -317,12 +289,6 @@ type Registry struct {
 	// exposition rows drop the _ns unit suffixes (the observations are
 	// counts, not nanoseconds). Allocated lazily.
 	unitless map[string]bool
-
-	// Labeled families (see labels.go); allocated lazily so the zero
-	// maps cost nothing for registries that never use labels.
-	counterVecs map[string]*CounterVec
-	gaugeVecs   map[string]*GaugeVec
-	histVecs    map[string]*HistogramVec
 }
 
 // NewRegistry builds an empty registry.
@@ -389,9 +355,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // HistogramCounts returns the named histogram, creating it on first
 // use, and marks it unitless: the bucket layout is the same
-// doubling-bucket scheme, but WriteText/WriteJSON render its rows as
+// doubling-bucket scheme, but WriteText renders its rows as
 // _count/_sum/_p50/_p95/_p99 — no _ns suffix — because observations are
-// counts (fan-outs, hit tallies), not durations.
+// not durations (xpv_cost_calibration_err_ppm records errors in ppm).
 func (r *Registry) HistogramCounts(name string) *Histogram {
 	if r == nil {
 		return nil
@@ -410,8 +376,8 @@ func (r *Registry) HistogramCounts(name string) *Histogram {
 	return h
 }
 
-// GaugeFunc registers a callback evaluated at exposition time (WriteText
-// / WriteJSON) — for values owned elsewhere, like a cache's entry count.
+// GaugeFunc registers a callback evaluated at exposition time
+// (WriteText) — for values owned elsewhere, like a cache's entry count.
 // Re-registering a name replaces the callback.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	if r == nil || fn == nil {
@@ -536,16 +502,4 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON writes every metric as one JSON object keyed by name;
-// histograms appear as {count, sum_ns, p50_ns, p95_ns, p99_ns}.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	m := map[string]any{}
-	for _, l := range r.snapshot() {
-		m[l.name] = l.value
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
 }

@@ -2,10 +2,12 @@ package xpathviews
 
 // This file is the serving layer's observability wiring over
 // internal/telemetry: the per-System metrics bundle (metric names are
-// resolved once per registry, never on the hot path), the per-call
-// observation state threaded through the pipeline (callObs), the
-// slow-query log, and the text exposition (DumpMetrics). The span tree
-// itself is emitted at the stage boundaries in serving.go/plan.go.
+// resolved once per registry, never on the hot path, and every labeled
+// name is built by telemetry.WithLabel), the per-call observation state
+// threaded through the pipeline (callObs), the slow-query log, and the
+// text exposition (DumpMetrics). The span tree itself is emitted at the
+// stage boundaries in serving.go/plan.go. Which signal answers which
+// operator question is README's operator table.
 //
 // Cost model: with metrics enabled (the default), one Answer adds a
 // handful of atomic adds and time.Now calls and zero allocations; with
@@ -22,13 +24,12 @@ import (
 
 	"xpathviews/internal/budget"
 	"xpathviews/internal/faults"
-	"xpathviews/internal/rewrite"
 	"xpathviews/internal/telemetry"
 )
 
 // MetricsRegistry aliases the telemetry registry so embedders can build
 // their own (NewMetricsRegistry), inspect the process default
-// (DefaultMetricsRegistry), and dump either via WriteText/WriteJSON.
+// (DefaultMetricsRegistry), and dump either via WriteText.
 type MetricsRegistry = telemetry.Registry
 
 // Trace aliases the telemetry trace: a per-call span tree. Hand one to
@@ -116,14 +117,10 @@ type servingMetrics struct {
 	driftEvents *telemetry.Counter   // xpv_workload_drift_events_total
 	calErr      *telemetry.Histogram // xpv_cost_calibration_err_ppm
 
-	// Join-kernel internals: gallop-hit volume per joined call, as a
-	// total plus a unitless distribution. joinsTotal counts joins
-	// actually run; memoHits the rewrites served from a plan's
-	// remembered answers instead.
-	memoHits        *telemetry.Counter   // xpv_rewrite_memo_hits_total
-	joinsTotal      *telemetry.Counter   // xpv_joins_total
-	joinGallopTotal *telemetry.Counter   // xpv_join_gallop_hits_total
-	joinGallopHist  *telemetry.Histogram // xpv_join_gallop_hits
+	// joinsTotal counts joins actually run; memoHits the rewrites
+	// served from a plan's remembered answers instead.
+	memoHits   *telemetry.Counter // xpv_rewrite_memo_hits_total
+	joinsTotal *telemetry.Counter // xpv_joins_total
 }
 
 // newServingMetrics resolves the serving bundle whose every metric name
@@ -176,13 +173,11 @@ func newServingMetrics(reg *telemetry.Registry, tenant string) *servingMetrics {
 		driftEvents: reg.Counter(name("xpv_workload_drift_events_total")),
 		calErr:      reg.HistogramCounts(name("xpv_cost_calibration_err_ppm")),
 
-		memoHits:        reg.Counter(name("xpv_rewrite_memo_hits_total")),
-		joinsTotal:      reg.Counter(name("xpv_joins_total")),
-		joinGallopTotal: reg.Counter(name("xpv_join_gallop_hits_total")),
-		joinGallopHist:  reg.HistogramCounts(name("xpv_join_gallop_hits")),
+		memoHits:   reg.Counter(name("xpv_rewrite_memo_hits_total")),
+		joinsTotal: reg.Counter(name("xpv_joins_total")),
 	}
 	for st, n := range strategyNames {
-		m.rungServed[st] = reg.Counter(name(fmt.Sprintf("xpv_resilient_rung_served_total{rung=%q}", n)))
+		m.rungServed[st] = reg.Counter(name(telemetry.WithLabel("xpv_resilient_rung_served_total", "rung", n)))
 	}
 	return m
 }
@@ -193,7 +188,7 @@ func newServingMetrics(reg *telemetry.Registry, tenant string) *servingMetrics {
 // path.
 func init() {
 	faults.SetObserver(func(name string) {
-		telemetry.Default().Counter(fmt.Sprintf("xpv_fault_injected_total{point=%q}", name)).Inc()
+		telemetry.Default().Counter(telemetry.WithLabel("xpv_fault_injected_total", "point", name)).Inc()
 	})
 }
 
@@ -234,8 +229,11 @@ func (s *System) SlowQueries() []SlowQuery { return s.slow.Snapshot() }
 // DumpMetrics writes the expvar-style text exposition: the metrics
 // registry (the system's current one, or the process default when
 // metrics are disabled), followed by the system's live gauges — plan
-// cache counters, view count, slow-log size and rewrite scratch-pool
-// traffic. Embedding HTTP servers can serve this directly.
+// cache evictions, invalidations and size, and the view count.
+// Plan-cache hits and misses are the per-call
+// xpv_plan_cache_{hits,misses}_total counters of the registry, and
+// slow calls are xpv_slow_queries_total. Embedding HTTP servers can
+// serve this directly.
 func (s *System) DumpMetrics(w io.Writer) error {
 	reg := s.MetricsRegistry()
 	if reg == nil {
@@ -245,11 +243,9 @@ func (s *System) DumpMetrics(w io.Writer) error {
 		return err
 	}
 	st := s.plans.Stats()
-	gets, news := rewrite.PoolStats()
 	_, err := fmt.Fprintf(w,
-		"xpv_plancache_hits %d\nxpv_plancache_misses %d\nxpv_plancache_evictions %d\nxpv_plancache_invalidations %d\nxpv_plancache_len %d\nxpv_views %d\nxpv_slowlog_len %d\nxpv_slowlog_total %d\nxpv_rewrite_pool_gets %d\nxpv_rewrite_pool_news %d\n",
-		st.Hits, st.Misses, st.Evictions, st.Invalidations, s.PlanCacheLen(),
-		s.NumViews(), len(s.slow.Snapshot()), s.slow.Logged(), gets, news)
+		"xpv_plancache_evictions %d\nxpv_plancache_invalidations %d\nxpv_plancache_len %d\nxpv_views %d\n",
+		st.Evictions, st.Invalidations, s.PlanCacheLen(), s.NumViews())
 	return err
 }
 

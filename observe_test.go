@@ -441,7 +441,6 @@ func TestDumpMetrics(t *testing.T) {
 		"xpv_plan_cache_misses_total 1",
 		"xpv_plancache_len",
 		"xpv_views 4",
-		"xpv_rewrite_pool_gets",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("DumpMetrics output missing %q:\n%s", want, out)

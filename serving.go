@@ -477,8 +477,6 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 	}
 	if co.m != nil && out.JoinPartitions > 0 {
 		co.m.joinsTotal.Inc()
-		co.m.joinGallopTotal.Add(out.GallopHits)
-		co.m.joinGallopHist.Observe(out.GallopHits)
 	}
 	if rsp != nil {
 		// The meter's stages ran back to back and ended just now.

@@ -212,9 +212,6 @@ func TestViewStatsMetricsExposition(t *testing.T) {
 		"xpv_workload_drift ",
 		"xpv_workload_drift_events_total ",
 		"xpv_joins_total ",
-		"xpv_join_gallop_hits_total ",
-		"xpv_join_gallop_hits_p99 ",
-		"xpv_join_gallop_hits_count ",
 		"xpv_cost_calibration_err_ppm_count ",
 		"xpv_cost_calibration_err_ppm_p50 ",
 	} {
@@ -222,8 +219,8 @@ func TestViewStatsMetricsExposition(t *testing.T) {
 			t.Errorf("exposition missing %q", name)
 		}
 	}
-	// The unitless histograms must not carry the _ns latency suffixes.
-	if strings.Contains(text, "xpv_join_gallop_hits_p50_ns") {
+	// The unitless histogram must not carry the _ns latency suffixes.
+	if strings.Contains(text, "xpv_cost_calibration_err_ppm_p50_ns") {
 		t.Error("count-valued histogram rendered with _ns suffix")
 	}
 	// 3 calls: one joined, two served from its
