@@ -4,8 +4,10 @@ GO ?= go
 
 # check is the full local gate: static checks, build, the race-enabled
 # test suite, a short fuzz smoke of the XPath parser and the response
-# encoder, and the benchmark module.
+# encoder, the benchmark module, and one iteration of the join-kernel
+# microbenchmark so its set-up cannot silently break.
 check: vet build race fuzz-smoke bench-check
+	$(GO) test -run='^$$' -bench=JoinKernel -benchtime 1x ./internal/rewrite
 
 # bench-check compiles, vets, tests and smoke-runs bench/, a nested
 # module that imports internal/* packages which `./...` at the root never

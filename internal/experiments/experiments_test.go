@@ -47,6 +47,24 @@ func TestQuickEnv(t *testing.T) {
 	}
 }
 
+// TestFig8BypassesPlanCache: Figure 8 times the whole pipeline, so none
+// of its runs may be served from a cached plan (whose memo would skip
+// refine, join and extraction).
+func TestFig8BypassesPlanCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("environment build is seconds-long")
+	}
+	env, err := experiments.NewEnv(experiments.Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := env.Sys.PlanCacheStats().Hits
+	env.Fig8()
+	if after := env.Sys.PlanCacheStats().Hits; after != before {
+		t.Fatalf("Fig8 took %d plan-cache hits, want 0", after-before)
+	}
+}
+
 // TestFigureRows sanity-checks the figure generators' outputs.
 func TestFigureRows(t *testing.T) {
 	if testing.Short() {

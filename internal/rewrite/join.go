@@ -167,20 +167,17 @@ func PlanJoin(q *pattern.Pattern, covers []*selection.Cover) (*JoinPlan, error) 
 // predicate branches discharged by rigid guarantees are enforced as pins
 // rather than matched structurally.
 //
-// Per-fragment scratch is epoch-stamped: instead of clearing the O(|Q|)
-// assignment array before every fragment, embed bumps an epoch counter
-// and a slot counts as assigned only when its stamp matches — resetting
-// state is a single increment. Instances are pooled (joinerPool) so a
-// steady-state join allocates nothing, and the hot placement loops are
-// plain methods: the closure-per-node-visit of the old backtracker was
-// one heap allocation per candidate probe.
+// The assignment array has one slot per query node (a minimized query
+// has a handful), so embed simply resets it before every fragment.
+// Instances are pooled (joinerPool) so a steady-state join allocates
+// nothing, and the hot placement loops are plain methods: the
+// closure-per-node-visit of the old backtracker was one heap allocation
+// per candidate probe.
 type joiner struct {
 	p  *JoinPlan
 	vt *vtree
 
-	epoch    uint32
-	assign   []int32  // by query-node index; valid when stamp matches
-	assignEp []uint32 // epoch stamp per assign slot
+	assign []int32 // arena node by query-node index; -1 when unassigned
 
 	chain     []int32 // chain[d] = depth-d ancestor of the anchor
 	deltaFrag *views.Fragment
@@ -198,18 +195,7 @@ func acquireJoiner(p *JoinPlan, vt *vtree, b *budget.B) *joiner {
 	j := joinerPool.Get().(*joiner)
 	j.p, j.vt, j.b, j.err = p, vt, b, nil
 	n := len(p.labels)
-	if cap(j.assign) < n {
-		j.assign = make([]int32, n)
-		j.assignEp = make([]uint32, n)
-	}
-	j.assign = j.assign[:n]
-	j.assignEp = j.assignEp[:n]
-	// Stale stamps from an earlier (possibly longer) query must not
-	// collide with this query's epochs: restart the epoch space.
-	for i := range j.assignEp {
-		j.assignEp[i] = 0
-	}
-	j.epoch = 0
+	j.assign = slices.Grow(j.assign[:0], n)[:n]
 	return j
 }
 
@@ -221,14 +207,13 @@ func releaseJoiner(j *joiner) {
 // joinUpper returns the Δ-view fragments that participate in at least
 // one embedding of the upper pattern in the virtual tree, charging one
 // budget step per embedding attempt.
-func joinUpper(p *JoinPlan, refined []refinedView, vt *vtree, anchors [][]int32, b *budget.B) ([]*views.Fragment, error) {
+func joinUpper(p *JoinPlan, refined []refinedView, vt *vtree, anchors []int32, b *budget.B) ([]*views.Fragment, error) {
 	j := acquireJoiner(p, vt, b)
 	defer releaseJoiner(j)
 	frags := refined[p.deltaIdx].frags
-	anch := anchors[p.deltaIdx]
 	out := make([]*views.Fragment, 0, len(frags))
 	for fi, frag := range frags {
-		if j.embed(frag, anch[fi]) {
+		if j.embed(frag, anchors[fi]) {
 			out = append(out, frag)
 		}
 		if j.err != nil {
@@ -238,37 +223,13 @@ func joinUpper(p *JoinPlan, refined []refinedView, vt *vtree, anchors [][]int32,
 	return out, nil
 }
 
-// beginEmbed opens a fresh per-fragment epoch; all assignment slots
-// become unassigned in O(1).
-func (j *joiner) beginEmbed() {
-	j.epoch++
-	if j.epoch == 0 { // wrapped: stale stamps could collide, hard-reset
-		for i := range j.assignEp {
-			j.assignEp[i] = 0
-		}
-		j.epoch = 1
-	}
-}
-
-func (j *joiner) assigned(qi int32) (int32, bool) {
-	if j.assignEp[qi] != j.epoch {
-		return -1, false
-	}
-	return j.assign[qi], true
-}
-
-func (j *joiner) setAssign(qi int, v int32) {
-	j.assign[qi] = v
-	j.assignEp[qi] = j.epoch
-}
-
-func (j *joiner) clearAssign(qi int) { j.assignEp[qi] = 0 }
-
 // embed reports whether the upper pattern embeds with the Δ landing node
 // pinned to this fragment's anchor node.
 func (j *joiner) embed(frag *views.Fragment, anchor int32) bool {
 	j.deltaFrag = frag
-	j.beginEmbed()
+	for i := range j.assign {
+		j.assign[i] = -1
+	}
 	// chain[d] = depth-d ancestor of anchor; chain[0] is the document
 	// root. Reuse the backing array.
 	depth := j.vt.depth(anchor)
@@ -300,8 +261,8 @@ func (j *joiner) embed(frag *views.Fragment, anchor int32) bool {
 // against the candidate fragment.
 func (j *joiner) pinsOK(vi int32, frag *views.Fragment) bool {
 	for _, p := range j.p.pins[vi] {
-		w, ok := j.assigned(p.y)
-		if !ok {
+		w := j.assign[p.y]
+		if w < 0 {
 			continue // ancestors are always assigned before descendants
 		}
 		wc := j.vt.nodes[w].code
@@ -356,15 +317,15 @@ func (j *joiner) try(qi int, at int32) bool {
 	if lbl := j.p.labels[qi]; lbl != pattern.Wildcard && lbl != j.vt.nodes[at].label {
 		return false
 	}
-	j.setAssign(qi, at)
+	j.assign[qi] = at
 	for _, vi := range j.p.landAt[qi] {
 		if j.pickFrag(at, vi) == nil {
-			j.clearAssign(qi)
+			j.assign[qi] = -1
 			return false
 		}
 	}
 	if !j.placeKids(qi, at, 0) {
-		j.clearAssign(qi)
+		j.assign[qi] = -1
 		return false
 	}
 	return true
@@ -434,7 +395,7 @@ func (j *joiner) unassign(qi int) {
 	if !j.p.keep[qi] {
 		return
 	}
-	j.clearAssign(qi)
+	j.assign[qi] = -1
 	for _, ci := range j.p.keptKids[qi] {
 		j.unassign(int(ci))
 	}

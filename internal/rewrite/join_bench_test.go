@@ -1,7 +1,8 @@
 package rewrite
 
 // Microbenchmarks for the holistic-join kernel in isolation: the
-// loser-tree virtual-tree build and the upper-pattern join. Run with
+// virtual-tree build (the head-scan merge) and the upper-pattern join.
+// Run with
 // `go test -run='^$' -bench=BenchmarkJoinKernel -benchmem ./internal/rewrite`.
 
 import (
@@ -15,16 +16,31 @@ import (
 	"xpathviews/internal/xpath"
 )
 
-// joinBenchEnv refines an 8-view selection over a scale-1.0 XMark
-// document once; the refined streams are read-only for the join, so
-// every benchmark iteration reuses them.
+// joinShapes are the benchmarked selections over one scale-1.0 XMark
+// document, named by their width k. The workloads select 1–3 views per
+// answer; the 8-view case is kept as a wide stress shape.
+var joinShapes = []struct {
+	name  string
+	query string
+	k     int
+}{
+	{"k1", "//person/name", 1},
+	{"k2", "//person[address/city]/name", 2},
+	{"k3", "//person[address/city][profile/age]/name", 3},
+	{"k8", "//person[emailaddress][phone][address/city][homepage][creditcard][profile/age][watches/watch]/name", 8},
+}
+
+// joinBenchEnv is one shape refined once; the refined streams are
+// read-only for the join, so every benchmark iteration reuses them.
 type joinBenchEnv struct {
 	fst     *dewey.FST
 	plan    *JoinPlan
 	refined []refinedView
 }
 
-func newJoinBenchEnv(tb testing.TB) *joinBenchEnv {
+// newJoinBenchEnvs materializes the views every shape draws from and
+// refines each shape's minimum selection.
+func newJoinBenchEnvs(tb testing.TB) []*joinBenchEnv {
 	tb.Helper()
 	doc := xmark.Generate(xmark.Config{Scale: 1.0, Seed: 2008})
 	enc, fst, err := dewey.EncodeTree(doc)
@@ -46,42 +62,51 @@ func newJoinBenchEnv(tb testing.TB) *joinBenchEnv {
 			tb.Fatal(err)
 		}
 	}
-	q := pattern.Minimize(xpath.MustParse(
-		"//person[emailaddress][phone][address/city][homepage][creditcard][profile/age][watches/watch]/name"))
-	sel, err := selection.Minimum(q, reg.ViewList)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	jp, err := PlanJoin(q, sel.Covers)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	refined := make([]refinedView, len(sel.Covers))
-	for i, c := range sel.Covers {
-		if err := refineView(q, c, &refined[i], nil); err != nil {
+	envs := make([]*joinBenchEnv, len(joinShapes))
+	for si, shape := range joinShapes {
+		q := pattern.Minimize(xpath.MustParse(shape.query))
+		sel, err := selection.Minimum(q, reg.ViewList)
+		if err != nil {
 			tb.Fatal(err)
 		}
+		if len(sel.Covers) != shape.k {
+			tb.Fatalf("%s: selected %d views, want %d", shape.name, len(sel.Covers), shape.k)
+		}
+		jp, err := PlanJoin(q, sel.Covers)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		refined := make([]refinedView, len(sel.Covers))
+		for i, c := range sel.Covers {
+			if err := refineView(q, c, &refined[i], nil); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		envs[si] = &joinBenchEnv{fst: fst, plan: jp, refined: refined}
 	}
-	return &joinBenchEnv{fst: fst, plan: jp, refined: refined}
+	return envs
 }
 
 func BenchmarkJoinKernel(b *testing.B) {
-	env := newJoinBenchEnv(b)
-	b.Run("build", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			vt, _, _ := buildVirtual(env.fst, env.refined)
-			putVtree(vt)
-		}
-	})
-	b.Run("join-seq", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			vt, anchors, _ := buildVirtual(env.fst, env.refined)
-			if _, err := joinUpper(env.plan, env.refined, vt, anchors, nil); err != nil {
-				b.Fatal(err)
+	envs := newJoinBenchEnvs(b)
+	for si, shape := range joinShapes {
+		env := envs[si]
+		b.Run(shape.name+"/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				vt, _, _ := buildVirtual(env.fst, env.refined, env.plan.deltaIdx)
+				putVtree(vt)
 			}
-			putVtree(vt)
-		}
-	})
+		})
+		b.Run(shape.name+"/join", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				vt, anchors, _ := buildVirtual(env.fst, env.refined, env.plan.deltaIdx)
+				if _, err := joinUpper(env.plan, env.refined, vt, anchors, nil); err != nil {
+					b.Fatal(err)
+				}
+				putVtree(vt)
+			}
+		})
+	}
 }

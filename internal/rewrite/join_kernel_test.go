@@ -1,8 +1,8 @@
 package rewrite
 
-// White-box tests for the holistic join kernel: the loser-tree k-way
-// merge (with its galloping fast path), join-plan reuse, the
-// epoch-stamped joiner scratch, and the sort-and-compact answer dedup.
+// White-box tests for the holistic join kernel: the head-scan k-way
+// merge that builds the virtual tree, join-plan reuse, and the
+// sort-and-compact answer dedup.
 
 import (
 	"math/rand"
@@ -16,50 +16,49 @@ import (
 	"xpathviews/internal/xpath"
 )
 
-// mergeStreams runs the exact merge loop buildVirtual uses (tournament
-// build, gallop against the path-minimum challenger, replay) and returns
-// the emitted (stream, code) sequence.
-func mergeStreams(refined []refinedView) (streams []int32, codes []dewey.Code) {
-	k := len(refined)
-	m := codeMerger{refined: refined, heads: make([]int32, k), loser: make([]int32, k), k: int32(k)}
-	w := m.build()
-	if m.exhausted(w) {
-		w = -1
+// mergeStreams builds the virtual tree over refined and returns the
+// merge's emitted (stream, code) sequence — the arena's fragment entries
+// are appended in pop order — and its gallop hits. It also checks that
+// every Δ-view (stream 0) anchor is the arena node of its fragment's
+// code.
+func mergeStreams(t *testing.T, refined []refinedView) (streams []int32, codes []dewey.Code, gallop int64) {
+	t.Helper()
+	vt, anchors, gallop := buildVirtual(dewey.BuildFSTFromSchema("r", nil), refined, 0)
+	defer putVtree(vt)
+	for _, e := range vt.fragEntries {
+		streams = append(streams, e.view)
+		codes = append(codes, e.frag.Code)
 	}
-	for w >= 0 {
-		ch := m.challenger(w)
-		for {
-			fi := m.heads[w]
-			m.heads[w]++
-			streams = append(streams, w)
-			codes = append(codes, m.refined[w].frags[fi].Code)
-			if m.exhausted(w) || (ch >= 0 && !m.less(w, ch)) {
-				break
-			}
+	for fi, f := range refined[0].frags {
+		if got := vt.nodes[anchors[fi]].code; dewey.Compare(got, f.Code) != 0 {
+			t.Fatalf("anchor of Δ-fragment %d is node %v, want %v", fi, got, f.Code)
 		}
-		w = m.replay(w)
 	}
-	return streams, codes
+	return streams, codes, gallop
 }
 
-// randStreams builds k sorted code streams with skewed lengths (stream 0
-// gets runs of consecutive codes, exercising the gallop) and duplicate
+// streamLabels labels every random code's components; the merge copies
+// them onto arena nodes and never compares them.
+var streamLabels = []string{"r", "x", "x", "x", "x"}
+
+// randStreams builds k sorted code streams under the root code 0 with
+// skewed lengths (stream 0 gets runs of consecutive codes) and duplicate
 // codes both within and across streams.
 func randStreams(r *rand.Rand, k, maxLen int) []refinedView {
+	path := &dewey.LabelPath{Labels: streamLabels}
 	refined := make([]refinedView, k)
 	for vi := range refined {
 		n := r.Intn(maxLen + 1)
 		if vi == 0 {
-			n = maxLen * 2 // skew: the dominant stream gallops
+			n = maxLen * 2 // skew: the dominant stream runs
 		}
 		frags := make([]*views.Fragment, 0, n)
 		for i := 0; i < n; i++ {
-			depth := 1 + r.Intn(4)
-			code := make(dewey.Code, depth)
-			for d := range code {
+			code := make(dewey.Code, 2+r.Intn(4))
+			for d := 1; d < len(code); d++ {
 				code[d] = uint32(r.Intn(4))
 			}
-			frags = append(frags, &views.Fragment{Code: code})
+			frags = append(frags, &views.Fragment{Code: code, Path: path})
 		}
 		sort.Slice(frags, func(i, j int) bool { return dewey.Compare(frags[i].Code, frags[j].Code) < 0 })
 		refined[vi] = refinedView{frags: frags}
@@ -67,11 +66,11 @@ func randStreams(r *rand.Rand, k, maxLen int) []refinedView {
 	return refined
 }
 
-// TestLoserTreeMergeRandom: for many random stream sets and widths, the
-// loser-tree merge (gallop included) must emit every code exactly once,
-// in global document order, breaking ties by stream index — the order
-// the old k-head linear scan produced.
-func TestLoserTreeMergeRandom(t *testing.T) {
+// TestHeadScanMergeRandom: for many random stream sets and widths, the
+// head-scan merge must emit every code exactly once, in global document
+// order, breaking ties by stream index, and count as gallop hits exactly
+// the emits that continue the previous emit's stream.
+func TestHeadScanMergeRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		k := 1 + r.Intn(9)
@@ -91,8 +90,14 @@ func TestLoserTreeMergeRandom(t *testing.T) {
 			c := dewey.Compare(want[i].code, want[j].code)
 			return c < 0 || (c == 0 && want[i].stream < want[j].stream)
 		})
+		var wantGallop int64
+		for i := 1; i < len(want); i++ {
+			if want[i].stream == want[i-1].stream {
+				wantGallop++
+			}
+		}
 
-		streams, codes := mergeStreams(refined)
+		streams, codes, gallop := mergeStreams(t, refined)
 		if len(codes) != len(want) {
 			t.Fatalf("trial %d (k=%d): merged %d codes, want %d", trial, k, len(codes), len(want))
 		}
@@ -102,17 +107,21 @@ func TestLoserTreeMergeRandom(t *testing.T) {
 					trial, k, i, streams[i], codes[i], want[i].stream, want[i].code)
 			}
 		}
+		if gallop != wantGallop {
+			t.Fatalf("trial %d (k=%d): %d gallop hits, want %d", trial, k, gallop, wantGallop)
+		}
 	}
 }
 
-// TestLoserTreeGallopSkew pins the gallop fast path on a hand-built skew:
-// one stream holds a long run strictly below every other head, so after
-// the first replay the whole run must drain in emit order.
-func TestLoserTreeGallopSkew(t *testing.T) {
+// TestHeadScanGallopSkew pins the merge on a hand-built skew: one stream
+// holds a long run strictly below every other head, so the whole run
+// drains first and each pop after its first is a gallop hit.
+func TestHeadScanGallopSkew(t *testing.T) {
+	path := &dewey.LabelPath{Labels: []string{"r", "x"}}
 	mk := func(codes ...dewey.Code) refinedView {
 		frags := make([]*views.Fragment, len(codes))
 		for i, c := range codes {
-			frags[i] = &views.Fragment{Code: c}
+			frags[i] = &views.Fragment{Code: c, Path: path}
 		}
 		return refinedView{frags: frags}
 	}
@@ -122,7 +131,7 @@ func TestLoserTreeGallopSkew(t *testing.T) {
 		mk(dewey.Code{0, 6}, dewey.Code{0, 7}),
 	}
 	wantStreams := []int32{0, 0, 0, 0, 1, 2, 2, 0}
-	streams, codes := mergeStreams(refined)
+	streams, codes, gallop := mergeStreams(t, refined)
 	if len(streams) != len(wantStreams) {
 		t.Fatalf("emitted %d codes, want %d", len(streams), len(wantStreams))
 	}
@@ -135,6 +144,9 @@ func TestLoserTreeGallopSkew(t *testing.T) {
 		if dewey.Compare(codes[i-1], codes[i]) > 0 {
 			t.Fatalf("merge out of order at %d: %v > %v", i, codes[i-1], codes[i])
 		}
+	}
+	if gallop != 4 {
+		t.Fatalf("%d gallop hits, want 4 (three in stream 0's run, one in stream 2's)", gallop)
 	}
 }
 
@@ -218,34 +230,6 @@ func TestJoinPlanReuse(t *testing.T) {
 	}
 	if len(cross.Codes()) != len(bc) {
 		t.Fatalf("mismatched plan not recomputed: %d answers, want %d", len(cross.Codes()), len(bc))
-	}
-}
-
-// TestJoinerEpochWraparound: when the per-fragment epoch counter wraps,
-// stale stamps must not read as live assignments.
-func TestJoinerEpochWraparound(t *testing.T) {
-	jp, fst, refined, release := planFixture(t)
-	defer release()
-	vt, _, _ := buildVirtual(fst, refined)
-	defer putVtree(vt)
-
-	j := acquireJoiner(jp, vt, nil)
-	defer releaseJoiner(j)
-	j.beginEmbed()
-	j.setAssign(jp.rootIdx, 0)
-	if _, ok := j.assigned(int32(jp.rootIdx)); !ok {
-		t.Fatal("fresh assignment not visible")
-	}
-	// Force the wrap: the next beginEmbed overflows to 0 and must
-	// hard-reset rather than let old stamps equal the new epoch.
-	j.epoch = ^uint32(0)
-	j.assignEp[jp.rootIdx] = ^uint32(0)
-	j.beginEmbed()
-	if j.epoch == 0 {
-		t.Fatal("epoch stayed 0 after wrap; stamps comparing equal to 0 would leak")
-	}
-	if _, ok := j.assigned(int32(jp.rootIdx)); ok {
-		t.Fatal("stale assignment survived epoch wraparound")
 	}
 }
 

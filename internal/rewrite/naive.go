@@ -78,7 +78,7 @@ func tupleJoins(jp *JoinPlan, refined []refinedView, tuple []int, fst *dewey.FST
 	for i, fi := range tuple {
 		mini[i] = refinedView{frags: []*views.Fragment{refined[i].frags[fi]}}
 	}
-	vt, anchors, _ := buildVirtual(fst, mini)
+	vt, anchors, _ := buildVirtual(fst, mini, jp.deltaIdx)
 	joined, err := joinUpper(jp, mini, vt, anchors, nil)
 	putVtree(vt)
 	return err == nil && len(joined) > 0

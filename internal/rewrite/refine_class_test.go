@@ -228,7 +228,7 @@ func TestRefineDifferential(t *testing.T) {
 					checkAgainstReference(t, fmt.Sprintf("%s %s cover %d", f.name, q, ci),
 						&refined[ci], refs[ci], refLabels[ci], refScanned[ci])
 				}
-				vt, _, _ := buildVirtual(fst, refined)
+				vt, _, _ := buildVirtual(fst, refined, 0)
 				for _, n := range vt.nodes {
 					want, err := fst.Decode(n.code)
 					if err != nil || n.label != want[len(want)-1] {

@@ -94,8 +94,8 @@ type Result struct {
 	// Join-kernel internals (stage 3): JoinPartitions is 1 when the
 	// holistic join ran and 0 when it did not (a memo hit, an empty
 	// refinement, or the strong single-cover fast path); GallopHits counts
-	// loser-tree merge emits that rode the galloping fast path
-	// (consecutive pops from one stream without a tree replay).
+	// merge pops that continued the previous pop's stream (consecutive
+	// codes from one view: the document-region skew).
 	JoinPartitions int
 	GallopHits     int64
 
@@ -269,12 +269,12 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 	return res, nil
 }
 
-// joinStage is stage 3 proper: one loser-tree merge scan builds the
-// arena, then the upper pattern is embedded once per Δ-fragment. It
+// joinStage is stage 3 proper: one merge scan of the code streams builds
+// the arena, then the upper pattern is embedded once per Δ-fragment. It
 // returns the Δ-view fragments that join, in fragment order. Both parts
 // lap into the meter's Join slot, continuing refinement's clock.
 func joinStage(jp *JoinPlan, fst *dewey.FST, refined []refinedView, b *budget.B, res *Result) ([]*views.Fragment, error) {
-	vt, anchors, gallop := buildVirtual(fst, refined)
+	vt, anchors, gallop := buildVirtual(fst, refined, jp.deltaIdx)
 	res.JoinBuildNanos = b.Lap(budget.Join)
 	res.GallopHits = gallop
 	joined, err := joinUpper(jp, refined, vt, anchors, b)

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -27,14 +28,12 @@ type vtree struct {
 
 	// Build scratch, recycled with the arena through vtPool so a
 	// steady-state buildVirtual allocates nothing: the rightmost-path
-	// stack, the per-level last-child index, the merge's stream cursors
-	// and loser tree, and the slab backing the returned anchor slices.
-	stack       []int32
-	lastChild   []int32
-	heads       []int32
-	loser       []int32
-	anchorSlab  []int32
-	anchorViews [][]int32
+	// stack, the per-level last-child index, the merge's stream tails
+	// and the Δ-view's anchors.
+	stack     []int32
+	lastChild []int32
+	streams   [][]*views.Fragment
+	anchors   []int32
 }
 
 type vnode struct {
@@ -73,115 +72,25 @@ func putVtree(t *vtree) {
 	}
 	t.nodes = t.nodes[:0]
 	t.fragEntries = t.fragEntries[:0]
-	t.anchorViews = t.anchorViews[:0]
 	vtPool.Put(t)
 }
 
-// codeMerger is the loser-tree k-way merge over the per-view sorted
-// fragment-code streams. The classic linear scan picks each pop by
-// comparing all k stream heads; the loser tree replays only the ⌈log₂k⌉
-// matches along the popped leaf's path, and the galloping fast path in
-// buildVirtual skips even that while one stream's run of codes stays
-// below every other head — the common shape when one view dominates a
-// document region. Comparisons are dewey.Compare on the raw code arrays
-// shared with the fragments; label-paths are never consulted.
-//
-// Layout: streams are leaves k..2k-1 of an implicit tournament tree,
-// internal nodes 1..k-1 each hold the losing stream of their match, and
-// the overall winner is kept aside. Works for any k ≥ 1 (k = 1 has no
-// internal nodes and the single stream just drains).
-type codeMerger struct {
-	refined []refinedView
-	heads   []int32 // per-stream cursor into refined[i].frags
-	loser   []int32 // internal nodes 1..k-1; index 0 unused
-	k       int32
-}
-
-// exhausted reports stream a has no codes left.
-func (m *codeMerger) exhausted(a int32) bool {
-	return int(m.heads[a]) >= len(m.refined[a].frags)
-}
-
-// less orders streams by current head code, exhausted streams last,
-// ties by stream index (keeps the emit order of the old linear scan).
-func (m *codeMerger) less(a, b int32) bool {
-	if m.exhausted(a) {
-		return false
-	}
-	if m.exhausted(b) {
-		return true
-	}
-	c := dewey.Compare(m.refined[a].frags[m.heads[a]].Code, m.refined[b].frags[m.heads[b]].Code)
-	return c < 0 || (c == 0 && a < b)
-}
-
-// build runs the initial tournament and returns the winning stream.
-func (m *codeMerger) build() int32 {
-	if m.k == 1 {
-		return 0
-	}
-	var play func(j int32) int32
-	play = func(j int32) int32 {
-		if j >= m.k {
-			return j - m.k // leaf: stream index
-		}
-		w, l := play(2*j), play(2*j+1)
-		if m.less(l, w) {
-			w, l = l, w
-		}
-		m.loser[j] = l
-		return w
-	}
-	return play(1)
-}
-
-// replay re-runs the matches along stream w's leaf path after its head
-// advanced, returning the new overall winner (-1 when all streams are
-// exhausted).
-func (m *codeMerger) replay(w int32) int32 {
-	cur := w
-	for j := (w + m.k) / 2; j >= 1; j /= 2 {
-		if m.less(m.loser[j], cur) {
-			m.loser[j], cur = cur, m.loser[j]
-		}
-	}
-	if m.exhausted(cur) {
-		return -1
-	}
-	return cur
-}
-
-// challenger returns the best stream other than winner w — the min over
-// the losers on w's path, which cover every other leaf — or -1 when
-// there is none (k = 1). Exhausted challengers are fine: less() against
-// them lets the gallop drain w to its end.
-func (m *codeMerger) challenger(w int32) int32 {
-	ch := int32(-1)
-	for j := (w + m.k) / 2; j >= 1; j /= 2 {
-		if l := m.loser[j]; ch < 0 || m.less(l, ch) {
-			ch = l
-		}
-	}
-	return ch
-}
-
-// grow returns s resized to length n, reallocating only past capacity.
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
 // buildVirtual merges the sorted fragment-code streams of all views into
-// the virtual tree in one scan; shared prefixes collapse. It returns the
-// tree, per view the arena index each fragment landed on, and the number
-// of gallop hits — emits taken by the inner fast-path loop without a
-// loser-tree replay (the kernel's skew exploitation, exported as a
-// metric). Callers must release the tree with putVtree once the join is
-// done; the anchor slices are backed by the tree's pooled slab and die
-// with it.
-func buildVirtual(fst *dewey.FST, refined []refinedView) (*vtree, [][]int32, int64) {
+// the virtual tree in one scan; shared prefixes collapse. Each pop scans
+// the k stream heads and takes the smallest code, ties going to the
+// lower stream index; comparisons are dewey.Compare on the raw code
+// arrays shared with the fragments, label-paths are never consulted.
+// Selections are narrow (k is 1–3 on every workload), so the scan is a
+// handful of comparisons and needs no tournament structure. Once one
+// stream alone has codes left (from the start when k = 1) its tail is
+// taken whole, so a lone stream pays no scan per pop. It returns the
+// tree, the arena index each fragment of view delta landed on (the only
+// anchors the join reads), and the number of gallop hits — pops that
+// continue the previous pop's stream, the document-region skew the
+// kernel reports. Callers must release the tree with putVtree once the
+// join is done; the anchor slice is backed by the tree's pooled scratch
+// and dies with it.
+func buildVirtual(fst *dewey.FST, refined []refinedView, delta int) (*vtree, []int32, int64) {
 	total := 0
 	for vi := range refined {
 		total += len(refined[vi].frags)
@@ -192,24 +101,12 @@ func buildVirtual(fst *dewey.FST, refined []refinedView) (*vtree, [][]int32, int
 		t.fragEntries = make([]fragEntry, 0, total)
 	}
 	t.nodes = append(t.nodes, vnode{code: dewey.Code{0}, label: fst.RootLabel(), parent: -1, firstChild: -1, nextSib: -1, fragHead: -1})
-
-	// Anchor slices carved out of one pooled slab.
-	t.anchorSlab = growI32(t.anchorSlab, total)
-	anchors := t.anchorViews[:0]
-	off := 0
+	anchors := slices.Grow(t.anchors[:0], len(refined[delta].frags))
+	// streams[i] is the unconsumed tail of view i's fragment list.
+	streams := t.streams[:0]
 	for vi := range refined {
-		n := len(refined[vi].frags)
-		anchors = append(anchors, t.anchorSlab[off:off+n:off+n])
-		off += n
+		streams = append(streams, refined[vi].frags)
 	}
-	t.anchorViews = anchors
-
-	k := len(refined)
-	m := codeMerger{refined: refined, heads: growI32(t.heads, k), loser: growI32(t.loser, k), k: int32(k)}
-	for i := range m.heads {
-		m.heads[i] = 0
-	}
-	t.heads, t.loser = m.heads, m.loser
 
 	// stack holds the rightmost path (arena indices); stack[d] is the
 	// node whose code is prev[:d+1], so after each insert len(stack) ==
@@ -221,20 +118,31 @@ func buildVirtual(fst *dewey.FST, refined []refinedView) (*vtree, [][]int32, int
 	prev := t.nodes[0].code
 
 	var gallop int64
-	w := m.build()
-	if m.exhausted(w) {
-		w = -1
-	}
-	for w >= 0 {
-		// Gallop: while stream w's run stays strictly below the best
-		// other head, emit without replaying the tree.
-		ch := m.challenger(w)
-		for {
-			fi := m.heads[w]
-			m.heads[w]++
-			frag := m.refined[w].frags[fi]
-			labels := frag.Path.Labels
-			code := frag.Code
+	last := -1
+	for {
+		w, head, live := -1, (*views.Fragment)(nil), 0
+		for i, s := range streams {
+			if len(s) > 0 {
+				live++
+				if head == nil || dewey.Compare(s[0].Code, head.Code) < 0 {
+					w, head = i, s[0]
+				}
+			}
+		}
+		if head == nil {
+			break
+		}
+		run := streams[w][:1]
+		if live == 1 {
+			run = streams[w]
+		}
+		streams[w] = streams[w][len(run):]
+		for _, frag := range run {
+			if w == last {
+				gallop++
+			}
+			last = w
+			code, labels := frag.Code, frag.Path.Labels
 
 			// Pop to the longest stack prefix of code. The stack mirrors
 			// prev's path, so that prefix has exactly commonPrefixLen
@@ -264,17 +172,14 @@ func buildVirtual(fst *dewey.FST, refined []refinedView) (*vtree, [][]int32, int
 			e := int32(len(t.fragEntries))
 			t.fragEntries = append(t.fragEntries, fragEntry{view: int32(w), frag: frag, next: t.nodes[top].fragHead})
 			t.nodes[top].fragHead = e
-			anchors[w][fi] = top
-			prev = code
-
-			if m.exhausted(w) || (ch >= 0 && !m.less(w, ch)) {
-				break
+			if w == delta {
+				anchors = append(anchors, top)
 			}
-			gallop++
+			prev = code
 		}
-		w = m.replay(w)
 	}
-	t.stack, t.lastChild = stack, lastChild
+	clear(streams) // drained tails still point into the fragment lists
+	t.stack, t.lastChild, t.streams, t.anchors = stack, lastChild, streams, anchors
 	return t, anchors, gallop
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -384,6 +385,81 @@ func TestMetricsLabelEscaping(t *testing.T) {
 	shed := telemetry.WithLabel(telemetry.WithLabel("xpvd_shed_total", "tenant", names[0]), "reason", ShedTenantLimit)
 	if !strings.Contains(rr.Body.String(), shed+" 1\n") {
 		t.Errorf("exposition lacks %s 1", shed)
+	}
+}
+
+// scrapeTwoTenants serves a query and an update for each of two tenants
+// through a daemon built with cfg and returns its /metrics rows.
+func scrapeTwoTenants(t *testing.T, cfg Config) []string {
+	t.Helper()
+	names := []string{"alpha", "beta"}
+	var tenants []*Tenant
+	for _, n := range names {
+		ten, err := NewTenant(TenantConfig{Name: n, Views: paperdata.TableIViews()}, paperdata.BookTree())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenants = append(tenants, ten)
+	}
+	srv, err := New(cfg, tenants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		body, _ := json.Marshal(map[string]string{"query": paperdata.QueryE, "tenant": n})
+		if rr, _ := postQuery(t, srv.Handler(), string(body)); rr.Code != http.StatusOK {
+			t.Fatalf("tenant %s query: status %d", n, rr.Code)
+		}
+		body, _ = json.Marshal(map[string]string{"op": "insert", "parent_code": "0", "xml": "<s><t/><p/></s>", "tenant": n})
+		rr := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/update", strings.NewReader(string(body))))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("tenant %s update: status %d: %s", n, rr.Code, rr.Body.String())
+		}
+	}
+	rr := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	return strings.Split(strings.TrimSuffix(rr.Body.String(), "\n"), "\n")
+}
+
+// promRow is one sample line of the Prometheus text format: a metric
+// name, an optional label set with escaped values, and a value.
+var promRow = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
+	`(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})? (\S+)$`)
+
+// TestMetricsTextGrammar: every /metrics row of a two-tenant daemon is
+// a valid Prometheus sample line. A histogram's row suffix belongs to
+// the metric name, ahead of the tenant label, never after it.
+func TestMetricsTextGrammar(t *testing.T) {
+	rows := scrapeTwoTenants(t, Config{Metrics: telemetry.NewRegistry()})
+	labeledHist := false
+	for _, row := range rows {
+		m := promRow.FindStringSubmatch(row)
+		if m == nil {
+			t.Fatalf("row %q does not match the Prometheus text grammar", row)
+		}
+		if _, err := strconv.ParseFloat(m[2], 64); err != nil {
+			t.Fatalf("row %q: value: %v", row, err)
+		}
+		labeledHist = labeledHist || strings.HasPrefix(row, `xpv_answer_ns_count{tenant="alpha"} `)
+	}
+	if !labeledHist {
+		t.Fatalf("no xpv_answer_ns_count row for tenant alpha in:\n%s", strings.Join(rows, "\n"))
+	}
+}
+
+// TestDefaultRegistryRowsCarryTenant: a daemon on the process default
+// registry exports only its tenants' labeled xpv_* series. Opening a
+// tenant's System must not leave an unlabeled bundle registered there
+// before the server re-points the System at its tenant's names. Fault
+// injections are process-level and carry only their point. This is the
+// package's only test that records into the default registry.
+func TestDefaultRegistryRowsCarryTenant(t *testing.T) {
+	for _, row := range scrapeTwoTenants(t, Config{}) {
+		if strings.HasPrefix(row, "xpv_") && !strings.Contains(row, `tenant="`) &&
+			!strings.HasPrefix(row, "xpv_fault_injected_total{point=") {
+			t.Errorf("unlabeled row %q", row)
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"io"
 	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -472,25 +473,33 @@ func sortedKeys[V any](m map[string]V) []string {
 // _sum_ns/_p50_ns/_p95_ns/_p99_ns rows *before* sorting, so the emitted
 // lines are lexicographic by exposed name and a /metrics scrape (or a
 // golden test) is byte-stable across runs for the same metric values.
+// A row suffix joins the family name, ahead of any label set
+// (`xpv_answer_ns_count{tenant="a"}`), as the Prometheus text format
+// requires.
 func (r *Registry) WriteText(w io.Writer) error {
 	snap := r.snapshot()
 	rows := make([]snapshotLine, 0, len(snap))
 	for _, l := range snap {
+		family, labels := l.name, ""
+		if i := strings.IndexByte(family, '{'); i >= 0 {
+			family, labels = family[:i], family[i:]
+		}
+		row := func(suffix string, v any) snapshotLine { return snapshotLine{family + suffix + labels, v} }
 		switch v := l.value.(type) {
 		case HistSnapshot:
 			rows = append(rows,
-				snapshotLine{l.name + "_count", v.Count},
-				snapshotLine{l.name + "_sum_ns", v.SumNs},
-				snapshotLine{l.name + "_p50_ns", v.P50Ns},
-				snapshotLine{l.name + "_p95_ns", v.P95Ns},
-				snapshotLine{l.name + "_p99_ns", v.P99Ns})
+				row("_count", v.Count),
+				row("_sum_ns", v.SumNs),
+				row("_p50_ns", v.P50Ns),
+				row("_p95_ns", v.P95Ns),
+				row("_p99_ns", v.P99Ns))
 		case CountHistSnapshot:
 			rows = append(rows,
-				snapshotLine{l.name + "_count", v.Count},
-				snapshotLine{l.name + "_sum", v.Sum},
-				snapshotLine{l.name + "_p50", v.P50},
-				snapshotLine{l.name + "_p95", v.P95},
-				snapshotLine{l.name + "_p99", v.P99})
+				row("_count", v.Count),
+				row("_sum", v.Sum),
+				row("_p50", v.P50),
+				row("_p95", v.P95),
+				row("_p99", v.P99))
 		default:
 			rows = append(rows, l)
 		}

@@ -452,7 +452,7 @@ func (s *System) resetEvalLocked() {
 
 // startMutObs resolves a mutation call's observation state.
 func (s *System) startMutObs(opts MutateOptions) (callObs, time.Time) {
-	co := callObs{m: s.obsPtr.Load(), sp: opts.Trace.Root(), traceID: opts.TraceID}
+	co := callObs{m: s.metrics(), sp: opts.Trace.Root(), traceID: opts.TraceID}
 	if co.traceID == "" {
 		co.traceID = opts.Trace.ID()
 	}

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"xpathviews/internal/budget"
@@ -182,6 +183,27 @@ func newServingMetrics(reg *telemetry.Registry, tenant string) *servingMetrics {
 	return m
 }
 
+// defaultMetrics is the process default registry's unlabeled bundle,
+// resolved on first use. A System opens on it (pendingDefault) but
+// resolves it only when a call first records: a daemon re-points every
+// tenant's System at labeled names before serving, so it must not leave
+// a never-used unlabeled family set on the shared registry.
+var defaultMetrics = sync.OnceValue(func() *servingMetrics {
+	return newServingMetrics(telemetry.Default(), "")
+})
+
+// pendingDefault is the obsPtr value of a System still on defaultMetrics.
+var pendingDefault = new(servingMetrics)
+
+// metrics returns the bundle a call records into (nil = metrics off).
+func (s *System) metrics() *servingMetrics {
+	m := s.obsPtr.Load()
+	if m == pendingDefault {
+		return defaultMetrics()
+	}
+	return m
+}
+
 // init hooks the global fault-injection registry: every actual
 // injection counts on the default registry, per point. Injections are
 // test/chaos-only events, so the name formatting here is off any hot
@@ -211,7 +233,9 @@ func (s *System) SetMetricsTenant(reg *MetricsRegistry, name string) {
 // MetricsRegistry returns the registry the system currently records
 // into, or nil when metrics are disabled.
 func (s *System) MetricsRegistry() *MetricsRegistry {
-	if m := s.obsPtr.Load(); m != nil {
+	if m := s.obsPtr.Load(); m == pendingDefault {
+		return telemetry.Default()
+	} else if m != nil {
 		return m.reg
 	}
 	return nil
@@ -260,7 +284,7 @@ type callObs struct {
 
 // startObs resolves the call's observation state and its start time.
 func (s *System) startObs(opts Options) (callObs, time.Time) {
-	co := callObs{m: s.obsPtr.Load(), sp: opts.Trace.Root(), ex: opts.explain, traceID: opts.TraceID}
+	co := callObs{m: s.metrics(), sp: opts.Trace.Root(), ex: opts.explain, traceID: opts.TraceID}
 	if co.traceID == "" {
 		co.traceID = opts.Trace.ID()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -235,6 +236,50 @@ func TestResilientContainedRung(t *testing.T) {
 	}
 	if res.Strategy != xpathviews.Contained || len(res.Answers) != 2 || res.Partial {
 		t.Fatalf("strategy=%v answers=%d partial=%v", res.Strategy, len(res.Answers), res.Partial)
+	}
+}
+
+// TestMVAnswersWhereHVRefuses pins why MV stays in DefaultFallback,
+// shrunk from the XMark bench pools. Algorithm 2 (HV) tries, for each
+// query leaf, only the views on VFILTER's list for that leaf's root path.
+// The one view //australia/item[shipping] covers the mailbox leaf by
+// compensation inside its item fragments, but its only path ends in
+// shipping, so mailbox's list is empty and HV refuses. MV searches every
+// candidate's cover and answers with that view.
+func TestMVAnswersWhereHVRefuses(t *testing.T) {
+	doc, err := os.ReadFile("testdata/mv_where_hv_refuses.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := xpathviews.OpenXMLString(string(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.AddView("//australia/item[shipping]", 0); err != nil {
+		t.Fatal(err)
+	}
+	const q = "//australia/item[mailbox]/shipping"
+	ctx := context.Background()
+	if _, err := sys.AnswerContext(ctx, q, xpathviews.Options{Strategy: xpathviews.HV}); !errors.Is(err, xpathviews.ErrNotAnswerable) {
+		t.Fatalf("HV: err = %v, want ErrNotAnswerable", err)
+	}
+	mv, err := sys.AnswerContext(ctx, q, xpathviews.Options{Strategy: xpathviews.MV})
+	if err != nil {
+		t.Fatalf("MV: %v", err)
+	}
+	bn, err := sys.AnswerContext(ctx, q, xpathviews.Options{Strategy: xpathviews.BN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(mv.Codes(), ","), strings.Join(bn.Codes(), ","); got != want || len(bn.Answers) != 3 {
+		t.Fatalf("MV answers %q, BN %q (want 3 shippings)", got, want)
+	}
+	res, err := sys.AnswerResilient(ctx, q, xpathviews.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Strategy != xpathviews.MV || len(res.DegradedReasons) != 1 {
+		t.Fatalf("resilient served at %v after %v, want MV after HV's refusal", res.Strategy, res.DegradedReasons)
 	}
 }
 

@@ -129,8 +129,9 @@ type System struct {
 	planGen atomic.Uint64
 
 	// obsPtr holds the system's pre-resolved serving metrics (see
-	// observe.go); nil disables metrics. An atomic pointer keeps the
-	// per-call resolution at one load.
+	// observe.go); nil disables metrics, and pendingDefault stands for
+	// the process default's bundle until a call first records. An atomic
+	// pointer keeps the per-call resolution at one load.
 	obsPtr atomic.Pointer[servingMetrics]
 	// slow is the slow-query ring; disarmed (threshold 0) by default.
 	slow *telemetry.SlowLog
@@ -175,7 +176,7 @@ func OpenWithFST(doc *xmltree.Tree, fst *dewey.FST) (*System, error) {
 		plans:    plancache.New(0, 0),
 		slow:     telemetry.NewSlowLog(0),
 	}
-	sys.obsPtr.Store(newServingMetrics(telemetry.Default(), ""))
+	sys.obsPtr.Store(pendingDefault)
 	sys.vstats.Store(viewstats.New())
 	return sys, nil
 }
@@ -329,9 +330,9 @@ type Result struct {
 	// not (a memo hit, an empty refinement, or the strong single-cover
 	// fast path).
 	JoinPartitions int
-	// GallopHits counts merge emissions the join's galloping inner loop
-	// produced beyond its first per-advance emission — a measure of how
-	// run-structured the fragment lists were.
+	// GallopHits counts the join merge's pops that continued the previous
+	// pop's view stream — a measure of how run-structured the fragment
+	// lists were.
 	GallopHits int64
 
 	// text is the plan memo's rendering of Answers' codes when Answers is
