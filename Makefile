@@ -29,17 +29,18 @@ test:
 
 # race runs the whole suite under the race detector, then ten more times
 # the rewrite-memo tests (concurrent first executions of one plan, hits
-# interleaved with mutations, shared answer slices), the contained
-# rung's dedup differential and the filtering-pass tests (pooled
-# scratch reused across filters, 64 readers of one filter): a publication
-# race or a scratch handed to two readers shows up in a few schedules,
-# not in every one. The same goes for the label-path tests: refinement
+# interleaved with mutations, shared answer slices) with the two mutation
+# hammers (the memo's generation check is the one guard between a
+# mutation and a stale answer), the contained rung's dedup differential
+# and the filtering-pass tests (pooled scratch reused across filters, 64
+# readers of one filter): a publication race or a scratch handed to two
+# readers shows up in a few schedules, not in every one. The same goes for the label-path tests: refinement
 # against its decode-per-fragment oracle, pooled verdict scratch across
 # path tables, and 64 goroutines refining while AddView, mutations and
 # Advise intern new paths.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestMemo|TestContainedDedup' . ./internal/rewrite
+	$(GO) test -race -count=10 -run 'TestMemo|TestContainedDedup|TestJoinMutationHammer|TestMaintainHammer' . ./internal/rewrite
 	$(GO) test -race -count=10 -run 'TestFilter(Differential|ScratchReuse|Concurrent)' ./internal/vfilter
 	$(GO) test -race -count=10 -run 'TestRefine(Differential|ScratchReuse)|TestLabelPath' ./internal/rewrite ./internal/views
 	$(GO) test -race -count=10 -run 'TestLabelPathHammer' .

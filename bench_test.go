@@ -197,7 +197,7 @@ func BenchmarkAblationJoin(b *testing.B) {
 	fst := env.Sys.FST()
 	b.Run("holistic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rewrite.Execute(q, sel, fst); err != nil {
+			if _, err := rewrite.ExecuteOptions(q, sel, fst, nil, rewrite.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

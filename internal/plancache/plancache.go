@@ -123,18 +123,6 @@ func (c *Cache) shardFor(key string) *shard {
 // A present entry with a stale generation is dropped and counted as an
 // invalidation (and a miss).
 func (c *Cache) Get(key string, gen uint64) (any, bool) {
-	return c.GetValidated(key, gen, nil)
-}
-
-// GetValidated is Get with an additional per-entry validator: an entry
-// that matches gen but whose value fails valid is dropped and counted as
-// an invalidation, exactly like a stale generation. This is the hook for
-// scoped invalidation — the owner validates that the views a plan covers
-// are still at the generations the plan was computed against, so a
-// mutation only evicts the plans it actually dirtied. valid runs under
-// the shard lock and must be fast and non-reentrant. A nil valid accepts
-// every value.
-func (c *Cache) GetValidated(key string, gen uint64, valid func(any) bool) (any, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -143,7 +131,7 @@ func (c *Cache) GetValidated(key string, gen uint64, valid func(any) bool) (any,
 		s.stats.Misses++
 		return nil, false
 	}
-	if e.gen != gen || (valid != nil && !valid(e.value)) {
+	if e.gen != gen {
 		s.remove(e)
 		s.stats.Invalidations++
 		s.stats.Misses++
@@ -174,17 +162,10 @@ func (c *Cache) Put(key string, gen uint64, value any) {
 // budget or cancellation, not this caller's — callers that care should
 // recompute locally (without coalescing) when err != nil && shared.
 func (c *Cache) GetOrCompute(key string, gen uint64, fn func() (any, error)) (v any, err error, shared bool) {
-	return c.GetOrComputeValidated(key, gen, nil, fn)
-}
-
-// GetOrComputeValidated is GetOrCompute with the per-entry validator of
-// GetValidated: a generation-matching entry whose value fails valid is
-// dropped (counted as an invalidation) and recomputed.
-func (c *Cache) GetOrComputeValidated(key string, gen uint64, valid func(any) bool, fn func() (any, error)) (v any, err error, shared bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
-		if e.gen == gen && (valid == nil || valid(e.value)) {
+		if e.gen == gen {
 			s.moveToFront(e)
 			s.stats.Hits++
 			v := e.value // copy under the lock: remove may nil it out after
@@ -316,19 +297,6 @@ func (c *Cache) Stats() Stats {
 		s.mu.Unlock()
 	}
 	return out
-}
-
-// Purge drops every entry (stats are kept). Mainly for tests and for
-// callers that prefer eager invalidation.
-func (c *Cache) Purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for _, e := range s.entries {
-			s.remove(e)
-		}
-		s.mu.Unlock()
-	}
 }
 
 // NumShards reports the rounded shard count (for tests).

@@ -189,14 +189,3 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		t.Fatalf("cache over capacity: %d", c.Len())
 	}
 }
-
-func TestPurge(t *testing.T) {
-	c := plancache.New(64, 4)
-	for i := 0; i < 20; i++ {
-		c.Put(fmt.Sprint(i), 1, i)
-	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len after purge = %d", c.Len())
-	}
-}

@@ -36,7 +36,7 @@ func TestRewriteSteadyStateAllocs(t *testing.T) {
 	reg.Add(xpath.MustParse(paperdata.ViewV1), 0)
 	reg.Add(xpath.MustParse(paperdata.ViewV2), 0)
 	q := xpath.MustParse(paperdata.QueryE)
-	sel, err := selection.Minimum(q, reg.ViewList)
+	sel, err := selection.MinimumBudget(q, reg.ViewList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestAttrInsideFragment(t *testing.T) {
 	if c == nil || !selection.Answerable(q, []*selection.Cover{c}) {
 		t.Fatalf("cover = %v; item view must answer featured-item query", c)
 	}
-	res, err := rewrite.Execute(q, &selection.Selection{Covers: []*selection.Cover{c}}, enc.FST())
+	res, err := rewrite.ExecuteOptions(q, &selection.Selection{Covers: []*selection.Cover{c}}, enc.FST(), nil, rewrite.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestAttrOnInternalNodeRequiresMirror(t *testing.T) {
 	if cM == nil || !selection.Answerable(q, []*selection.Cover{cM}) {
 		t.Fatalf("mirrored view should answer: %v", cM)
 	}
-	res, err := rewrite.Execute(q, &selection.Selection{Covers: []*selection.Cover{cM}}, enc.FST())
+	res, err := rewrite.ExecuteOptions(q, &selection.Selection{Covers: []*selection.Cover{cM}}, enc.FST(), nil, rewrite.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestAttrComparisonOperators(t *testing.T) {
 		if c == nil {
 			t.Fatalf("no cover for %s", tc.q)
 		}
-		res, err := rewrite.Execute(q, &selection.Selection{Covers: []*selection.Cover{c}}, enc.FST())
+		res, err := rewrite.ExecuteOptions(q, &selection.Selection{Covers: []*selection.Cover{c}}, enc.FST(), nil, rewrite.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,12 +148,12 @@ func TestAttrEquivalenceRandomized(t *testing.T) {
 		}
 		for qi := 0; qi < 40; qi++ {
 			q := pattern.Minimize(randomAttrPattern(r, labels, attrs, 5))
-			sel, err := selection.Minimum(q, reg.ViewList)
+			sel, err := selection.MinimumBudget(q, reg.ViewList, nil)
 			if err != nil {
 				continue
 			}
 			answered++
-			out, err := rewrite.Execute(q, sel, fst)
+			out, err := rewrite.ExecuteOptions(q, sel, fst, nil, rewrite.Options{})
 			if err != nil {
 				t.Fatalf("rewrite %s: %v", q, err)
 			}

@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"xpathviews/internal/budget"
-	"xpathviews/internal/dewey"
 	"xpathviews/internal/faults"
 	"xpathviews/internal/pattern"
 	"xpathviews/internal/views"
@@ -24,8 +23,8 @@ var fpContained = faults.New("rewrite.contained")
 // materialized answer of V satisfies Q. The result is the union over all
 // such views — maximal for this single-view certification rule.
 
-// Contained computes a contained rewriting of q over the given views.
-// The result's answers are always a subset of q's true answers; Complete
+// ContainedResult is a contained rewriting of a query over a view set.
+// Its answers are always a subset of the query's true answers; Complete
 // reports whether some view certified equivalence (V ≡ Q at the answer
 // position in both directions), in which case the subset is exact.
 type ContainedResult struct {
@@ -36,23 +35,11 @@ type ContainedResult struct {
 	Complete bool
 }
 
-// Contained runs the contained rewriting. fst is unused today but kept
-// for symmetry with Execute (future per-fragment refinement of contained
-// answers would need it).
-func Contained(q *pattern.Pattern, all []*views.View, fst *dewey.FST) *ContainedResult {
-	res, err := ContainedBudget(q, all, fst, nil)
-	if err != nil {
-		// Only an armed fault point can fail an unbudgeted run; degrade to
-		// an empty (still sound) result for legacy callers.
-		return &ContainedResult{}
-	}
-	return res
-}
-
-// ContainedBudget is Contained under a cancellation/step budget: each
-// candidate view charges one homomorphism check, each contributed
-// fragment one step. On error the partial result is discarded.
-func ContainedBudget(q *pattern.Pattern, all []*views.View, fst *dewey.FST, b *budget.B) (*ContainedResult, error) {
+// ContainedBudget runs the contained rewriting under a cancellation/step
+// budget (nil: unbounded): each candidate view charges one homomorphism
+// check, each contributed fragment one step. On error the partial result
+// is discarded.
+func ContainedBudget(q *pattern.Pattern, all []*views.View, b *budget.B) (*ContainedResult, error) {
 	if err := fpContained.Fire(); err != nil {
 		return nil, err
 	}

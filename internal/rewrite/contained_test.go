@@ -15,6 +15,16 @@ import (
 	"xpathviews/internal/xpath"
 )
 
+// contained runs the contained rewriting without a budget.
+func contained(t *testing.T, q *pattern.Pattern, all []*views.View) *rewrite.ContainedResult {
+	t.Helper()
+	res, err := rewrite.ContainedBudget(q, all, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestContainedSubsetAndCompleteness on the book tree: a more
 // restrictive view yields a strict, sound subset; an equivalent view
 // yields the full set with Complete=true.
@@ -34,7 +44,7 @@ func TestContainedSubsetAndCompleteness(t *testing.T) {
 	q := xpath.MustParse("//s[t]/p")
 	direct := engine.Answers(tree, q)
 
-	res := rewrite.Contained(q, reg.ViewList, enc.FST())
+	res := contained(t, q, reg.ViewList)
 	if res.Complete {
 		t.Fatal("restrictive view must not be reported complete")
 	}
@@ -58,7 +68,7 @@ func TestContainedSubsetAndCompleteness(t *testing.T) {
 	if _, err := reg.Add(xpath.MustParse("//s[t]/p"), 0); err != nil {
 		t.Fatal(err)
 	}
-	res2 := rewrite.Contained(q, reg.ViewList, enc.FST())
+	res2 := contained(t, q, reg.ViewList)
 	if !res2.Complete || len(res2.Answers) != len(direct) {
 		t.Fatalf("with an equivalent view: complete=%v answers=%d want %d",
 			res2.Complete, len(res2.Answers), len(direct))
@@ -73,7 +83,7 @@ func TestContainedSoundnessRandomized(t *testing.T) {
 	contributed := 0
 	for doc := 0; doc < 12; doc++ {
 		tree := randomTree(r, 100, labels)
-		enc, fst, err := dewey.EncodeTree(tree)
+		enc, _, err := dewey.EncodeTree(tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +95,7 @@ func TestContainedSoundnessRandomized(t *testing.T) {
 		}
 		for qi := 0; qi < 25; qi++ {
 			q := pattern.Minimize(randomPattern(r, labels, 5))
-			res := rewrite.Contained(q, reg.ViewList, fst)
+			res := contained(t, q, reg.ViewList)
 			if len(res.Answers) == 0 {
 				continue
 			}
@@ -134,9 +144,9 @@ func mapContained(reg *views.Registry, used []int) []rewrite.Answer {
 // the same surviving fragment node for every code — on XMark views whose
 // fragment sets overlap, and on random documents and views.
 func TestContainedDedupMatchesMap(t *testing.T) {
-	check := func(tag string, reg *views.Registry, q *pattern.Pattern, fst *dewey.FST) (dups int) {
+	check := func(tag string, reg *views.Registry, q *pattern.Pattern) (dups int) {
 		t.Helper()
-		res := rewrite.Contained(q, reg.ViewList, fst)
+		res := contained(t, q, reg.ViewList)
 		want := mapContained(reg, res.ViewsUsed)
 		if len(res.Answers) != len(want) {
 			t.Fatalf("%s %s: %d answers, map union has %d", tag, q, len(res.Answers), len(want))
@@ -154,7 +164,7 @@ func TestContainedDedupMatchesMap(t *testing.T) {
 	}
 
 	tree := xmark.Generate(xmark.Config{Scale: 0.05, Seed: 61})
-	enc, fst, err := dewey.EncodeTree(tree)
+	enc, _, err := dewey.EncodeTree(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +177,7 @@ func TestContainedDedupMatchesMap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if dups := check("xmark", reg, pattern.Minimize(xpath.MustParse("//person/name")), fst); dups == 0 {
+	if dups := check("xmark", reg, pattern.Minimize(xpath.MustParse("//person/name"))); dups == 0 {
 		t.Fatal("xmark: the contributing views do not overlap")
 	}
 
@@ -176,7 +186,7 @@ func TestContainedDedupMatchesMap(t *testing.T) {
 	overlapping := 0
 	for doc := 0; doc < 8; doc++ {
 		tree := randomTree(r, 80, labels)
-		enc, fst, err := dewey.EncodeTree(tree)
+		enc, _, err := dewey.EncodeTree(tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +197,7 @@ func TestContainedDedupMatchesMap(t *testing.T) {
 			}
 		}
 		for qi := 0; qi < 20; qi++ {
-			if check("random", reg, pattern.Minimize(randomPattern(r, labels, 3)), fst) > 0 {
+			if check("random", reg, pattern.Minimize(randomPattern(r, labels, 3))) > 0 {
 				overlapping++
 			}
 		}

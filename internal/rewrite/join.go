@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -21,11 +20,11 @@ import (
 // plan cache and every query that hits the plan skips the skeleton
 // rebuild (and its per-query map) entirely.
 type JoinPlan struct {
-	// q and covers are what the skeleton was computed against;
-	// ExecuteOptions recomputes the plan if handed a different pattern or
-	// cover object (covers index into q's nodes, and memo — the plan's one
-	// data-dependent part — into the Δ-cover's view: identity is the
-	// correctness condition).
+	// q and covers are what the skeleton was computed against, and what
+	// PlanJoin checked answerable; ExecuteOptions recomputes the plan if
+	// handed a different pattern or cover object (covers index into q's
+	// nodes, and memo — the plan's one data-dependent part — into the
+	// Δ-cover's view: identity is the correctness condition).
 	q        *pattern.Pattern
 	covers   []*selection.Cover
 	deltaIdx int
@@ -106,13 +105,15 @@ func (p *JoinPlan) remember(m *deltaMemo) {
 func (p *JoinPlan) DeltaIndex() int { return p.deltaIdx }
 
 // PlanJoin computes the join skeleton for q under the selection's
-// covers, choosing the Δ-view. It fails only when the selection has no
-// Δ-view — the same condition ExecuteOptions rejects.
+// covers, choosing the Δ-view. It returns selection.ErrNotAnswerable when
+// the covers do not answer q (no Δ-cover, or a query leaf no cover
+// covers), so a JoinPlan is proof that its (q, covers) pair is
+// answerable: the one answerability check of §V's rewriting.
 func PlanJoin(q *pattern.Pattern, covers []*selection.Cover) (*JoinPlan, error) {
-	deltaIdx := chooseDelta(covers)
-	if deltaIdx < 0 {
-		return nil, fmt.Errorf("rewrite: no Δ-view in selection")
+	if !selection.Answerable(q, covers) {
+		return nil, selection.ErrNotAnswerable
 	}
+	deltaIdx := chooseDelta(covers)
 	nodes := q.Nodes()
 	n := len(nodes)
 	idx := make(map[*pattern.Node]int, n)

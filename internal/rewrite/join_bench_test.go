@@ -65,7 +65,7 @@ func newJoinBenchEnvs(tb testing.TB) []*joinBenchEnv {
 	envs := make([]*joinBenchEnv, len(joinShapes))
 	for si, shape := range joinShapes {
 		q := pattern.Minimize(xpath.MustParse(shape.query))
-		sel, err := selection.Minimum(q, reg.ViewList)
+		sel, err := selection.MinimumBudget(q, reg.ViewList, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}

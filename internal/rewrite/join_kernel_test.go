@@ -163,7 +163,7 @@ func planFixture(t *testing.T) (*JoinPlan, *dewey.FST, []refinedView, func()) {
 	reg.Add(xpath.MustParse(paperdata.ViewV1), 0)
 	reg.Add(xpath.MustParse(paperdata.ViewV2), 0)
 	q := xpath.MustParse(paperdata.QueryE)
-	sel, err := selection.Minimum(q, reg.ViewList)
+	sel, err := selection.MinimumBudget(q, reg.ViewList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestJoinPlanReuse(t *testing.T) {
 	reg.Add(xpath.MustParse(paperdata.ViewV1), 0)
 	reg.Add(xpath.MustParse(paperdata.ViewV2), 0)
 	q := xpath.MustParse(paperdata.QueryE)
-	sel, err := selection.Minimum(q, reg.ViewList)
+	sel, err := selection.MinimumBudget(q, reg.ViewList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestJoinPlanReuse(t *testing.T) {
 	}
 	// A plan for a different pattern object must be ignored, not misused.
 	q2 := xpath.MustParse(paperdata.QueryE)
-	sel2, err := selection.Minimum(q2, reg.ViewList)
+	sel2, err := selection.MinimumBudget(q2, reg.ViewList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

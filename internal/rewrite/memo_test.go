@@ -43,7 +43,7 @@ func newMemoFixture(t testing.TB, name string, tree *xmltree.Tree, enc *dewey.En
 		}
 	}
 	q := pattern.Minimize(xpath.MustParse(query))
-	sel, err := selection.Minimum(q, reg.ViewList)
+	sel, err := selection.MinimumBudget(q, reg.ViewList, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -107,7 +107,7 @@ func timedWithin(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST, b
 // direct evaluation.
 func TestMemoHitMatchesFreshAndNaive(t *testing.T) {
 	for _, fx := range memoFixtures(t) {
-		fresh, err := rewrite.Execute(fx.q, fx.sel, fx.fst)
+		fresh, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, rewrite.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", fx.name, err)
 		}
@@ -201,7 +201,7 @@ func TestMemoRecomputesOnGenChange(t *testing.T) {
 	if len(after.Answers) != len(before.Answers)-1 {
 		t.Fatalf("after dropping a fragment: %v, want one fewer than %v", after.Codes(), before.Codes())
 	}
-	if ref, err := rewrite.Execute(fx.q, fx.sel, fx.fst); err != nil || !sameCodes(after, ref) {
+	if ref, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, rewrite.Options{}); err != nil || !sameCodes(after, ref) {
 		t.Fatalf("recomputed %v != fresh %v (err %v)", after.Codes(), ref.Codes(), err)
 	}
 	if hit := run(); !hit.Memo || !sameCodes(hit, after) {
@@ -233,7 +233,7 @@ func TestMemoIgnoredForOtherQueryOrCovers(t *testing.T) {
 
 	// Same text, different pattern object (covers point into its nodes).
 	q2 := pattern.Minimize(xpath.MustParse(paperdata.QueryE))
-	sel2, err := selection.Minimum(q2, fx.reg.ViewList)
+	sel2, err := selection.MinimumBudget(q2, fx.reg.ViewList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestMemoIgnoredForOtherQueryOrCovers(t *testing.T) {
 
 	// Same pattern, a different cover set of the same size: a second
 	// selection over the same views has its own Cover objects.
-	sel3, err := selection.Minimum(fx.q, fx.reg.ViewList)
+	sel3, err := selection.MinimumBudget(fx.q, fx.reg.ViewList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestMemoConcurrentFirstExecutions(t *testing.T) {
 		bookFixture(t, "join", []string{paperdata.ViewV1, paperdata.ViewV2}, paperdata.QueryE),
 		xmarkFixture(t, "xmark-join", []string{"//person/address/city", "//person[address]/name"}, "//person[address/city]/name"),
 	} {
-		ref, err := rewrite.Execute(fx.q, fx.sel, fx.fst)
+		ref, err := rewrite.ExecuteOptions(fx.q, fx.sel, fx.fst, nil, rewrite.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package rewrite
 
 import (
-	"fmt"
-
 	"xpathviews/internal/dewey"
 	"xpathviews/internal/pattern"
 	"xpathviews/internal/selection"
@@ -12,17 +10,12 @@ import (
 // ExecuteNaive is the ablation baseline for the holistic join: instead of
 // one merged scan into a prefix trie, it enumerates the full cross
 // product of refined fragment tuples and re-checks the upper pattern per
-// tuple. Semantically identical to Execute; asymptotically worse in the
-// number of views (the paper's motivation for a holistic algorithm).
+// tuple. Semantically identical to ExecuteOptions; asymptotically worse
+// in the number of views (the paper's motivation for a holistic
+// algorithm).
 func ExecuteNaive(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) (*Result, error) {
-	if len(sel.Covers) == 0 {
-		return nil, fmt.Errorf("rewrite: empty selection")
-	}
-	if !selection.Answerable(q, sel.Covers) {
-		return nil, selection.ErrNotAnswerable
-	}
 	covers := sel.Covers
-	jp, err := PlanJoin(q, covers)
+	jp, err := PlanJoin(q, covers) // checks answerability
 	if err != nil {
 		return nil, err
 	}

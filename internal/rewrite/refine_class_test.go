@@ -142,7 +142,7 @@ func (f *refineFixture) answerableQueries(t testing.TB, r *rand.Rand, tries, wan
 	var sels []*selection.Selection
 	for i := 0; i < tries && len(qs) < want; i++ {
 		q := f.randomQuery(r)
-		sel, err := selection.Minimum(q, f.reg.ViewList)
+		sel, err := selection.MinimumBudget(q, f.reg.ViewList, nil)
 		if err != nil {
 			continue
 		}
@@ -266,7 +266,7 @@ func TestRefineExactBudget(t *testing.T) {
 		"//open_auction[annotation/description//text]/bidder",
 	} {
 		q := pattern.Minimize(xpath.MustParse(src))
-		sel, err := selection.Minimum(q, f.reg.ViewList)
+		sel, err := selection.MinimumBudget(q, f.reg.ViewList, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -403,7 +403,7 @@ func TestRefineAllocsFlat(t *testing.T) {
 		}
 		f := newRefineFixture(t, "xmark", tree, enc, "//text")
 		q := pattern.Minimize(xpath.MustParse("//item/description//text[keyword]"))
-		sel, err := selection.Minimum(q, f.reg.ViewList)
+		sel, err := selection.MinimumBudget(q, f.reg.ViewList, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

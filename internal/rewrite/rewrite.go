@@ -19,7 +19,6 @@
 package rewrite
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -124,7 +123,7 @@ func (r *Result) Codes() []dewey.Code {
 	return r.codes
 }
 
-// Options tunes one Execute call.
+// Options tunes one ExecuteOptions call.
 type Options struct {
 	// Plan, when non-nil, supplies a precomputed join skeleton for
 	// exactly this call's (pattern, covers) pair — the serving layer
@@ -136,35 +135,26 @@ type Options struct {
 	Plan *JoinPlan
 }
 
-// Execute answers q from the selected covers' materialized fragments.
-// fst must be the document's FST (shipped with the view store; not base
-// data). The selection must be answerable — callers obtain it from
-// selection.Minimum or selection.Heuristic.
-func Execute(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) (*Result, error) {
-	return ExecuteOptions(q, sel, fst, nil, Options{})
-}
-
-// ExecuteOptions is Execute under a meter and with explicit options:
-// refinement charges one step per scanned fragment, the holistic join
-// one step per embedding attempt, extraction one step per fragment, and
-// each stage's wall time goes to the meter's Refine, Join and Extract
-// slots. A nil meter never aborts on its own, but the stage fault points
-// may. A caller-supplied Options.Plan that remembers its
-// answers skips the stages' work and the refine and join budget steps
-// (Result.Memo); extraction's steps, the stage fault points and every
-// check between the stages still run.
+// ExecuteOptions answers q from the selected covers' materialized
+// fragments under a meter and with explicit options. fst must be the
+// document's FST (shipped with the view store; not base data). Covers
+// that do not answer q are ErrNotAnswerable: a matching Options.Plan
+// already proves they do, and any other call builds its skeleton with
+// PlanJoin, which checks. Refinement charges one step per scanned
+// fragment, the holistic join one step per embedding attempt, extraction
+// one step per fragment, and each stage's wall time goes to the meter's
+// Refine, Join and Extract slots. A nil meter never aborts on its own,
+// but the stage fault points may. A caller-supplied Options.Plan that
+// remembers its answers skips the stages' work and the refine and join
+// budget steps (Result.Memo); extraction's steps, the stage fault points
+// and every check between the stages still run.
 func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST, b *budget.B, opt Options) (*Result, error) {
-	if len(sel.Covers) == 0 {
-		return nil, fmt.Errorf("rewrite: empty selection")
-	}
-	if !selection.Answerable(q, sel.Covers) {
-		return nil, selection.ErrNotAnswerable
-	}
 	covers := sel.Covers
 	// The join skeleton (Δ-view choice, upper twig, resolved pins) is
 	// data-independent; a caller holding a cached plan passes it through
-	// Options and skips the rebuild. Identity with this call's pattern
-	// and covers is the correctness condition — on mismatch, recompute.
+	// Options and skips the rebuild and the answerability check. Identity
+	// with this call's pattern and covers is the correctness condition —
+	// on mismatch, recompute (and check).
 	jp := opt.Plan
 	if !jp.plans(q, covers) {
 		var err error

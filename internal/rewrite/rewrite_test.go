@@ -47,11 +47,11 @@ func TestExample51(t *testing.T) {
 	}
 
 	q := xpath.MustParse(paperdata.QueryE)
-	sel, err := selection.Minimum(q, reg.ViewList)
+	sel, err := selection.MinimumBudget(q, reg.ViewList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rewrite.Execute(q, sel, enc.FST())
+	res, err := rewrite.ExecuteOptions(q, sel, enc.FST(), nil, rewrite.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestNaiveJoinAgrees(t *testing.T) {
 	reg.Add(xpath.MustParse(paperdata.ViewV1), 0)
 	reg.Add(xpath.MustParse(paperdata.ViewV2), 0)
 	q := xpath.MustParse(paperdata.QueryE)
-	sel, err := selection.Minimum(q, reg.ViewList)
+	sel, err := selection.MinimumBudget(q, reg.ViewList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := rewrite.Execute(q, sel, enc.FST())
+	a, err := rewrite.ExecuteOptions(q, sel, enc.FST(), nil, rewrite.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +123,14 @@ func TestSingleViewRewrite(t *testing.T) {
 	reg := views.NewRegistry(tree, enc)
 	reg.Add(xpath.MustParse("//s[t]//p"), 0)
 	q := xpath.MustParse("//s[t]//p")
-	sel, err := selection.Minimum(q, reg.ViewList)
+	sel, err := selection.MinimumBudget(q, reg.ViewList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sel.Covers) != 1 || !sel.Covers[0].Strong {
 		t.Fatalf("expected a single strong cover, got %+v", sel.Covers)
 	}
-	res, err := rewrite.Execute(q, sel, enc.FST())
+	res, err := rewrite.ExecuteOptions(q, sel, enc.FST(), nil, rewrite.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +174,14 @@ func TestEquivalence(t *testing.T) {
 				cands = append(cands, reg.Get(id))
 			}
 			for name, sel := range map[string]*selection.Selection{
-				"minimum":   trySel(func() (*selection.Selection, error) { return selection.Minimum(q, cands) }),
-				"heuristic": trySel(func() (*selection.Selection, error) { return selection.Heuristic(q, res, reg) }),
+				"minimum":   trySel(func() (*selection.Selection, error) { return selection.MinimumBudget(q, cands, nil) }),
+				"heuristic": trySel(func() (*selection.Selection, error) { return selection.HeuristicBudget(q, res, reg, nil) }),
 			} {
 				if sel == nil {
 					continue
 				}
 				answerable++
-				out, err := rewrite.Execute(q, sel, fst)
+				out, err := rewrite.ExecuteOptions(q, sel, fst, nil, rewrite.Options{})
 				if err != nil {
 					t.Fatalf("%s rewrite of %s failed: %v", name, q, err)
 				}
@@ -278,11 +278,11 @@ func TestCodesMemoized(t *testing.T) {
 	reg.Add(xpath.MustParse(paperdata.ViewV1), 0)
 	reg.Add(xpath.MustParse(paperdata.ViewV2), 0)
 	q := xpath.MustParse(paperdata.QueryE)
-	sel, err := selection.Minimum(q, reg.ViewList)
+	sel, err := selection.MinimumBudget(q, reg.ViewList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rewrite.Execute(q, sel, enc.FST())
+	res, err := rewrite.ExecuteOptions(q, sel, enc.FST(), nil, rewrite.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,6 +369,65 @@ func TestExecuteExactBudget(t *testing.T) {
 				t.Fatalf("%s cap %d (exact): err=%v memo=%v, want the uncapped answers", tag, spent, err, got != nil && got.Memo)
 			}
 			t.Logf("%s: %d steps, %d answers", tag, spent, len(ref.Answers))
+		}
+	}
+}
+
+// TestPlanJoinRefusesUnanswerable: a JoinPlan is proof that its covers
+// answer its query, so PlanJoin refuses covers that do not (§IV-A): one
+// set with no Δ-cover, and one whose Δ-cover misses a leaf. ExecuteOptions
+// refuses them too, both without a plan and with a plan built for an
+// answering cover set of the same query.
+func TestPlanJoinRefusesUnanswerable(t *testing.T) {
+	tree := paperdata.BookTree()
+	enc, err := dewey.Encode(tree, paperdata.BookFST())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := views.NewRegistry(tree, enc)
+	cover := func(view string, q *pattern.Pattern) *selection.Cover {
+		t.Helper()
+		v, err := reg.Add(xpath.MustParse(view), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := selection.ComputeCover(v, q)
+		if c == nil {
+			t.Fatalf("no homomorphism from %s into %s", view, q)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name, query string
+		views       []string // covering every leaf or providing Δ, not both
+		wantDelta   bool
+	}{
+		{"no Δ-cover", "//s[f//i][t]/p", []string{"//s/t", "//s/f//i"}, false},
+		{"Δ-cover misses a leaf", "//s[f]/p", []string{"//s/p"}, true},
+	} {
+		q := xpath.MustParse(tc.query)
+		var bad []*selection.Cover
+		hasDelta := false
+		for _, v := range tc.views {
+			c := cover(v, q)
+			hasDelta = hasDelta || c.Delta
+			bad = append(bad, c)
+		}
+		if hasDelta != tc.wantDelta {
+			t.Fatalf("%s: covers provide Δ = %v, want %v", tc.name, hasDelta, tc.wantDelta)
+		}
+		if jp, err := rewrite.PlanJoin(q, bad); !errors.Is(err, selection.ErrNotAnswerable) || jp != nil {
+			t.Fatalf("%s: PlanJoin = %v, %v; want nil, ErrNotAnswerable", tc.name, jp, err)
+		}
+		good, err := rewrite.PlanJoin(q, []*selection.Cover{cover(tc.query, q)})
+		if err != nil {
+			t.Fatalf("%s: PlanJoin on the query's own view: %v", tc.name, err)
+		}
+		sel := &selection.Selection{Covers: bad}
+		for _, plan := range []*rewrite.JoinPlan{nil, good} {
+			if _, err := rewrite.ExecuteOptions(q, sel, enc.FST(), nil, rewrite.Options{Plan: plan}); !errors.Is(err, selection.ErrNotAnswerable) {
+				t.Fatalf("%s: ExecuteOptions (plan %p) = %v, want ErrNotAnswerable", tc.name, plan, err)
+			}
 		}
 	}
 }

@@ -46,7 +46,7 @@ func TestNoDeltaNotAnswerable(t *testing.T) {
 	if selection.Answerable(q, []*selection.Cover{c1, c2}) {
 		t.Fatal("answerable without Δ")
 	}
-	if _, err := selection.Minimum(q, reg.ViewList); err == nil {
+	if _, err := selection.MinimumBudget(q, reg.ViewList, nil); err == nil {
 		t.Fatal("Minimum must fail without a Δ-capable view")
 	}
 }
@@ -87,7 +87,7 @@ func TestNilViewsSkipped(t *testing.T) {
 		t.Fatalf("registry bookkeeping wrong after removal: len=%d", reg.Len())
 	}
 	q := xpath.MustParse("//s[f//i][t]/p")
-	sel, err := selection.Minimum(q, reg.ViewList) // contains a nil slot
+	sel, err := selection.MinimumBudget(q, reg.ViewList, nil) // contains a nil slot
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRemoveRedundantKeepsDelta(t *testing.T) {
 	if ca == nil || cb == nil {
 		t.Fatal("covers must exist")
 	}
-	sel, err := selection.Minimum(q, reg.ViewList)
+	sel, err := selection.MinimumBudget(q, reg.ViewList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

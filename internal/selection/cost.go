@@ -18,9 +18,9 @@ var fpCostBased = faults.New("selection.costbased")
 // identifies — the number of views (join width) and the size of their
 // materialized fragments (scan volume). The exact-minimum method
 // optimizes only the first, the heuristic's length-descending lists only
-// approximate the second; CostBased optimizes their weighted sum with
-// the classical greedy weighted set-cover rule (pick the cover with the
-// lowest cost per newly covered element), then prunes redundancy.
+// approximate the second; CostBasedBudget optimizes their weighted sum
+// with the classical greedy weighted set-cover rule (pick the cover with
+// the lowest cost per newly covered element), then prunes redundancy.
 
 // CostParams weights the two factors. Cost(V) = ViewWeight +
 // ByteWeight · TotalBytes(V).
@@ -45,16 +45,12 @@ func (p CostParams) cost(v *views.View) float64 {
 // (cost-model calibration).
 func (p CostParams) Cost(v *views.View) float64 { return p.cost(v) }
 
-// CostBased selects an answering view set greedily by cost per newly
-// covered LF element, over VFILTER's candidates, computing homomorphisms
-// lazily like Algorithm 2. It returns ErrNotAnswerable when no answering
-// subset exists among the candidates.
-func CostBased(q *pattern.Pattern, res *vfilter.Result, reg *views.Registry, params CostParams) (*Selection, error) {
-	return CostBasedBudget(q, res, reg, params, nil)
-}
-
-// CostBasedBudget is CostBased under a cancellation/step budget: each
-// lazily computed homomorphism charges Hom, each greedy round a step.
+// CostBasedBudget selects an answering view set greedily by cost per
+// newly covered LF element, over VFILTER's candidates, computing
+// homomorphisms lazily like Algorithm 2. It returns ErrNotAnswerable when
+// no answering subset exists among the candidates. Under the
+// cancellation/step budget b (nil: unbounded) each lazily computed
+// homomorphism charges Hom, each greedy round a step.
 func CostBasedBudget(q *pattern.Pattern, res *vfilter.Result, reg *views.Registry, params CostParams, b *budget.B) (*Selection, error) {
 	if err := fpCostBased.Fire(); err != nil {
 		return nil, err

@@ -20,7 +20,7 @@ func TestCostBasedOnBook(t *testing.T) {
 	reg, f := setupBook(t)
 	q := xpath.MustParse(paperdata.QueryE)
 	res := f.Filtering(q)
-	sel, err := selection.CostBased(q, res, reg, selection.DefaultCostParams())
+	sel, err := selection.CostBasedBudget(q, res, reg, selection.DefaultCostParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCostBasedPrefersSmallFragments(t *testing.T) {
 
 	q := xpath.MustParse("//s[t]/p")
 	res := f.Filtering(q)
-	sel, err := selection.CostBased(q, res, reg, selection.DefaultCostParams())
+	sel, err := selection.CostBasedBudget(q, res, reg, selection.DefaultCostParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,12 @@ func TestCostBasedEquivalence(t *testing.T) {
 		for qi := 0; qi < 25; qi++ {
 			q := pattern.Minimize(randomCostPattern(r, labels, 5))
 			res := f.Filtering(q)
-			sel, err := selection.CostBased(q, res, reg, selection.DefaultCostParams())
+			sel, err := selection.CostBasedBudget(q, res, reg, selection.DefaultCostParams(), nil)
 			if err != nil {
 				continue
 			}
 			answered++
-			out, err := rewrite.Execute(q, sel, fst)
+			out, err := rewrite.ExecuteOptions(q, sel, fst, nil, rewrite.Options{})
 			if err != nil {
 				t.Fatalf("rewrite: %v", err)
 			}

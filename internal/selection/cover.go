@@ -340,18 +340,14 @@ func (s *Selection) TotalFragmentBytes() int {
 	return total
 }
 
-// Minimum performs exact minimum selection over the given candidate
-// views: the smallest set whose covers answer Q (§IV-B's "naive method",
-// O(2^n) worst case, implemented as an element-driven set-cover search
-// with size pruning).
-func Minimum(q *pattern.Pattern, candidates []*views.View) (*Selection, error) {
-	return MinimumBudget(q, candidates, nil)
-}
-
-// MinimumBudget is Minimum under a cancellation/step budget: every
-// candidate homomorphism charges Hom, and every node of the subset-cover
-// search charges a step, so adversarial view sets that force the O(2^n)
-// worst case abort promptly instead of running away.
+// MinimumBudget performs exact minimum selection over the given
+// candidate views: the smallest set whose covers answer Q (§IV-B's
+// "naive method", O(2^n) worst case, implemented as an element-driven
+// set-cover search with size pruning). Under the cancellation/step
+// budget b (nil: unbounded) every candidate homomorphism charges Hom,
+// and every node of the subset-cover search charges a step, so
+// adversarial view sets that force the O(2^n) worst case abort promptly
+// instead of running away.
 func MinimumBudget(q *pattern.Pattern, candidates []*views.View, b *budget.B) (*Selection, error) {
 	if err := fpMinimum.Fire(); err != nil {
 		return nil, err
@@ -458,18 +454,14 @@ func minimumCover(q *pattern.Pattern, covers []*Cover, b *budget.B) ([]*Cover, e
 	return best, nil
 }
 
-// Heuristic implements Algorithm 2: greedy selection over VFilter's
-// sorted lists, computing homomorphisms lazily, preferring views whose
-// containing path pattern is longest (a proxy for smaller materialized
-// fragments). The "random" leaf choice of line 3 is made deterministic
-// (preorder) for reproducibility. The result is a minimal (not
-// necessarily minimum) answering set.
-func Heuristic(q *pattern.Pattern, res *vfilter.Result, reg *views.Registry) (*Selection, error) {
-	return HeuristicBudget(q, res, reg, nil)
-}
-
-// HeuristicBudget is Heuristic under a cancellation/step budget: each
-// lazily computed homomorphism charges Hom and each list probe a step.
+// HeuristicBudget implements Algorithm 2: greedy selection over
+// VFilter's sorted lists, computing homomorphisms lazily, preferring
+// views whose containing path pattern is longest (a proxy for smaller
+// materialized fragments). The "random" leaf choice of line 3 is made
+// deterministic (preorder) for reproducibility. The result is a minimal
+// (not necessarily minimum) answering set. Under the cancellation/step
+// budget b (nil: unbounded) each lazily computed homomorphism charges Hom
+// and each list probe a step.
 func HeuristicBudget(q *pattern.Pattern, res *vfilter.Result, reg *views.Registry, b *budget.B) (*Selection, error) {
 	if err := fpHeuristic.Fire(); err != nil {
 		return nil, err

@@ -60,7 +60,7 @@ func TestExample43Heuristic(t *testing.T) {
 	reg, f := setupBook(t)
 	q := xpath.MustParse(paperdata.QueryE)
 	res := f.Filtering(q)
-	sel, err := selection.Heuristic(q, res, reg)
+	sel, err := selection.HeuristicBudget(q, res, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestExample43Heuristic(t *testing.T) {
 func TestMinimumSelection(t *testing.T) {
 	reg, _ := setupBook(t)
 	q := xpath.MustParse(paperdata.QueryE)
-	sel, err := selection.Minimum(q, reg.ViewList)
+	sel, err := selection.MinimumBudget(q, reg.ViewList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,10 +52,10 @@ type View struct {
 	TotalBytes int
 	// Gen is the view's content generation: incremental maintenance bumps
 	// it whenever a mutation changes this view's fragment store (or fails
-	// partway through doing so), under every invalidation policy. Scoped
-	// plan invalidation tells dirty views from clean ones by it, and a
-	// join plan's remembered answers are valid exactly while it stands
-	// still. It is written under the owning System's write lock.
+	// partway through doing so). A join plan's remembered answers are
+	// valid exactly while it stands still: it is the one rule between a
+	// mutation and a stale answer, as cached plans outlive mutations. It
+	// is written under the owning System's write lock.
 	Gen uint64
 }
 
@@ -164,16 +164,18 @@ func (v *View) IsEmpty() bool { return len(v.Fragments) == 0 }
 // Registry holds the materialized view set V = {V1..Vn} over one
 // document.
 type Registry struct {
-	Doc      *xmltree.Tree
-	Enc      *dewey.Encoding
-	Index    *engine.LabelIndex
+	Doc   *xmltree.Tree
+	Enc   *dewey.Encoding
+	Index *engine.LabelIndex
+	// ViewList is indexed by view ID. IDs are never reused: a removed
+	// view's slot stays nil.
 	ViewList []*View
-	byID     map[int]*View
+	live     int
 }
 
 // NewRegistry creates an empty registry over an encoded document.
 func NewRegistry(doc *xmltree.Tree, enc *dewey.Encoding) *Registry {
-	return &Registry{Doc: doc, Enc: enc, Index: engine.BuildLabelIndex(doc), byID: make(map[int]*View)}
+	return &Registry{Doc: doc, Enc: enc, Index: engine.BuildLabelIndex(doc)}
 }
 
 // Add materializes a view pattern and registers it under the next free ID.
@@ -185,36 +187,37 @@ func (r *Registry) Add(p *pattern.Pattern, limit int) (*View, error) {
 		return nil, err
 	}
 	r.ViewList = append(r.ViewList, v)
-	r.byID[id] = v
+	r.live++
 	return v, nil
 }
 
 // Get returns the view with the given ID, or nil.
-func (r *Registry) Get(id int) *View { return r.byID[id] }
+func (r *Registry) Get(id int) *View {
+	if id < 0 || id >= len(r.ViewList) {
+		return nil
+	}
+	return r.ViewList[id]
+}
 
 // Len returns the number of live (non-removed) views.
-func (r *Registry) Len() int { return len(r.byID) }
+func (r *Registry) Len() int { return r.live }
 
-// Remove drops a view from the registry. IDs are never reused; the
-// ViewList slot is nilled out so existing indices stay valid. Returns
-// false for unknown or already-removed IDs.
+// Remove drops a view from the registry, nilling its ViewList slot.
+// Returns false for unknown or already-removed IDs.
 func (r *Registry) Remove(id int) bool {
-	v, ok := r.byID[id]
-	if !ok {
+	if r.Get(id) == nil {
 		return false
 	}
-	delete(r.byID, id)
-	if id >= 0 && id < len(r.ViewList) && r.ViewList[id] == v {
-		r.ViewList[id] = nil
-	}
+	r.ViewList[id] = nil
+	r.live--
 	return true
 }
 
 // Views returns the live views in ID order.
 func (r *Registry) Views() []*View {
-	out := make([]*View, 0, len(r.byID))
+	out := make([]*View, 0, r.live)
 	for _, v := range r.ViewList {
-		if v != nil && r.byID[v.ID] == v {
+		if v != nil {
 			out = append(out, v)
 		}
 	}

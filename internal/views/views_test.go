@@ -125,8 +125,18 @@ func TestRegistryIDs(t *testing.T) {
 	if a.ID != 0 || b.ID != 1 || reg.Len() != 2 {
 		t.Fatalf("IDs: %d %d len %d", a.ID, b.ID, reg.Len())
 	}
-	if reg.Get(0) != a || reg.Get(1) != b || reg.Get(99) != nil {
+	if reg.Get(0) != a || reg.Get(1) != b || reg.Get(99) != nil || reg.Get(-1) != nil {
 		t.Fatal("Get wrong")
+	}
+	// Removal frees the slot, never the ID; unknown and removed IDs fail.
+	if !reg.Remove(0) || reg.Remove(0) || reg.Remove(99) || reg.Remove(-1) {
+		t.Fatal("Remove: want true once for a live ID, false otherwise")
+	}
+	if reg.Len() != 1 || reg.Get(0) != nil || len(reg.Views()) != 1 || reg.Views()[0] != b {
+		t.Fatalf("after Remove(0): len %d, views %v", reg.Len(), reg.Views())
+	}
+	if c, _ := reg.Add(xpath.MustParse("//f"), 0); c.ID != 2 || reg.Len() != 2 {
+		t.Fatalf("ID after a removal = %d, want 2 (IDs are never reused)", c.ID)
 	}
 }
 

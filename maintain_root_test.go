@@ -403,88 +403,6 @@ func TestWALTornTail(t *testing.T) {
 	sameState(t, sys1, sys2, "torn-tail")
 }
 
-// TestScopedInvalidation: a mutation drops exactly the cached plans that
-// cover a dirtied view.
-func TestScopedInvalidation(t *testing.T) {
-	doc := xmark.Generate(xmark.Config{Scale: 0.02, Seed: 5})
-	sys, err := xpathviews.Open(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idCity, err := sys.AddView("//person/address/city", xpathviews.DefaultFragmentLimit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idLoc, err := sys.AddView("//item/location", xpathviews.DefaultFragmentLimit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qCity, qLoc := "//person/address/city", "//item/location"
-	warm := func(q string) {
-		t.Helper()
-		if _, err := sys.Answer(q, xpathviews.HV); err != nil {
-			t.Fatalf("warm %s: %v", q, err)
-		}
-		res, err := sys.Answer(q, xpathviews.HV)
-		if err != nil || !res.PlanCacheHit {
-			t.Fatalf("warm %s: second call not a hit (err=%v)", q, err)
-		}
-	}
-	hit := func(q string) bool {
-		t.Helper()
-		res, err := sys.Answer(q, xpathviews.HV)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		return res.PlanCacheHit
-	}
-	// Pick any item as the mutation target.
-	var item *xmltree.Node
-	sys.Document().Walk(func(n *xmltree.Node) bool {
-		if n.Label == "item" {
-			item = n
-			return false
-		}
-		return true
-	})
-	if item == nil {
-		t.Fatal("no item in the generated document")
-	}
-	itemCode := sys.Encoding().MustCode(item)
-
-	warm(qCity)
-	warm(qLoc)
-	genCity0, _ := sys.ViewGeneration(idCity)
-	genLoc0, _ := sys.ViewGeneration(idLoc)
-	inv0 := sys.PlanCacheStats().Invalidations
-
-	res, err := sys.InsertSubtree(itemCode, "<location/>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DirtyViews == 0 {
-		t.Fatal("inserting a location dirtied no view")
-	}
-	if g, _ := sys.ViewGeneration(idLoc); g != genLoc0+1 {
-		t.Fatalf("location view generation = %d, want %d", g, genLoc0+1)
-	}
-	if g, _ := sys.ViewGeneration(idCity); g != genCity0 {
-		t.Fatalf("city view generation moved to %d on an unrelated mutation", g)
-	}
-	if !hit(qCity) {
-		t.Fatal("scoped: plan over the untouched city view was dropped")
-	}
-	if hit(qLoc) {
-		t.Fatal("scoped: plan over the dirtied location view survived")
-	}
-	if inv := sys.PlanCacheStats().Invalidations; inv <= inv0 {
-		t.Fatalf("no invalidation recorded (before %d, after %d)", inv0, inv)
-	}
-	if !hit(qLoc) {
-		t.Fatal("recomputed location plan did not re-enter the cache")
-	}
-}
-
 // TestMaintainHammer: 64 goroutines of mixed reads, writes, and
 // generation watching. Run with -race for the full acceptance bar; the
 // final state must still equal a from-scratch materialization (every

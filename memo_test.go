@@ -41,149 +41,231 @@ func firstCode(t *testing.T, sys *xpathviews.System, label string) dewey.Code {
 }
 
 // TestMemoDifferentialXMark interleaves inserts and deletes with repeated
-// hot queries over XMark; in the addview run every mutation is followed
-// by an AddView, which drops every cached plan, so each memo-backed plan
-// is recomputed from scratch after the mutation. Every view answer —
-// the shared slice a memo hit returns, or a recompute — must equal a fresh (plan-cache-bypassing) rewrite and BN on the
-// document as it stands, every query must see both a memo hit and a
-// recompute right after a mutation that dirtied its views, and a
-// mutation must move the generation of exactly the views it dirtied.
+// hot queries over XMark, under each view strategy; in the addview run
+// every mutation is followed by an AddView, which drops every cached
+// plan, so each memo-backed plan is recomputed from scratch after the
+// mutation, while in the other run the plans outlive every mutation.
+// Every view answer — the shared slice a memo hit returns, or a
+// recompute — must equal a fresh (plan-cache-bypassing) rewrite and BN
+// on the document as it stands, every query must see both a memo hit and
+// a recompute right after a mutation that dirtied its views, and a
+// mutation must move the generation of exactly the views it dirtied. CV
+// is the strategy whose choice reads fragment bytes: the plan it keeps
+// across mutations was chosen on bytes that have since changed, and must
+// still answer exactly.
 func TestMemoDifferentialXMark(t *testing.T) {
 	for _, run := range []string{"mutations", "mutations+addview"} {
 		t.Run(run, func(t *testing.T) {
-			sys, err := xpathviews.Open(xmark.Generate(xmark.Config{Scale: 0.02, Seed: 77}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var viewIDs []int
-			for _, v := range []string{
-				"//person/address/city",
-				"//person[address]/name",
-				"//item[location]/name",
-				"//person/name",
-			} {
-				id, err := sys.AddView(v, xpathviews.DefaultFragmentLimit)
-				if err != nil {
-					t.Fatal(err)
-				}
-				viewIDs = append(viewIDs, id)
-			}
-			queries := []string{
-				"//person/name",               // one strong cover: no join stage
-				"//person[address/city]/name", // two covers joined
-				"//item[location]/name",
-			}
-			hits := make([]int, len(queries))
-			missesAfterMutation := make([]int, len(queries))
-			// ask runs every hot query three times against the current
-			// document; fresh marks the calls that follow a mutation.
-			ask := func(tag string, dirtied bool) {
-				t.Helper()
-				for qi, q := range queries {
-					base, err := sys.Answer(q, xpathviews.BN)
-					if err != nil {
-						t.Fatalf("%s: BN %s: %v", tag, q, err)
-					}
-					want := answerCodes(base)
-					fresh, err := sys.AnswerContext(context.Background(), q,
-						xpathviews.Options{Strategy: xpathviews.HV, NoPlanCache: true})
-					if err != nil {
-						t.Fatalf("%s: fresh HV %s: %v", tag, q, err)
-					}
-					if fresh.Memo || !slices.Equal(answerCodes(fresh), want) {
-						t.Fatalf("%s: fresh HV %s (memo=%v) diverges from BN:\n got %v\nwant %v",
-							tag, q, fresh.Memo, answerCodes(fresh), want)
-					}
-					for rep := 0; rep < 3; rep++ {
-						res, err := sys.Answer(q, xpathviews.HV)
-						if err != nil {
-							t.Fatalf("%s: HV %s: %v", tag, q, err)
-						}
-						if got := answerCodes(res); !slices.Equal(got, want) {
-							t.Fatalf("%s: HV %s (memo=%v, rep %d) diverges from BN:\n got %v\nwant %v",
-								tag, q, res.Memo, rep, got, want)
-						}
-						switch {
-						case res.Memo:
-							hits[qi]++
-						case rep == 0 && dirtied:
-							missesAfterMutation[qi]++
-						case rep > 0:
-							t.Fatalf("%s: HV %s rep %d recomputed although nothing changed since rep 0", tag, q, rep)
-						}
-					}
-				}
-			}
-			gens := func() []uint64 {
-				out := make([]uint64, len(viewIDs))
-				for i, id := range viewIDs {
-					out[i], _ = sys.ViewGeneration(id)
-				}
-				return out
-			}
-			// mutate applies one mutation and checks the generation rule.
-			mutate := func(tag string, f func() (*xpathviews.MaintainResult, error)) *xpathviews.MaintainResult {
-				t.Helper()
-				before := gens()
-				res, err := f()
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				moved := 0
-				for i, g := range gens() {
-					if g != before[i] && g != before[i]+1 {
-						t.Fatalf("%s: view %d generation %d -> %d", tag, viewIDs[i], before[i], g)
-					}
-					if g != before[i] {
-						moved++
-					}
-				}
-				if moved != res.DirtyViews {
-					t.Fatalf("%s: %d generations moved, %d views dirtied", tag, moved, res.DirtyViews)
-				}
-				if run == "mutations+addview" {
-					// A view no hot query uses: only the plan generation moves.
-					if _, err := sys.AddView("//closed_auction/price", xpathviews.DefaultFragmentLimit); err != nil {
-						t.Fatalf("%s: AddView: %v", tag, err)
-					}
-				}
-				return res
-			}
-
-			ask("seed", false)
-			people, region := firstCode(t, sys, "people"), firstCode(t, sys, "africa")
-			for round := 0; round < 4; round++ {
-				tag := fmt.Sprintf("round-%d", round)
-				// Targeted: a person and an item that enter every hot
-				// query's answer, then leave it again.
-				p := mutate(tag+" insert person", func() (*xpathviews.MaintainResult, error) {
-					return sys.InsertSubtree(people, "<person><name/><address><city/></address></person>")
-				})
-				it := mutate(tag+" insert item", func() (*xpathviews.MaintainResult, error) {
-					return sys.InsertSubtree(region, "<item><location/><name/></item>")
-				})
-				if p.DirtyViews == 0 || it.DirtyViews == 0 {
-					t.Fatalf("%s: targeted inserts dirtied %d and %d views", tag, p.DirtyViews, it.DirtyViews)
-				}
-				ask(tag+" inserted", true)
-				mutate(tag+" delete person", func() (*xpathviews.MaintainResult, error) { return sys.DeleteSubtree(p.Code) })
-				mutate(tag+" delete item", func() (*xpathviews.MaintainResult, error) { return sys.DeleteSubtree(it.Code) })
-				ask(tag+" deleted", true)
-			}
-			// Random: whatever the mutator hits, hit or miss, answers hold.
-			m := &mutator{rng: rand.New(rand.NewSource(18))}
-			for i := 0; i < 30; i++ {
-				m.step(t, sys)
-				ask(fmt.Sprintf("random-%d", i), false)
-			}
-			freshEqual(t, sys, "end")
-			for qi, q := range queries {
-				if hits[qi] == 0 || missesAfterMutation[qi] == 0 {
-					t.Fatalf("%s: %d memo hits, %d recomputes after a dirtying mutation; want both > 0",
-						q, hits[qi], missesAfterMutation[qi])
-				}
+			for _, strat := range []xpathviews.Strategy{xpathviews.HV, xpathviews.MV, xpathviews.MN, xpathviews.CV} {
+				t.Run(strat.String(), func(t *testing.T) { memoDifferential(t, run, strat) })
 			}
 		})
+	}
+}
+
+func memoDifferential(t *testing.T, run string, strat xpathviews.Strategy) {
+	sys, err := xpathviews.Open(xmark.Generate(xmark.Config{Scale: 0.02, Seed: 77}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viewIDs []int
+	for _, v := range []string{
+		"//person/address/city",
+		"//person[address]/name",
+		"//item[location]/name",
+		"//person/name",
+	} {
+		id, err := sys.AddView(v, xpathviews.DefaultFragmentLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viewIDs = append(viewIDs, id)
+	}
+	queries := []string{
+		"//person/name",               // one strong cover: no join stage
+		"//person[address/city]/name", // two covers joined
+		"//item[location]/name",
+	}
+	hits := make([]int, len(queries))
+	missesAfterMutation := make([]int, len(queries))
+	// ask runs every hot query three times against the current
+	// document; dirtied marks the calls that follow a mutation.
+	ask := func(tag string, dirtied bool) {
+		t.Helper()
+		for qi, q := range queries {
+			base, err := sys.Answer(q, xpathviews.BN)
+			if err != nil {
+				t.Fatalf("%s: BN %s: %v", tag, q, err)
+			}
+			want := answerCodes(base)
+			fresh, err := sys.AnswerContext(context.Background(), q,
+				xpathviews.Options{Strategy: strat, NoPlanCache: true})
+			if err != nil {
+				t.Fatalf("%s: fresh %v %s: %v", tag, strat, q, err)
+			}
+			if fresh.Memo || !slices.Equal(answerCodes(fresh), want) {
+				t.Fatalf("%s: fresh %v %s (memo=%v) diverges from BN:\n got %v\nwant %v",
+					tag, strat, q, fresh.Memo, answerCodes(fresh), want)
+			}
+			for rep := 0; rep < 3; rep++ {
+				res, err := sys.Answer(q, strat)
+				if err != nil {
+					t.Fatalf("%s: %v %s: %v", tag, strat, q, err)
+				}
+				if got := answerCodes(res); !slices.Equal(got, want) {
+					t.Fatalf("%s: %v %s (memo=%v, rep %d) diverges from BN:\n got %v\nwant %v",
+						tag, strat, q, res.Memo, rep, got, want)
+				}
+				switch {
+				case res.Memo:
+					hits[qi]++
+				case rep == 0 && dirtied:
+					missesAfterMutation[qi]++
+				case rep > 0:
+					t.Fatalf("%s: %v %s rep %d recomputed although nothing changed since rep 0", tag, strat, q, rep)
+				}
+			}
+		}
+	}
+	gens := func() []uint64 {
+		out := make([]uint64, len(viewIDs))
+		for i, id := range viewIDs {
+			out[i], _ = sys.ViewGeneration(id)
+		}
+		return out
+	}
+	// mutate applies one mutation and checks the generation rule.
+	mutate := func(tag string, f func() (*xpathviews.MaintainResult, error)) *xpathviews.MaintainResult {
+		t.Helper()
+		before := gens()
+		res, err := f()
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		moved := 0
+		for i, g := range gens() {
+			if g != before[i] && g != before[i]+1 {
+				t.Fatalf("%s: view %d generation %d -> %d", tag, viewIDs[i], before[i], g)
+			}
+			if g != before[i] {
+				moved++
+			}
+		}
+		if moved != res.DirtyViews {
+			t.Fatalf("%s: %d generations moved, %d views dirtied", tag, moved, res.DirtyViews)
+		}
+		if run == "mutations+addview" {
+			// A view no hot query uses: only the plan generation moves.
+			if _, err := sys.AddView("//closed_auction/price", xpathviews.DefaultFragmentLimit); err != nil {
+				t.Fatalf("%s: AddView: %v", tag, err)
+			}
+		}
+		return res
+	}
+
+	ask("seed", false)
+	people, region := firstCode(t, sys, "people"), firstCode(t, sys, "africa")
+	for round := 0; round < 4; round++ {
+		tag := fmt.Sprintf("round-%d", round)
+		// Targeted: a person and an item that enter every hot
+		// query's answer, then leave it again.
+		p := mutate(tag+" insert person", func() (*xpathviews.MaintainResult, error) {
+			return sys.InsertSubtree(people, "<person><name/><address><city/></address></person>")
+		})
+		it := mutate(tag+" insert item", func() (*xpathviews.MaintainResult, error) {
+			return sys.InsertSubtree(region, "<item><location/><name/></item>")
+		})
+		if p.DirtyViews == 0 || it.DirtyViews == 0 {
+			t.Fatalf("%s: targeted inserts dirtied %d and %d views", tag, p.DirtyViews, it.DirtyViews)
+		}
+		ask(tag+" inserted", true)
+		mutate(tag+" delete person", func() (*xpathviews.MaintainResult, error) { return sys.DeleteSubtree(p.Code) })
+		mutate(tag+" delete item", func() (*xpathviews.MaintainResult, error) { return sys.DeleteSubtree(it.Code) })
+		ask(tag+" deleted", true)
+	}
+	// Random: whatever the mutator hits, hit or miss, answers hold.
+	m := &mutator{rng: rand.New(rand.NewSource(18))}
+	for i := 0; i < 30; i++ {
+		m.step(t, sys)
+		ask(fmt.Sprintf("random-%d", i), false)
+	}
+	freshEqual(t, sys, "end")
+	for qi, q := range queries {
+		if hits[qi] == 0 || missesAfterMutation[qi] == 0 {
+			t.Fatalf("%s: %d memo hits, %d recomputes after a dirtying mutation; want both > 0",
+				q, hits[qi], missesAfterMutation[qi])
+		}
+	}
+}
+
+// TestMemoAfterMutation: a mutation drops no cached plan. The plan over
+// the dirtied view keeps hitting and recomputes its remembered answers
+// once, equal to BN on the mutated document, then serves them again; the
+// plan over the untouched view stays a memo hit throughout.
+func TestMemoAfterMutation(t *testing.T) {
+	sys, err := xpathviews.Open(xmark.Generate(xmark.Config{Scale: 0.02, Seed: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idCity, err := sys.AddView("//person/address/city", xpathviews.DefaultFragmentLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idLoc, err := sys.AddView("//item/location", xpathviews.DefaultFragmentLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qCity, qLoc := "//person/address/city", "//item/location"
+	answer := func(q string) *xpathviews.Result {
+		t.Helper()
+		res, err := sys.Answer(q, xpathviews.HV)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return res
+	}
+	for _, q := range []string{qCity, qLoc} {
+		answer(q)
+		if res := answer(q); !res.PlanCacheHit || !res.Memo {
+			t.Fatalf("warm %s: plan hit %v, memo %v", q, res.PlanCacheHit, res.Memo)
+		}
+	}
+	genCity0, _ := sys.ViewGeneration(idCity)
+	genLoc0, _ := sys.ViewGeneration(idLoc)
+	inv0 := sys.PlanCacheStats().Invalidations
+
+	mres, err := sys.InsertSubtree(firstCode(t, sys, "item"), "<location/>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mres.DirtyViews == 0 {
+		t.Fatal("inserting a location dirtied no view")
+	}
+	if g, _ := sys.ViewGeneration(idLoc); g != genLoc0+1 {
+		t.Fatalf("location view generation = %d, want %d", g, genLoc0+1)
+	}
+	if g, _ := sys.ViewGeneration(idCity); g != genCity0 {
+		t.Fatalf("city view generation moved to %d on an unrelated mutation", g)
+	}
+
+	base, err := sys.Answer(qLoc, xpathviews.BN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := answerCodes(base)
+	if res := answer(qLoc); !res.PlanCacheHit || res.Memo || !slices.Equal(answerCodes(res), want) {
+		t.Fatalf("dirtied view's first call: plan hit %v (want true), memo %v (want false), %d answers (BN %d)",
+			res.PlanCacheHit, res.Memo, len(res.Answers), len(want))
+	}
+	if res := answer(qLoc); !res.PlanCacheHit || !res.Memo || !slices.Equal(answerCodes(res), want) {
+		t.Fatalf("dirtied view's second call: plan hit %v, memo %v, %d answers (BN %d)",
+			res.PlanCacheHit, res.Memo, len(res.Answers), len(want))
+	}
+	if res := answer(qCity); !res.PlanCacheHit || !res.Memo {
+		t.Fatalf("clean view's call: plan hit %v, memo %v", res.PlanCacheHit, res.Memo)
+	}
+	if inv := sys.PlanCacheStats().Invalidations; inv != inv0 {
+		t.Fatalf("a mutation invalidated cached plans: %d -> %d", inv0, inv)
 	}
 }
 

@@ -22,10 +22,9 @@ package xpathviews
 //     The pattern is re-evaluated only inside the dirty root's subtree
 //     and the result spliced over the matching code-prefix range of the
 //     fragment store, preserving document order.
-//  4. Plan invalidation is scoped: a maintenance pass that changes a
-//     view's fragments bumps that view's generation, and cached plans
-//     record the (view, generation) pairs they cover — only plans
-//     touching a dirty view are dropped (see plan.go).
+//  4. No cached plan is dropped: a maintenance pass that changes a
+//     view's fragments bumps that view's generation, and a plan over it
+//     recomputes the answers it remembers on its next call (see plan.go).
 //  5. With a WAL attached (AttachWAL), each applied mutation appends one
 //     CRC-framed record to the store; a torn final append is truncated
 //     by storage.Open before replay sees it.
@@ -384,7 +383,7 @@ func (s *System) dirtyDepthsLocked(chain []*xmltree.Node, mutLabels map[string]s
 }
 
 // maintainViewsLocked runs the per-view delta pass for a mutation rooted
-// at mutCode and applies the configured plan-invalidation policy. chain
+// at mutCode, bumping the generation of every view it dirtied. chain
 // is the post-mutation root-to-mutation-root node chain (its last entry
 // nil after a delete) and depths[i] the dirty depth of registry.Views()[i]
 // along it.
@@ -399,10 +398,10 @@ func (s *System) maintainViewsLocked(mutCode dewey.Code, chain []*xmltree.Node, 
 			res.ViewsScanned++
 			res.NodesScanned += st.NodesScanned
 		}
-		// Gen is the unconditional truth about v's fragments: cached plans
-		// and the answers they remember are valid exactly while it stands
-		// still, in either invalidation mode. A failed pass may have
-		// spliced or refreshed part of the store before it stopped.
+		// Gen is the unconditional truth about v's fragments: the answers
+		// a cached plan remembers are valid exactly while it stands still.
+		// A failed pass may have spliced or refreshed part of the store
+		// before it stopped.
 		if st.Changed || err != nil {
 			v.Gen++
 		}

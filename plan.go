@@ -10,19 +10,18 @@ package xpathviews
 // and the covered views' content alone, so the plan's rewrite.JoinPlan
 // remembers that list until a covered view's generation moves.
 //
-// Plans are invalidated lazily at two granularities. View-SET changes
-// (AddView, RemoveView, CompactFilter, EnableAttributePruning, and
-// ApplyAdvice through AddView) bump a global generation counter on
-// System: a plan written under an older generation is recomputed on its
-// next touch, so a cached selection can never serve a dropped view.
-// Document MUTATIONS (InsertSubtree/DeleteSubtree, see mutate.go) are
-// scoped: each plan records the (view, generation) pairs its selection
-// covers, maintenance bumps only the generations of views whose
-// fragments actually changed, and a validator callback run inside the
-// cache drops exactly the plans that touch a dirty view — the rest of
-// the cache survives the update storm; the remembered Δ-list dies with
-// its plan (and checks the same pairs itself before use). A thundering
-// herd on a cold key coalesces onto one computation (singleflight).
+// A plan is a pattern-level object, checked once: §IV decides
+// answerability from the view and query patterns alone, and
+// rewrite.PlanJoin checks it when it builds the plan's join skeleton. A
+// plan is dropped only by LRU eviction or when the view SET changes:
+// AddView, RemoveView, CompactFilter and EnableAttributePruning (and
+// ApplyAdvice through AddView) bump a generation counter on System, and
+// a plan written under an older one is recomputed on its next touch, so
+// a cached selection never serves a dropped view. Document MUTATIONS
+// (mutate.go) keep every plan: maintenance bumps the content generation
+// of each view it dirtied, and the join plan reuses its remembered
+// answers only while those generations stand still. A thundering herd on
+// a cold key coalesces onto one computation (singleflight).
 
 import (
 	"errors"
@@ -33,7 +32,6 @@ import (
 	"xpathviews/internal/plancache"
 	"xpathviews/internal/rewrite"
 	"xpathviews/internal/selection"
-	"xpathviews/internal/views"
 	"xpathviews/internal/viewstats"
 )
 
@@ -73,30 +71,11 @@ type queryPlan struct {
 	// unanswerable queries — the common case in a fallback chain — skip
 	// filtering and selection too.
 	err error
-	// predCost is the §IV-B predicted cost of the selection (sum of
-	// selection.DefaultCostParams().Cost over the chosen views),
-	// captured at plan time so serving can calibrate the cost model
-	// against realized execution time without touching the registry.
-	// Zero for negative plans.
-	predCost float64
 	// patHash is the pattern-sketch hash of the minimized query
 	// (viewstats.HashQuery over q.String()), feeding the workload-drift
 	// detector on every touch of this plan — including negative plans:
 	// unanswerable traffic is drift too.
 	patHash uint64
-	// covers records the views the selection uses and their content
-	// generations at plan time; planValidLocked compares them against the
-	// live registry so document mutations only evict the plans they
-	// dirtied. Negative plans cover nothing: answerability is
-	// pattern-level and survives content changes.
-	covers []planCover
-}
-
-// planCover is one (view, generation) dependency of a cached plan.
-type planCover struct {
-	id  int
-	v   *views.View
-	gen uint64
 }
 
 // planInfo is the observable by-product of computing a plan: the
@@ -204,7 +183,7 @@ func (s *System) planLocked(q *pattern.Pattern, strat Strategy, b *budget.B, use
 	gen := s.planGen.Load()
 	key := planKey(strat, q.String())
 	computed := false
-	v, err, shared := s.plans.GetOrComputeValidated(key, gen, s.planValidator(), func() (any, error) {
+	v, err, shared := s.plans.GetOrCompute(key, gen, func() (any, error) {
 		computed = true
 		return s.computePlanLocked(q, strat, b, co)
 	})
@@ -238,41 +217,13 @@ func (s *System) computePlanLocked(q *pattern.Pattern, strat Strategy, b *budget
 		return nil, err
 	}
 	pl := &queryPlan{q: q, sel: sel, info: info, patHash: patHash}
-	costParams := selection.DefaultCostParams()
-	for _, c := range sel.Covers {
-		pl.predCost += costParams.Cost(c.View)
-	}
-	// A selection that passed Answerable always has a Δ-view, so this
-	// only fails on malformed hand-built selections; the rewrite stage
+	// A selection the strategies return always answers q, so this only
+	// fails on malformed hand-built selections; the rewrite stage
 	// re-derives (and re-rejects) in that case.
 	if jp, jerr := rewrite.PlanJoin(q, sel.Covers); jerr == nil {
 		pl.join = jp
 	}
-	for _, c := range sel.Covers {
-		pl.covers = append(pl.covers, planCover{id: c.View.ID, v: c.View, gen: c.View.Gen})
-	}
 	return pl, nil
-}
-
-// planValidator returns the cache validator for scoped invalidation: a
-// plan is live while every covered view is still registered as the same
-// object at the same content generation. Runs under the shard lock with
-// s.mu already held (read or write), which is the established lock
-// order; registry and generations only change under s.mu (write), so the
-// read here is stable.
-func (s *System) planValidator() func(any) bool {
-	return func(v any) bool {
-		pl, ok := v.(*queryPlan)
-		if !ok {
-			return false
-		}
-		for _, c := range pl.covers {
-			if s.registry.Get(c.id) != c.v || c.v.Gen != c.gen {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 // putPlanAlias stores pl under an additional key (the raw source
@@ -282,10 +233,10 @@ func (s *System) putPlanAlias(key string, pl *queryPlan) {
 	s.plans.Put(key, s.planGen.Load(), pl)
 }
 
-// lookupPlan fetches a plan by key under the current generation and the
-// scoped-invalidation validator. Called under s.mu (read).
+// lookupPlan fetches a plan by key under the current generation. Called
+// under s.mu (read).
 func (s *System) lookupPlan(key string) (*queryPlan, bool) {
-	v, ok := s.plans.GetValidated(key, s.planGen.Load(), s.planValidator())
+	v, ok := s.plans.Get(key, s.planGen.Load())
 	if !ok {
 		return nil, false
 	}

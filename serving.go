@@ -346,7 +346,7 @@ func (s *System) answerLocked(q *pattern.Pattern, strat Strategy, alias string, 
 	case Contained:
 		sp := co.child("contained")
 		out, err := runStage("rewrite.contained", func() (*rewrite.ContainedResult, error) {
-			return rewrite.ContainedBudget(q, s.registry.ViewList, s.fst, b)
+			return rewrite.ContainedBudget(q, s.registry.ViewList, b)
 		})
 		if err != nil {
 			sp.Err(err)
@@ -449,17 +449,23 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 	res.GallopHits = out.GallopHits
 	refine, join, extract := b.Nanos(budget.Refine), b.Nanos(budget.Join), b.Nanos(budget.Extract)
 	// Attribute the answered call to its contributing views and fold the
-	// predicted §IV-B cost against the realized rewrite time into the
-	// calibration model. The cost predicts refine + join + extract, so a
-	// memo-served call counts as a query but realizes nothing to calibrate
-	// against. All counters are atomics over pre-grown slots — no
-	// allocation on the steady-state path.
+	// predicted §IV-B cost (over the covers' fragment bytes as they stand)
+	// against the realized rewrite time into the calibration model. The
+	// cost predicts refine + join + extract, so a memo-served call counts
+	// as a query but realizes nothing to calibrate against. All counters
+	// are atomics over pre-grown slots — no allocation on the steady-state
+	// path.
 	if vs != nil {
-		realized := refine + join + extract
-		if out.Memo {
-			realized = 0
+		var predCost float64
+		var realized int64
+		if !out.Memo {
+			realized = refine + join + extract
+			costParams := selection.DefaultCostParams()
+			for _, c := range pl.sel.Covers {
+				predCost += costParams.Cost(c.View)
+			}
 		}
-		rel := vs.RecordQuery(pl.predCost, realized)
+		rel := vs.RecordQuery(predCost, realized)
 		if rel >= 0 && co.m != nil {
 			co.m.calErr.Observe(int64(rel * 1e6))
 		}

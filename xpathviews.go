@@ -122,9 +122,9 @@ type System struct {
 	rec atomic.Pointer[advisor.Recorder]
 
 	// plans memoizes query plans (see plan.go); planGen is the view-set
-	// generation — bumped under the write lock by every mutation, read
-	// under the read lock by queries, so a cached selection can never
-	// outlive the views it references.
+	// generation — bumped under the write lock by every view-set change
+	// (not by document mutations), read under the read lock by queries,
+	// so a cached selection can never outlive the views it references.
 	plans   *plancache.Cache
 	planGen atomic.Uint64
 
