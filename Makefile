@@ -33,7 +33,9 @@ test:
 # hammers (the memo's generation check is the one guard between a
 # mutation and a stale answer), the degraded-path memo tests (refused
 # queries answered from their negative plan's contained and BN memos
-# beside a mutating writer), the contained rung's dedup differential
+# beside a mutating writer), the plan-entry hammer (readers of several
+# spellings and strategies sharing one entry per query beside view-set
+# changes and mutations), the contained rung's dedup differential
 # and the filtering-pass tests (pooled scratch reused across filters, 64
 # readers of one filter): a publication race or a scratch handed to two
 # readers shows up in a few schedules, not in every one. The same goes for the label-path tests: refinement
@@ -42,7 +44,7 @@ test:
 # Advise intern new paths.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestMemo|TestDegradedMemo|TestContainedDedup|TestJoinMutationHammer|TestMaintainHammer' . ./internal/rewrite
+	$(GO) test -race -count=10 -run 'TestMemo|TestDegradedMemo|TestPlanEntryHammer|TestContainedDedup|TestJoinMutationHammer|TestMaintainHammer' . ./internal/rewrite
 	$(GO) test -race -count=10 -run 'TestFilter(Differential|ScratchReuse|Concurrent)' ./internal/vfilter
 	$(GO) test -race -count=10 -run 'TestRefine(Differential|ScratchReuse)|TestLabelPath' ./internal/rewrite ./internal/views
 	$(GO) test -race -count=10 -run 'TestLabelPathHammer' .

@@ -74,10 +74,17 @@ type B struct {
 	nanos             [numStages]int64
 }
 
-// New builds a meter over ctx. maxSteps caps cheap work units, maxHoms
-// caps homomorphism computations; zero or negative means unlimited. A nil
-// ctx means context.Background().
+// New builds a meter over ctx (see Reset).
 func New(ctx context.Context, maxSteps, maxHoms int64) *B {
+	b := new(B)
+	b.Reset(ctx, maxSteps, maxHoms)
+	return b
+}
+
+// Reset starts b afresh over ctx, in place. maxSteps caps cheap work
+// units, maxHoms caps homomorphism computations; zero or negative means
+// unlimited. A nil ctx means context.Background().
+func (b *B) Reset(ctx context.Context, maxSteps, maxHoms int64) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -87,8 +94,8 @@ func New(ctx context.Context, maxSteps, maxHoms int64) *B {
 	if maxHoms <= 0 {
 		maxHoms = math.MaxInt64
 	}
-	return &B{ctx: ctx, maxSteps: maxSteps, maxHoms: maxHoms,
-		steps: maxSteps, homs: maxHoms, untilPoll: checkInterval}
+	b.ctx, b.maxSteps, b.maxHoms, b.steps, b.homs = ctx, maxSteps, maxHoms, maxSteps, maxHoms
+	b.untilPoll, b.mark, b.nanos = checkInterval, 0, [numStages]int64{}
 }
 
 // Spent returns the work charged so far, including a charge that

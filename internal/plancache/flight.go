@@ -13,6 +13,12 @@ package plancache
 
 import "sync"
 
+type flight struct {
+	done chan struct{}
+	val  any
+	err  error
+}
+
 // Group coalesces concurrent calls with the same key. The zero value is
 // ready to use.
 type Group struct {

@@ -1,6 +1,6 @@
 // Package plancache implements the serving layer's memoized query plans:
-// a sharded LRU keyed by the normalized query string, with per-key
-// singleflight and generation-based lazy invalidation.
+// a sharded LRU keyed by query text, with per-key singleflight and
+// generation-based lazy invalidation.
 //
 // The cache exploits the observation behind Mandhani & Suciu's cached-
 // view scenario (the paper's [19]): real XPath
@@ -9,9 +9,10 @@
 // selection (§IV) — is worth computing once and replaying. Values are
 // opaque to this package; the serving layer stores its plan structs.
 //
-// Sharding: keys are hashed with FNV-1a and distributed over a power-of-
-// two number of shards, each with its own mutex, hash map and intrusive
-// LRU list, so concurrent lookups on different keys rarely contend.
+// Sharding: keys are hashed with hash/maphash (the runtime's string
+// hash, word at a time) and distributed over a power-of-two number of
+// shards, each with its own mutex, hash map and intrusive LRU list, so
+// concurrent lookups on different keys rarely contend.
 //
 // Singleflight: when many goroutines miss on the same key at once (a
 // thundering herd on a cold popular query), one of them computes the
@@ -25,11 +26,12 @@
 package plancache
 
 import (
+	"hash/maphash"
 	"sync"
 )
 
-// Stats reports cache effectiveness counters. Waiters that obtained a
-// plan from another goroutine's in-flight computation count as hits.
+// Stats reports cache effectiveness counters. Hits and Misses count
+// lookups, GetOrCompute's included.
 type Stats struct {
 	Hits          uint64
 	Misses        uint64
@@ -40,8 +42,10 @@ type Stats struct {
 // Cache is a sharded, generation-checked LRU. The zero value is not
 // usable; construct with New.
 type Cache struct {
-	shards []shard
-	mask   uint32
+	shards  []shard
+	flights Group
+	seed    maphash.Seed
+	mask    uint64
 	// perShard is each shard's entry capacity.
 	perShard int
 }
@@ -70,10 +74,9 @@ func New(capacity, nshards int) *Cache {
 	if per < 1 {
 		per = 1
 	}
-	c := &Cache{shards: make([]shard, n), mask: uint32(n - 1), perShard: per}
+	c := &Cache{shards: make([]shard, n), seed: maphash.MakeSeed(), mask: uint64(n - 1), perShard: per}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]*entry)
-		c.shards[i].flights = make(map[string]*flight)
 	}
 	return c
 }
@@ -86,37 +89,16 @@ type entry struct {
 	prev, next *entry
 }
 
-type flight struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
 type shard struct {
 	mu      sync.Mutex
 	entries map[string]*entry
 	// head is the most recently used entry, tail the least.
 	head, tail *entry
-	flights    map[string]*flight
 	stats      Stats
 }
 
-// fnv1a is the 32-bit FNV-1a hash of s (the shard selector).
-func fnv1a(s string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime32
-	}
-	return h
-}
-
 func (c *Cache) shardFor(key string) *shard {
-	return &c.shards[fnv1a(key)&c.mask]
+	return &c.shards[maphash.String(c.seed, key)&c.mask]
 }
 
 // Get returns the cached value for key if present and written under gen.
@@ -162,46 +144,19 @@ func (c *Cache) Put(key string, gen uint64, value any) {
 // budget or cancellation, not this caller's — callers that care should
 // recompute locally (without coalescing) when err != nil && shared.
 func (c *Cache) GetOrCompute(key string, gen uint64, fn func() (any, error)) (v any, err error, shared bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		if e.gen == gen {
-			s.moveToFront(e)
-			s.stats.Hits++
-			v := e.value // copy under the lock: remove may nil it out after
-			s.mu.Unlock()
-			return v, nil, false
+	if v, ok := c.Get(key, gen); ok {
+		return v, nil, false
+	}
+	return c.flights.Do(key, func() (any, error) {
+		if v, ok := c.Get(key, gen); ok {
+			return v, nil // a leader stored it since our lookup
 		}
-		s.remove(e)
-		s.stats.Invalidations++
-	}
-	if f, ok := s.flights[key]; ok {
-		// Coalesce onto the in-flight computation.
-		s.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, f.err, true
+		v, err := fn()
+		if err == nil {
+			c.Put(key, gen, v)
 		}
-		s.mu.Lock()
-		s.stats.Hits++
-		s.mu.Unlock()
-		return f.val, nil, true
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.stats.Misses++
-	s.mu.Unlock()
-
-	f.val, f.err = fn()
-
-	s.mu.Lock()
-	delete(s.flights, key)
-	if f.err == nil {
-		s.put(c.perShard, key, gen, f.val)
-	}
-	s.mu.Unlock()
-	close(f.done)
-	return f.val, f.err, false
+		return v, err
+	})
 }
 
 // put inserts or refreshes an entry; the caller holds s.mu.

@@ -173,7 +173,9 @@ func PlanJoin(q *pattern.Pattern, covers []*selection.Cover) (*JoinPlan, error) 
 // Instances are pooled (joinerPool) so a steady-state join allocates
 // nothing, and the hot placement loops are plain methods: the
 // closure-per-node-visit of the old backtracker was one heap allocation
-// per candidate probe.
+// per candidate probe. The meter that aborts the search is passed down
+// the placement calls rather than kept on the pooled joiner, so a
+// caller's meter never escapes to the heap through it.
 type joiner struct {
 	p  *JoinPlan
 	vt *vtree
@@ -183,8 +185,7 @@ type joiner struct {
 	chain     []int32 // chain[d] = depth-d ancestor of the anchor
 	deltaFrag *views.Fragment
 
-	// b aborts the backtracking search; err sticks once set.
-	b   *budget.B
+	// err, the meter's verdict that aborted the search, sticks once set.
 	err error
 }
 
@@ -192,16 +193,16 @@ type joiner struct {
 // vtPool does for the arena.
 var joinerPool = sync.Pool{New: func() any { return &joiner{} }}
 
-func acquireJoiner(p *JoinPlan, vt *vtree, b *budget.B) *joiner {
+func acquireJoiner(p *JoinPlan, vt *vtree) *joiner {
 	j := joinerPool.Get().(*joiner)
-	j.p, j.vt, j.b, j.err = p, vt, b, nil
+	j.p, j.vt, j.err = p, vt, nil
 	n := len(p.labels)
 	j.assign = slices.Grow(j.assign[:0], n)[:n]
 	return j
 }
 
 func releaseJoiner(j *joiner) {
-	j.p, j.vt, j.b, j.deltaFrag, j.err = nil, nil, nil, nil, nil
+	j.p, j.vt, j.deltaFrag, j.err = nil, nil, nil, nil
 	joinerPool.Put(j)
 }
 
@@ -209,12 +210,12 @@ func releaseJoiner(j *joiner) {
 // one embedding of the upper pattern in the virtual tree, charging one
 // budget step per embedding attempt.
 func joinUpper(p *JoinPlan, refined []refinedView, vt *vtree, anchors []int32, b *budget.B) ([]*views.Fragment, error) {
-	j := acquireJoiner(p, vt, b)
+	j := acquireJoiner(p, vt)
 	defer releaseJoiner(j)
 	frags := refined[p.deltaIdx].frags
 	out := make([]*views.Fragment, 0, len(frags))
 	for fi, frag := range frags {
-		if j.embed(frag, anchors[fi]) {
+		if j.embed(b, frag, anchors[fi]) {
 			out = append(out, frag)
 		}
 		if j.err != nil {
@@ -226,7 +227,7 @@ func joinUpper(p *JoinPlan, refined []refinedView, vt *vtree, anchors []int32, b
 
 // embed reports whether the upper pattern embeds with the Δ landing node
 // pinned to this fragment's anchor node.
-func (j *joiner) embed(frag *views.Fragment, anchor int32) bool {
+func (j *joiner) embed(b *budget.B, frag *views.Fragment, anchor int32) bool {
 	j.deltaFrag = frag
 	for i := range j.assign {
 		j.assign[i] = -1
@@ -248,10 +249,10 @@ func (j *joiner) embed(frag *views.Fragment, anchor int32) bool {
 		return false
 	}
 	if j.p.axes[rootIdx] == pattern.Child {
-		return j.try(rootIdx, j.chain[0])
+		return j.try(b, rootIdx, j.chain[0])
 	}
 	for _, v := range j.chain {
-		if j.try(rootIdx, v) {
+		if j.try(b, rootIdx, v) {
 			return true
 		}
 	}
@@ -308,11 +309,11 @@ func (j *joiner) pickFrag(at, vi int32) *views.Fragment {
 
 // try assigns query node qi to arena node at and recursively places its
 // kept children; on failure all assignments made beneath are rolled back.
-func (j *joiner) try(qi int, at int32) bool {
+func (j *joiner) try(b *budget.B, qi int, at int32) bool {
 	if j.err != nil {
 		return false
 	}
-	if j.err = j.b.Step(1); j.err != nil {
+	if j.err = b.Step(1); j.err != nil {
 		return false
 	}
 	if lbl := j.p.labels[qi]; lbl != pattern.Wildcard && lbl != j.vt.nodes[at].label {
@@ -325,7 +326,7 @@ func (j *joiner) try(qi int, at int32) bool {
 			return false
 		}
 	}
-	if !j.placeKids(qi, at, 0) {
+	if !j.placeKids(b, qi, at, 0) {
 		j.assign[qi] = -1
 		return false
 	}
@@ -333,7 +334,7 @@ func (j *joiner) try(qi int, at int32) bool {
 }
 
 // placeKids places the kept children of qi starting from index k.
-func (j *joiner) placeKids(qi int, at int32, k int) bool {
+func (j *joiner) placeKids(b *budget.B, qi int, at int32, k int) bool {
 	kids := j.p.keptKids[qi]
 	if k == len(kids) {
 		return true
@@ -347,10 +348,10 @@ func (j *joiner) placeKids(qi int, at int32, k int) bool {
 			return false
 		}
 		if j.p.axes[ci] == pattern.Child {
-			return d+1 < len(j.chain) && j.placeAt(ci, j.chain[d+1], qi, at, k)
+			return d+1 < len(j.chain) && j.placeAt(b, ci, j.chain[d+1], qi, at, k)
 		}
 		for dd := d + 1; dd < len(j.chain); dd++ {
-			if j.placeAt(ci, j.chain[dd], qi, at, k) {
+			if j.placeAt(b, ci, j.chain[dd], qi, at, k) {
 				return true
 			}
 		}
@@ -358,22 +359,22 @@ func (j *joiner) placeKids(qi int, at int32, k int) bool {
 	}
 	if j.p.axes[ci] == pattern.Child {
 		for v := j.vt.nodes[at].firstChild; v >= 0; v = j.vt.nodes[v].nextSib {
-			if j.placeAt(ci, v, qi, at, k) {
+			if j.placeAt(b, ci, v, qi, at, k) {
 				return true
 			}
 		}
 		return false
 	}
-	return j.placeDesc(ci, at, qi, at, k)
+	return j.placeDesc(b, ci, at, qi, at, k)
 }
 
 // placeAt tries child query node ci at arena node v, then continues with
 // the remaining siblings of the placement in progress.
-func (j *joiner) placeAt(ci, v int32, qi int, at int32, k int) bool {
-	if !j.try(int(ci), v) {
+func (j *joiner) placeAt(b *budget.B, ci, v int32, qi int, at int32, k int) bool {
+	if !j.try(b, int(ci), v) {
 		return false
 	}
-	if j.placeKids(qi, at, k+1) {
+	if j.placeKids(b, qi, at, k+1) {
 		return true
 	}
 	j.unassign(int(ci))
@@ -382,9 +383,9 @@ func (j *joiner) placeAt(ci, v int32, qi int, at int32, k int) bool {
 
 // placeDesc scans the arena subtree below root for a placement of ci
 // (descendant axis).
-func (j *joiner) placeDesc(ci, root int32, qi int, at int32, k int) bool {
+func (j *joiner) placeDesc(b *budget.B, ci, root int32, qi int, at int32, k int) bool {
 	for ch := j.vt.nodes[root].firstChild; ch >= 0; ch = j.vt.nodes[ch].nextSib {
-		if j.placeAt(ci, ch, qi, at, k) || j.placeDesc(ci, ch, qi, at, k) {
+		if j.placeAt(b, ci, ch, qi, at, k) || j.placeDesc(b, ci, ch, qi, at, k) {
 			return true
 		}
 	}

@@ -162,53 +162,51 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 			return nil, err
 		}
 	}
+	// A caller's plan remembers the answers stages 1–4 last produced for
+	// it (deltaMemo): while every cover is at the generation they were
+	// computed from, the stages' work is skipped.
+	b.Mark()
+	if text, ok, err := jp.Replay(b); ok {
+		b.Lap(budget.Extract)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Memo: true, Answers: text.Answers(), Text: text}, nil
+	}
 	publish := jp == opt.Plan // a plan built here dies here: nothing to leave on it
 	deltaIdx := jp.deltaIdx
 	dc := covers[deltaIdx]
 	res := &Result{}
 
-	// A caller's plan remembers the answers stages 1–4 last produced for
-	// it (deltaMemo): while every cover is at the generation they were
-	// computed from, m holds them and the stages' work below is skipped.
-	// Their fault points, seam checks and extraction's budget charge are
-	// not — a hit fails and cancels exactly where a miss would.
 	if err := fpRefine.Fire(); err != nil {
 		return nil, err
 	}
-	m := jp.memoized()
-	res.Memo = m != nil
-	var refined []refinedView
-	var joined []*views.Fragment // the Δ-view fragments that reach stage 4
-	if m == nil {
-		// Stage 1+2: refine fragments and filter by interned root paths,
-		// view by view; a view refining to zero fragments ends the stage
-		// early (the query's answer is certainly empty).
-		refined = make([]refinedView, len(covers))
-		defer releaseRefined(refined)
-		b.Mark()
-		empty, err := refineAll(q, covers, refined, b)
-		b.Lap(budget.Refine)
-		for i := range refined {
-			res.FragmentsScanned += refined[i].scanned
-			res.PathsTested += refined[i].paths
-			if i < AttrMaxViews {
-				res.ViewScanned[i] = int32(refined[i].scanned)
-				res.ViewKept[i] = int32(len(refined[i].frags))
-			}
+	// Stage 1+2: refine fragments and filter by interned root paths, view
+	// by view; a view refining to zero fragments ends the stage early (the
+	// query's answer is certainly empty).
+	refined := make([]refinedView, len(covers))
+	defer releaseRefined(refined)
+	b.Mark()
+	empty, err := refineAll(q, covers, refined, b)
+	b.Lap(budget.Refine)
+	for i := range refined {
+		res.FragmentsScanned += refined[i].scanned
+		res.PathsTested += refined[i].paths
+		if i < AttrMaxViews {
+			res.ViewScanned[i] = int32(refined[i].scanned)
+			res.ViewKept[i] = int32(len(refined[i].frags))
 		}
-		if err != nil {
-			return nil, err
-		}
-		if empty {
-			if publish {
-				jp.remember(&deltaMemo{empty: true})
-			}
-			return res, nil // some view contributes nothing → empty result
-		}
-		joined = refined[deltaIdx].frags
-	} else if m.empty {
-		return res, nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	if empty {
+		if publish {
+			jp.remember(&deltaMemo{empty: true})
+		}
+		return res, nil // some view contributes nothing → empty result
+	}
+	joined := refined[deltaIdx].frags // the Δ-view fragments that reach stage 4
 
 	// Seam check: refine → join/extract. Refinement polls the context only
 	// every few hundred steps; a caller that disconnected during it must
@@ -223,11 +221,8 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 		if err := fpJoin.Fire(); err != nil {
 			return nil, err
 		}
-		if m == nil {
-			var err error
-			if joined, err = joinStage(jp, fst, refined, b, res); err != nil {
-				return nil, err
-			}
+		if joined, err = joinStage(jp, fst, refined, b, res); err != nil {
+			return nil, err
 		}
 		// Seam check: join → extract.
 		if err := b.CtxErr(); err != nil {
@@ -235,28 +230,50 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 		}
 	}
 
-	// Stage 4: extraction from the Δ-view's joined fragments — on a hit,
-	// its remembered outcome, charged as the miss was. On a miss the
-	// stage clock runs on from the previous stage's lap.
-	if m != nil {
-		b.Mark()
-	}
-	var err error
-	if m == nil {
-		err = extract(q, dc, joined, res, b)
-		if err == nil && publish {
-			jp.remember(&deltaMemo{text: CodeText{answers: res.Answers}, steps: len(joined)})
-		}
-	} else if err = fpExtract.Fire(); err == nil {
-		err = b.Step(m.steps)
-		res.Answers = m.text.answers
-		res.Text = &m.text
+	// Stage 4: extraction from the Δ-view's joined fragments; the stage
+	// clock runs on from the previous stage's lap.
+	err = extract(q, dc, joined, res, b)
+	if err == nil && publish {
+		jp.remember(&deltaMemo{text: CodeText{answers: res.Answers}, steps: len(joined)})
 	}
 	b.Lap(budget.Extract)
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// Replay serves one execution of the plan from its remembered answers
+// without building a Result or reading the clock: the stage fault points
+// fire, the seam checks run and b is charged extraction's steps, so a
+// replay fails where an execution would. It returns the memo's shared
+// text (ok), or ok=false when a nil plan or a covered view's moved
+// generation leaves nothing to replay.
+func (p *JoinPlan) Replay(b *budget.B) (text *CodeText, ok bool, err error) {
+	var m *deltaMemo
+	if p != nil {
+		m = p.memoized()
+	}
+	if m == nil {
+		return nil, false, nil
+	}
+	if err = fpRefine.Fire(); err != nil || m.empty {
+		return &m.text, true, err
+	}
+	// Seam check: refine → join/extract. Stage 3 runs unless a strong
+	// Δ-cover answers alone; then the join → extract seam check.
+	err = b.CtxErr()
+	if dc := p.covers[p.deltaIdx]; err == nil && (!dc.Strong || len(p.covers) > 1) {
+		if err = fpJoin.Fire(); err == nil {
+			err = b.CtxErr()
+		}
+	}
+	if err == nil {
+		if err = fpExtract.Fire(); err == nil {
+			err = b.Step(m.steps)
+		}
+	}
+	return &m.text, true, err
 }
 
 // joinStage is stage 3 proper: one merge scan of the code streams builds

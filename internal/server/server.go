@@ -458,11 +458,13 @@ func (s *Server) recordSLO(t *Tenant, availErr bool, latency time.Duration) {
 }
 
 // coalesceKey keys the answer-level singleflight: same tenant, same
-// strategy, same normalized spelling, same result-shaping options →
-// same in-flight execution.
+// strategy, same query text exactly as sent, same result-shaping options
+// → same in-flight execution. The text is not normalized: two spellings
+// that read alike with whitespace dropped may still parse differently,
+// or one not at all.
 func coalesceKey(tenant, strat string, pr Pressure, maxAnswers int, src string) string {
 	return tenant + "\x00" + strat + "\x00" + pr.String() + "\x00" +
-		strconv.Itoa(maxAnswers) + "\x00" + xpathviews.NormalizeQuery(src)
+		strconv.Itoa(maxAnswers) + "\x00" + src
 }
 
 // answerOne serves one query for an admitted request, coalescing

@@ -364,6 +364,15 @@ func TestCoalescing(t *testing.T) {
 	_ = coalesced // informational; the direct Group assertion is the guarantee
 }
 
+// TestCoalesceKeyRawText: the coalescing key is the query text as sent,
+// so a text the parser rejects never shares the answers of a spelling
+// that differs from it only in whitespace.
+func TestCoalesceKeyRawText(t *testing.T) {
+	if a, b := coalesceKey("t", "HV", Healthy, 0, "//ab"), coalesceKey("t", "HV", Healthy, 0, "//a b"); a == b {
+		t.Fatalf(`"//ab" and "//a b" share the coalescing key %q`, a)
+	}
+}
+
 func TestViewByteBudget(t *testing.T) {
 	ten, err := NewTenant(TenantConfig{Name: "tiny", MaxViewBytes: 1}, paperdata.BookTree())
 	if err != nil {

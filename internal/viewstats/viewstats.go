@@ -232,8 +232,10 @@ func (s *Store) RecordViewHit(id int, scanned, kept int64, relErr float64) {
 		return
 	}
 	sl.hits.Add(1)
-	sl.fragsScanned.Add(scanned)
-	sl.fragsKept.Add(kept)
+	if scanned != 0 || kept != 0 { // a memo hit scans nothing
+		sl.fragsScanned.Add(scanned)
+		sl.fragsKept.Add(kept)
+	}
 	if relErr >= 0 {
 		sl.calErr.update(relErr, calAlpha)
 		sl.calObs.Add(1)
@@ -316,8 +318,9 @@ func (s *Store) Stats() []SlotStat {
 
 // HashQuery hashes a query's canonical rendering for the drift sketch:
 // FNV-1a over the bytes with whitespace skipped, so "//a / b" and
-// "//a/b" land in the same bucket — the same spelling classes the plan
-// cache's normalizeQuery collapses. Allocation-free.
+// "//a/b" land in the same bucket. The serving layer hashes each query
+// once, over the canonical spelling its plan-cache entry is keyed by
+// (which has no whitespace). Allocation-free.
 func HashQuery(q string) uint64 {
 	const (
 		offset64 = 14695981039346656037

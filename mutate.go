@@ -26,7 +26,7 @@ package xpathviews
 //     view's fragments bumps that view's generation, and a plan over it
 //     recomputes the answers it remembers on its next call (see plan.go).
 //     Every insert and delete also replaces the BN evaluator, which
-//     retires every contained and BN outcome a negative plan remembers.
+//     retires every contained and BN outcome a plan-cache entry remembers.
 //  5. With a WAL attached (AttachWAL), each applied mutation appends one
 //     CRC-framed record to the store; a torn final append is truncated
 //     by storage.Open before replay sees it.
@@ -444,8 +444,8 @@ func (s *System) maintainViewsLocked(mutCode dewey.Code, chain []*xmltree.Node, 
 // resetEvalLocked refreshes evaluator state that depends on document
 // structure: BN just wraps the live tree, BF holds a path index and is
 // rebuilt lazily on its next use. The new BN is also the stamp a
-// negative plan's degraded outcome is checked against (degradedMemo in
-// plan.go), which is why it is replaced before maintenance moves any
+// plan-cache entry's degraded outcome is checked against (degradedMemo
+// in plan.go), which is why it is replaced before maintenance moves any
 // view's generation. Swapping the Once is safe because no
 // reader can be inside lazyBF while the write lock is held.
 func (s *System) resetEvalLocked() {

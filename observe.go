@@ -273,6 +273,10 @@ func (s *System) DumpMetrics(w io.Writer) error {
 	return err
 }
 
+// callEpoch anchors the calls' clock: time.Since(callEpoch) reads the
+// monotonic clock alone, once.
+var callEpoch = time.Now()
+
 // callObs is one serving call's observation state, passed by value down
 // the pipeline. The zero value (all nil) is fully inert.
 type callObs struct {
@@ -282,13 +286,14 @@ type callObs struct {
 	traceID string          // W3C trace ID for exemplars + slow log ("" = none)
 }
 
-// startObs resolves the call's observation state and its start time.
-func (s *System) startObs(opts Options) (callObs, time.Time) {
+// startObs resolves the call's observation state and its start time on
+// the callEpoch clock.
+func (s *System) startObs(opts Options) (callObs, time.Duration) {
 	co := callObs{m: s.metrics(), sp: opts.Trace.Root(), ex: opts.explain, traceID: opts.TraceID}
 	if co.traceID == "" {
 		co.traceID = opts.Trace.ID()
 	}
-	return co, time.Now()
+	return co, time.Since(callEpoch)
 }
 
 // child opens a stage span under the current parent (nil when tracing
@@ -301,20 +306,26 @@ func (co callObs) withSpan(sp *telemetry.Span) callObs {
 	return co
 }
 
-// countPlan records a plan-cache outcome.
-func (m *servingMetrics) countPlan(hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.planHits.Inc()
-	} else {
-		m.planMisses.Inc()
+// countPlan records the plan-cache outcome of a call that reached a view
+// rung: a bypass (a metric only), a hit or a miss.
+func (s *System) countPlan(co callObs, hit, cached bool) {
+	switch {
+	case !cached:
+		if co.m != nil {
+			co.m.planBypass.Inc()
+		}
+	case hit:
+		s.planHits.Add(1)
+		if co.m != nil {
+			co.m.planHits.Inc()
+		}
+	default:
+		s.planMisses.Add(1)
+		if co.m != nil {
+			co.m.planMisses.Inc()
+		}
 	}
 }
-
-// countPlan forwards to the call's metrics bundle (nil-safe).
-func (co callObs) countPlan(hit bool) { co.m.countPlan(hit) }
 
 // abandon closes the root span for a call that failed before the
 // pipeline ran (unparsable query, dead context). No metrics are
@@ -337,16 +348,21 @@ func annotatePlanSpan(sp *telemetry.Span, pl *queryPlan, cache string) {
 	sp.End()
 }
 
-// finishCall closes out one serving call: the result's stage times read
-// off the answering rung's meter b, error classification counters,
-// latency histograms, root span attributes, budget spend for explain,
-// and the slow-query log.
-func (s *System) finishCall(co callObs, b *budget.B, t0 time.Time, src, strat string, res *Result, err error) {
-	total := time.Since(t0)
+// finishCall closes out one serving call started at t0 (startObs): the
+// result's stage times read off the answering rung's meter b, error
+// classification counters, latency histograms, root span attributes,
+// budget spend for explain, and the slow-query log.
+func (s *System) finishCall(co callObs, b *budget.B, t0 time.Duration, src, strat string, res *Result, err error) {
+	total := time.Since(callEpoch) - t0
 	if res != nil {
 		res.TotalNanos = int64(total)
 		res.FilterNanos, res.SelectNanos = b.Nanos(budget.Filter), b.Nanos(budget.Select)
 		res.RefineNanos, res.JoinNanos, res.ExtractNanos = b.Nanos(budget.Refine), b.Nanos(budget.Join), b.Nanos(budget.Extract)
+		if res.Memo && co.sp == nil && isViewStrategy(res.Strategy) {
+			// A replayed memo hit took no lap: charge the rest of the
+			// call to extraction, the one §V stage it runs.
+			res.ExtractNanos = res.TotalNanos - res.ParseNanos - res.FilterNanos - res.SelectNanos
+		}
 	}
 	if co.sp != nil || co.ex != nil {
 		steps, homs := b.Spent()

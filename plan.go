@@ -2,40 +2,42 @@ package xpathviews
 
 // This file is the serving layer's query-plan cache: the expensive
 // query-dependent but data-independent work — parsing, VFILTER filtering
-// (§III) and view selection (§IV) — is memoized per normalized query
-// string and strategy, so a repetitive workload (the premise of Mandhani
-// & Suciu's cached-view scenario, the paper's [19]) pays for each plan
-// once. Of §V's rewriting only extraction executes on every call: which
-// Δ-view fragments survive refinement and the join depends on the plan
-// and the covered views' content alone, so the plan's rewrite.JoinPlan
-// remembers that list until a covered view's generation moves.
+// (§III) and view selection (§IV) — is memoized per query, so a
+// repetitive workload (the premise of Mandhani & Suciu's cached-view
+// scenario, the paper's [19]) pays for each plan once. Of §V's
+// rewriting the plan's rewrite.JoinPlan remembers the answers until a
+// covered view's generation moves.
+//
+// A query has one entry (queryEntry): its minimized pattern and one plan
+// slot per view strategy. It is keyed by the query text exactly as sent
+// — not normalized, so a text the parser rejects is rejected on every
+// call — and, once that text parses, by its canonical spelling
+// q.String() too, so the spellings of one pattern share one entry. A
+// call looks its text up once; a hit needs no parse.
 //
 // A plan is a pattern-level object, checked once: §IV decides
 // answerability from the view and query patterns alone, and
-// rewrite.PlanJoin checks it when it builds the plan's join skeleton. A
-// plan is dropped only by LRU eviction or when the view SET changes:
+// rewrite.PlanJoin checks it when it builds the plan's join skeleton. An
+// entry is dropped only by LRU eviction or when the view SET changes:
 // AddView, RemoveView, CompactFilter and EnableAttributePruning (and
 // ApplyAdvice through AddView) bump a generation counter on System, and
-// a plan written under an older one is recomputed on its next touch, so
-// a cached selection never serves a dropped view. Document MUTATIONS
-// (mutate.go) keep every plan: maintenance bumps the content generation
-// of each view it dirtied, and the join plan reuses its remembered
-// answers only while those generations stand still. A thundering herd on
-// a cold key coalesces onto one computation (singleflight).
+// an entry written under an older one is a miss on its next touch, so a
+// cached selection never serves a dropped view. Document MUTATIONS
+// (mutate.go) keep every entry: maintenance bumps the content generation
+// of each view it dirtied, and a join plan's remembered answers count
+// only while those stand still. A cold query's herd plans once.
 //
-// A negative plan carries the degraded outcome too. When no view
-// answers a query, the chain's contained and BN rungs leave their
-// outcome (answer or refusal, and the budget it cost) on the first
-// negative plan the chain met, stamped with the BN evaluator. Every
-// insert and delete replaces that evaluator before maintenance moves
-// any view's generation, and a view-set change drops the plan itself,
-// so the stamp retires both outcomes whenever their inputs may have
+// The entry carries the degraded outcome too: when no view rung answers,
+// the chain's contained and BN rungs leave their outcome (answer or
+// refusal, and the budget it cost) on it, stamped with the BN evaluator.
+// Every insert and delete replaces that evaluator before maintenance
+// moves any view's generation, and a view-set change drops the entry, so
+// the stamp retires both outcomes whenever their inputs may have
 // changed. A refused query that repeats with no mutation in between is
 // then refused, and answered, at the cost of a few pointer loads. The
 // memo keeps the whole answer set (32 B per answer, plus its rendering
 // once the daemon encodes it) while the entry lives, after a mutation
-// too, until the query comes back or the entry is evicted; an answer
-// truncated by MaxAnswers is not remembered.
+// too; an answer truncated by MaxAnswers is not remembered.
 
 import (
 	"errors"
@@ -53,29 +55,55 @@ import (
 )
 
 // PlanCacheStats re-exports the plan cache's effectiveness counters:
-// Hits, Misses, Evictions, and Invalidations (entries dropped because
-// the view set changed under them).
+// Hits, Misses, Evictions, and Invalidations (keys dropped because the
+// view set changed under them).
 type PlanCacheStats = plancache.Stats
 
-// PlanCacheStats returns a snapshot of the plan cache counters.
-func (s *System) PlanCacheStats() PlanCacheStats { return s.plans.Stats() }
+// PlanCacheStats returns a snapshot of the plan cache counters. Hits and
+// Misses count calls that consult the cache, once each: a hit is a call
+// whose first view rung found its plan computed. The others count keys.
+func (s *System) PlanCacheStats() PlanCacheStats {
+	st := s.plans.Stats()
+	st.Hits, st.Misses = s.planHits.Load(), s.planMisses.Load()
+	return st
+}
 
-// PlanCacheLen returns the number of live cached plans (stale entries
-// included until their next touch).
+// PlanCacheLen returns the number of live cache keys (stale ones
+// included until their next touch): one or two per query entry.
 func (s *System) PlanCacheLen() int { return s.plans.Len() }
 
-// queryPlan is one memoized plan: everything AnswerContext computes
-// before touching fragment data. It is immutable once cached, but for
-// the atomically published memos (the Δ-list inside join, the degraded
-// outcome of a negative plan) — the minimized pattern and the selection
-// are shared read-only by every query that hits it.
-type queryPlan struct {
-	// q is the minimized pattern the selection was computed against;
-	// rewriting must run with exactly this pattern (the selection's
-	// covers point into its nodes).
+// queryEntry is one query's plan-cache entry, shared by every key that
+// names it; its slots and memos are published atomically.
+type queryEntry struct {
+	// q is the minimized pattern every plan of the entry was computed
+	// against; rewriting must run with exactly this pattern (the
+	// selections' covers point into its nodes).
 	q *pattern.Pattern
+	// patHash is viewstats.HashQuery(q.String()), fed to the drift
+	// detector on every touch of a plan, negative plans included.
+	patHash uint64
+	// plans holds one slot per view strategy (MN, MV, HV, CV), each
+	// computed once under flights.
+	plans   [CV - MN + 1]atomic.Pointer[queryPlan]
+	flights plancache.Group
+	// contained and direct are the contained and BN rungs' degraded
+	// outcome (see the header).
+	contained, direct atomic.Pointer[degradedMemo]
+}
+
+func newQueryEntry(q *pattern.Pattern) *queryEntry {
+	return &queryEntry{q: q, patHash: viewstats.HashQuery(q.String())}
+}
+
+// queryPlan is one strategy's plan for a query: everything AnswerContext
+// computes before touching fragment data, immutable but for the Δ-list
+// memo inside join and shared read-only by every query that hits it.
+type queryPlan struct {
 	// sel is the chosen selection; nil when err is set.
 	sel *selection.Selection
+	// viewsUsed lists the selected views' IDs with cap == len, shared by
+	// every Result the plan serves.
+	viewsUsed []int
 	// join is the data-independent holistic-join skeleton (Δ-view
 	// choice, upper twig, resolved pins) for (q, sel), computed once at
 	// plan time so cache hits skip the rebuild inside the rewrite, and
@@ -89,16 +117,6 @@ type queryPlan struct {
 	// unanswerable queries — the common case in a fallback chain — skip
 	// filtering and selection too.
 	err error
-	// contained and direct are the degraded outcome of a negative plan
-	// (see the header), published atomically by the call that computed
-	// it. Both stay nil on positive plans and on plans computed for a
-	// NoPlanCache call.
-	contained, direct atomic.Pointer[degradedMemo]
-	// patHash is the pattern-sketch hash of the minimized query
-	// (viewstats.HashQuery over q.String()), feeding the workload-drift
-	// detector on every touch of this plan — including negative plans:
-	// unanswerable traffic is drift too.
-	patHash uint64
 }
 
 // degradedMemo is a contained or BN rung's outcome for a query a
@@ -131,25 +149,23 @@ func newDegradedMemo(bn *engine.BN, res *Result, b *budget.B) *degradedMemo {
 	return m
 }
 
-// degraded returns where a negative plan keeps strat's outcome (nil
-// for no plan and for a strategy other than contained or BN) and that
-// outcome if it was computed under bn, the System's evaluator.
-func (pl *queryPlan) degraded(strat Strategy, bn *engine.BN) (*atomic.Pointer[degradedMemo], *degradedMemo) {
-	var slot *atomic.Pointer[degradedMemo]
+// degraded returns where the entry keeps strat's outcome (nil for no
+// entry and for a strategy other than contained or BN) and that outcome
+// if it was computed under bn, the System's evaluator.
+func (e *queryEntry) degraded(strat Strategy, bn *engine.BN) (slot *atomic.Pointer[degradedMemo], m *degradedMemo) {
 	switch {
-	case pl == nil:
-		return nil, nil
+	case e == nil:
 	case strat == Contained:
-		slot = &pl.contained
+		slot = &e.contained
 	case strat == BN:
-		slot = &pl.direct
-	default:
-		return nil, nil
+		slot = &e.direct
 	}
-	if m := slot.Load(); m != nil && m.bn == bn {
-		return slot, m
+	if slot != nil {
+		if m = slot.Load(); m != nil && m.bn != bn {
+			m = nil
+		}
 	}
-	return slot, nil
+	return slot, m
 }
 
 // planInfo is the observable by-product of computing a plan: the
@@ -183,98 +199,84 @@ func cacheLabel(hit, useCache bool) string {
 	}
 }
 
-// planKey builds the cache key for a normalized query under a strategy.
-func planKey(strat Strategy, normalized string) string {
-	return strat.String() + "\x00" + normalized
-}
-
-// NormalizeQuery canonicalizes the textual spelling of a query exactly
-// the way the plan cache keys plans. Exported so serving layers (the
-// xpvserved daemon) can key answer-level singleflight coalescing on the
-// same spelling classes the plan cache uses: two requests whose queries
-// normalize identically share one pipeline execution.
-func NormalizeQuery(src string) string { return normalizeQuery(src) }
-
-// normalizeQuery canonicalizes the textual spelling of a query for use
-// as a cache key: whitespace outside quoted attribute literals is
-// dropped, so "//a / b" and "//a/b" share a plan. Distinct-but-
-// equivalent spellings that survive normalization simply occupy their
-// own alias entries pointing at independently computed (identical)
-// plans.
-func normalizeQuery(src string) string {
+// NormalizeQuery drops whitespace outside quoted attribute literals, so
+// "//a / b" and "//a/b" read alike. Neither the plan cache nor the
+// daemon's answer coalescing keys on it: two texts it maps together may
+// still parse differently, or one not at all.
+func NormalizeQuery(src string) string {
 	if !strings.ContainsAny(src, " \t\n\r") {
 		return src
 	}
-	var b strings.Builder
-	b.Grow(len(src))
+	b := make([]byte, 0, len(src))
 	var quote byte
 	for i := 0; i < len(src); i++ {
-		c := src[i]
-		if quote != 0 {
-			b.WriteByte(c)
-			if c == quote {
-				quote = 0
-			}
+		switch c := src[i]; {
+		case quote != 0 && c == quote:
+			quote = 0
+		case quote != 0:
+		case c == '\'' || c == '"':
+			quote = c
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			continue
 		}
-		switch c {
-		case '\'', '"':
-			quote = c
-			b.WriteByte(c)
-		case ' ', '\t', '\n', '\r':
-			// skip
-		default:
-			b.WriteByte(c)
-		}
+		b = append(b, src[i])
 	}
-	return b.String()
+	return string(b)
 }
 
-// bumpPlanGen invalidates every cached plan lazily. Callers hold the
+// bumpPlanGen invalidates every cached entry lazily. Callers hold the
 // write lock (mu), so no reader observes the new view set under an old
 // generation.
 func (s *System) bumpPlanGen() { s.planGen.Add(1) }
 
-// planLocked returns the plan for the minimized pattern q under strat,
-// consulting the cache when useCache is set, and reports whether it was
-// served from the cache. Called under s.mu (read): the generation cannot
-// change while we hold it, so a plan computed here is valid for this
-// call even if it is evicted concurrently.
-//
-// Exactly one of the hit/miss counters on co's registry is incremented
-// per call that obtains a plan through the cache; bypasses count
-// separately. The returned plan may carry a cached negative outcome in
-// pl.err; transient failures (budget exhaustion, cancellation, contained
-// internal errors) are returned as err and never cached.
-func (s *System) planLocked(q *pattern.Pattern, strat Strategy, b *budget.B, useCache bool, co callObs) (*queryPlan, bool, error) {
-	if !useCache {
-		if co.m != nil {
-			co.m.planBypass.Inc()
-		}
-		pl, err := s.computePlanLocked(q, strat, b, co)
-		return pl, false, err
-	}
+// addEntry returns the entry of q, the minimized pattern src parsed to:
+// the one cached under q's canonical spelling (concurrent callers get
+// one), or a new one stored there, which src then names too. Called
+// under s.mu (read): the generation cannot change while we hold it.
+func (s *System) addEntry(src string, q *pattern.Pattern) *queryEntry {
 	gen := s.planGen.Load()
-	key := planKey(strat, q.String())
+	canon := q.String()
+	v, _, _ := s.plans.GetOrCompute(canon, gen, func() (any, error) { return newQueryEntry(q), nil })
+	e := v.(*queryEntry)
+	if src != canon {
+		s.plans.Put(src, gen, e)
+	}
+	return e
+}
+
+// plan returns the entry's plan for strat, computing it under
+// singleflight on first use, and reports whether it was already there
+// (a follower of another call's computation counts as a hit). Called
+// under s.mu (read), so a plan computed here is valid for this call even
+// if the entry is evicted concurrently. The plan may carry a cached
+// negative outcome in pl.err; transient failures (budget exhaustion,
+// cancellation, contained internal errors) are returned as err and
+// never cached, and a leader's is not ours: the call then computes
+// under its own budget, uncached.
+func (s *System) plan(e *queryEntry, strat Strategy, b *budget.B, co callObs) (*queryPlan, bool, error) {
+	slot := &e.plans[strat-MN]
+	if pl := slot.Load(); pl != nil {
+		return pl, true, nil
+	}
 	computed := false
-	v, err, shared := s.plans.GetOrCompute(key, gen, func() (any, error) {
+	v, err, shared := e.flights.Do(strat.String(), func() (any, error) {
+		if pl := slot.Load(); pl != nil {
+			return pl, nil // a leader published it since our load
+		}
 		computed = true
-		return s.computePlanLocked(q, strat, b, co)
+		pl, err := s.computePlanLocked(e.q, strat, b, co)
+		if err == nil {
+			slot.Store(pl)
+		}
+		return pl, err
 	})
 	if err != nil {
 		if shared {
-			// The in-flight leader failed on *its* budget or context;
-			// that verdict is not ours. Compute under our own budget,
-			// uncached.
-			pl, cerr := s.computePlanLocked(q, strat, b, co)
-			if cerr == nil {
-				co.countPlan(false)
-			}
+			pl, cerr := s.computePlanLocked(e.q, strat, b, co)
 			return pl, false, cerr
 		}
 		return nil, false, err
 	}
-	co.countPlan(!computed)
 	return v.(*queryPlan), !computed, nil
 }
 
@@ -283,14 +285,16 @@ func (s *System) planLocked(q *pattern.Pattern, strat Strategy, b *budget.B, use
 // successful selection, or a definite ErrNotAnswerable.
 func (s *System) computePlanLocked(q *pattern.Pattern, strat Strategy, b *budget.B, co callObs) (*queryPlan, error) {
 	sel, info, err := s.selectLocked(q, strat, b, co)
-	patHash := viewstats.HashQuery(q.String())
 	if err != nil {
 		if errors.Is(err, ErrNotAnswerable) {
-			return &queryPlan{q: q, info: info, err: err, patHash: patHash}, nil
+			return &queryPlan{info: info, err: err}, nil
 		}
 		return nil, err
 	}
-	pl := &queryPlan{q: q, sel: sel, info: info, patHash: patHash}
+	pl := &queryPlan{sel: sel, info: info, viewsUsed: make([]int, len(sel.Covers))}
+	for i, c := range sel.Covers {
+		pl.viewsUsed[i] = c.View.ID
+	}
 	// A selection the strategies return always answers q, so this only
 	// fails on malformed hand-built selections; the rewrite stage
 	// re-derives (and re-rejects) in that case.
@@ -298,21 +302,4 @@ func (s *System) computePlanLocked(q *pattern.Pattern, strat Strategy, b *budget
 		pl.join = jp
 	}
 	return pl, nil
-}
-
-// putPlanAlias stores pl under an additional key (the raw source
-// spelling), so the next AnswerContext with the same text skips parsing
-// too. Called under s.mu (read).
-func (s *System) putPlanAlias(key string, pl *queryPlan) {
-	s.plans.Put(key, s.planGen.Load(), pl)
-}
-
-// lookupPlan fetches a plan by key under the current generation. Called
-// under s.mu (read).
-func (s *System) lookupPlan(key string) (*queryPlan, bool) {
-	v, ok := s.plans.Get(key, s.planGen.Load())
-	if !ok {
-		return nil, false
-	}
-	return v.(*queryPlan), true
 }

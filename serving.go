@@ -93,11 +93,6 @@ type Options struct {
 	explain *explainSink
 }
 
-// budget builds the call's budget over ctx.
-func (o Options) budget(ctx context.Context) *budget.B {
-	return budget.New(ctx, o.MaxSteps, int64(o.MaxHoms))
-}
-
 // DefaultFallback is AnswerResilient's chain when Options.Fallback is
 // nil: cheapest equivalent rewriting first, then exact selection, then a
 // sound-but-partial rewriting, then direct evaluation as the rung of
@@ -149,20 +144,19 @@ func (s *System) AnswerResilient(ctx context.Context, src string, opts Options) 
 
 // answerChain is the one answering path. It tries the strategies of
 // chain in order under the read lock, each with a fresh budget over the
-// shared deadline. A view strategy is first looked up under the raw
-// source spelling (an alias of the canonical plan key, see plan.go), so
-// a textual repeat skips parsing, minimization, filtering and selection;
-// the query is parsed and minimized at most once, and only when a
-// strategy needs the pattern and no cached plan supplied it. The first
-// cached negative plan the chain meets carries the contained and BN
-// rungs' outcomes (see plan.go), so a refused query that repeats with no
-// insert or delete in between is not rewritten or evaluated again. A
+// shared deadline. The first view rung that consults the plan cache
+// looks the query text up, once per call (see plan.go): its entry
+// supplies the pattern, every rung's plan and the contained and BN
+// rungs' remembered outcomes, so a repeat skips parsing, filtering and
+// selection, and a refused repeat with no insert or delete in between is
+// not rewritten or evaluated again. The query is parsed at most once,
+// and only when a strategy needs the pattern and no entry supplied it. A
 // chain without a view rung, or one that bypasses the plan cache, has no
-// such plan and memoizes nothing.
+// entry and memoizes nothing.
 //
 // resilient adds AnswerResilient's bookkeeping: a "rung:X" span per
 // strategy (the contained and BN rung spans carry memo=hit|miss, or
-// bypass without a negative plan), the rung counters and the degradation
+// bypass without an entry), the rung counters and the degradation
 // record, the "resilient" call label, and falling through to the next
 // strategy on a degradable error. Without it the chain has one strategy whose
 // error is the call's.
@@ -179,13 +173,13 @@ func (s *System) answerChain(ctx context.Context, src string, opts Options, chai
 		label = chain[0].String()
 	}
 	var (
-		q          *pattern.Pattern // minimized query; nil until parsed or read off a plan
+		q          *pattern.Pattern // minimized query; nil until parsed or read off the entry
+		e          *queryEntry      // the query's plan-cache entry; nil until a view rung consults the cache
 		parseNanos int64            // from the meter of the rung that parsed
-		norm       string           // normalizeQuery(src), computed on first use
+		counted    bool             // the call's plan-cache outcome is recorded
 		reasons    []string
 		lastErr    error
-		neg        *queryPlan // the first cached negative plan met; holds the degraded memos
-		meter      budget.B   // the rung's meter: one per call, started afresh per rung
+		meter      budget.B // the rung's meter: one per call, started afresh per rung
 	)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -194,23 +188,18 @@ func (s *System) answerChain(ctx context.Context, src string, opts Options, chai
 			co.abandon(err)
 			return nil, err
 		}
-		meter = *opts.budget(ctx)
 		b := &meter
-		var alias string
-		var pl *queryPlan
-		if !opts.NoPlanCache && isViewStrategy(strat) {
-			if norm == "" {
-				norm = normalizeQuery(src)
-			}
-			alias = planKey(strat, norm)
-			if pl, _ = s.lookupPlan(alias); pl != nil && q == nil {
-				// The plan carries the minimized pattern, so a strategy
-				// after a negative plan needs no parse either.
-				q = pl.q
+		b.Reset(ctx, opts.MaxSteps, int64(opts.MaxHoms))
+		view := isViewStrategy(strat)
+		cached := view && !opts.NoPlanCache
+		if cached && e == nil {
+			if v, ok := s.plans.Get(src, s.planGen.Load()); ok {
+				e = v.(*queryEntry)
+				q = e.q
 			}
 		}
 		if q == nil {
-			if q, err = co.parse(src, alias == "", b); err != nil {
+			if q, err = co.parse(src, !cached, b); err != nil {
 				return nil, err
 			}
 			parseNanos = b.Nanos(budget.Parse)
@@ -220,26 +209,35 @@ func (s *System) answerChain(ctx context.Context, src string, opts Options, chai
 				return nil, err
 			}
 		}
+		if cached && e == nil {
+			e = s.addEntry(src, q)
+			q = e.q
+		}
 		rco, rsp := co, (*Span)(nil)
 		if resilient && co.sp != nil {
 			rsp = co.sp.Child("rung:" + strat.String())
 			rco = co.withSpan(rsp)
 		}
 		var res *Result
-		slot, m := neg.degraded(strat, s.bn)
-		if m != nil {
+		var hit bool
+		slot, m := e.degraded(strat, s.bn)
+		switch {
+		case m != nil:
 			res, err = m.replay(strat, b)
-		} else {
-			res, pl, err = s.answerLocked(q, strat, alias, pl, b, rco)
+		case view:
+			res, hit, err = s.answerViewLocked(e, q, strat, b, rco)
+			if !counted {
+				counted = true
+				s.countPlan(co, hit, cached)
+			}
+		default:
+			res, err = s.answerLocked(q, strat, b, rco)
 			// A truncated answer is not remembered: the entry would hold
 			// answers no caller asked for.
 			if slot != nil && (err == nil && (opts.MaxAnswers <= 0 || len(res.Answers) <= opts.MaxAnswers) ||
 				strat == Contained && errors.Is(err, ErrNotAnswerable)) {
 				slot.Store(newDegradedMemo(s.bn, res, b))
 			}
-		}
-		if neg == nil && alias != "" && pl != nil && pl.err != nil {
-			neg = pl
 		}
 		if rsp != nil && (strat == Contained || strat == BN) {
 			rsp.SetAttr("memo", cacheLabel(m != nil, slot != nil))
@@ -256,7 +254,7 @@ func (s *System) answerChain(ctx context.Context, src string, opts Options, chai
 			}
 			res.ParseNanos = parseNanos
 			truncate(res, opts.MaxAnswers)
-			s.observe(q, isViewStrategy(strat), nil)
+			s.observe(q, view, nil)
 			s.finishCall(co, b, t0, src, label, res, nil)
 			return res, nil
 		}
@@ -307,15 +305,9 @@ func (co callObs) parse(src string, uncached bool, b *budget.B) (*pattern.Patter
 }
 
 // isViewStrategy reports whether the strategy answers from materialized
-// views (as opposed to direct evaluation on the document or a contained
-// rewriting).
-func isViewStrategy(s Strategy) bool {
-	switch s {
-	case MN, MV, HV, CV:
-		return true
-	}
-	return false
-}
+// views (MN, MV, HV, CV) as opposed to direct evaluation on the document
+// or a contained rewriting.
+func isViewStrategy(s Strategy) bool { return s >= MN && s <= CV }
 
 // SelectContext runs view selection only under opts.Strategy, with
 // cancellation and budgets.
@@ -327,7 +319,7 @@ func (s *System) SelectContext(ctx context.Context, q *pattern.Pattern, opts Opt
 		return nil, 0, err
 	}
 	defer cancel()
-	b := opts.budget(ctx)
+	b := budget.New(ctx, opts.MaxSteps, int64(opts.MaxHoms))
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sel, info, err := s.selectLocked(pattern.Minimize(q), opts.Strategy, b, co)
@@ -338,26 +330,27 @@ func (s *System) SelectContext(ctx context.Context, q *pattern.Pattern, opts Opt
 	return sel, info.cand, err
 }
 
-// answerLocked answers the minimized query q under one strategy, under
-// s.mu (read), with panic containment per stage. For a view strategy,
-// alias is the source-spelling plan key ("" bypasses the plan cache) and
-// pl the plan it already served (nil on a miss); a plan computed here is
-// stored under alias, and the plan the call used is returned.
-func (s *System) answerLocked(q *pattern.Pattern, strat Strategy, alias string, pl *queryPlan, b *budget.B, co callObs) (*Result, *queryPlan, error) {
+// answerLocked answers the minimized query q by direct evaluation (BN,
+// BF) or the contained rewriting, under s.mu (read), with panic
+// containment per stage.
+func (s *System) answerLocked(q *pattern.Pattern, strat Strategy, b *budget.B, co callObs) (*Result, error) {
 	switch strat {
 	case BN, BF:
-		eval, stage, eng := s.bn.EvalBudget, "engine.bn", "bn"
+		stage, eng := "engine.bn", "bn"
 		if strat == BF {
-			eval, stage, eng = s.lazyBF().EvalBudget, "engine.bf", "bf"
+			stage, eng = "engine.bf", "bf"
 		}
 		sp := co.child("eval")
 		nodes, err := runStage(stage, func() ([]*xmltree.Node, error) {
-			return eval(q, b)
+			if strat == BF {
+				return s.lazyBF().EvalBudget(q, b)
+			}
+			return s.bn.EvalBudget(q, b)
 		})
 		if err != nil {
 			sp.Err(err)
 			sp.End()
-			return nil, nil, err
+			return nil, err
 		}
 		if sp != nil {
 			sp.SetAttr("engine", eng)
@@ -366,13 +359,13 @@ func (s *System) answerLocked(q *pattern.Pattern, strat Strategy, alias string, 
 		}
 		// Seam check: eval → collect.
 		if err := b.CtxErr(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		res := &Result{Strategy: strat}
 		if err := s.collectDoc(res, nodes); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return res, nil, nil
+		return res, nil
 	case Contained:
 		sp := co.child("contained")
 		out, err := runStage("rewrite.contained", func() (*rewrite.ContainedResult, error) {
@@ -381,7 +374,7 @@ func (s *System) answerLocked(q *pattern.Pattern, strat Strategy, alias string, 
 		if err != nil {
 			sp.Err(err)
 			sp.End()
-			return nil, nil, err
+			return nil, err
 		}
 		res := &Result{Strategy: Contained, Answers: out.Answers, ViewsUsed: out.ViewsUsed, Partial: !out.Complete}
 		if sp != nil {
@@ -393,38 +386,40 @@ func (s *System) answerLocked(q *pattern.Pattern, strat Strategy, alias string, 
 		if len(res.Answers) == 0 && res.Partial {
 			// An empty uncertified result carries no information — let the
 			// next rung (typically direct evaluation) produce real answers.
-			return nil, nil, ErrNotAnswerable
+			return nil, ErrNotAnswerable
 		}
-		return res, nil, nil
-	case MN, MV, HV, CV:
-		useCache := alias != ""
-		hit := pl != nil
-		psp := co.child("plan")
-		if hit {
-			co.countPlan(true)
-		} else {
-			var err error
-			pl, hit, err = s.planLocked(q, strat, b, useCache, co.withSpan(psp))
-			if err != nil {
-				psp.Err(err)
-				psp.End()
-				return nil, nil, err
-			}
-			if useCache {
-				s.putPlanAlias(alias, pl)
-			}
-		}
-		annotatePlanSpan(psp, pl, cacheLabel(hit, useCache))
-		co.fillExplainPlan(s, pl, hit, useCache)
-		res, err := s.answerPlanLocked(pl, strat, b, co)
-		if err != nil {
-			return nil, pl, err
-		}
-		res.PlanCacheHit = hit
-		return res, pl, nil
+		return res, nil
 	default:
-		return nil, nil, fmt.Errorf("xpathviews: unknown strategy %v", strat)
+		return nil, fmt.Errorf("xpathviews: unknown strategy %v", strat)
 	}
+}
+
+// answerViewLocked answers a view strategy from the plan in the query's
+// entry e, computed on a miss, or, with no entry (NoPlanCache), from a
+// plan computed for this call alone; it reports whether the plan was
+// cached. Called under s.mu (read).
+func (s *System) answerViewLocked(e *queryEntry, q *pattern.Pattern, strat Strategy, b *budget.B, co callObs) (res *Result, hit bool, err error) {
+	psp := co.child("plan")
+	cached := e != nil
+	var pl *queryPlan
+	if cached {
+		pl, hit, err = s.plan(e, strat, b, co.withSpan(psp))
+	} else {
+		e = newQueryEntry(q)
+		pl, err = s.computePlanLocked(q, strat, b, co.withSpan(psp))
+	}
+	if err != nil {
+		psp.Err(err)
+		psp.End()
+		return nil, hit, err
+	}
+	annotatePlanSpan(psp, pl, cacheLabel(hit, cached))
+	co.fillExplainPlan(s, pl, hit, cached)
+	if res, err = s.answerPlanLocked(e, pl, strat, b, co); err != nil {
+		return nil, hit, err
+	}
+	res.PlanCacheHit = hit
+	return res, hit, nil
 }
 
 // fpBN and fpContained are the fault points of the BN evaluation and the
@@ -435,7 +430,7 @@ var (
 	fpContained = faults.New("rewrite.contained")
 )
 
-// replay serves strat's rung from the memo its negative plan holds
+// replay serves strat's rung from the memo its query's entry holds
 // (Result.Memo): the rung's fault point fires and b is charged the
 // homomorphisms and steps the rung spent, under the same panic
 // containment and seam check, so a hit fails exactly when the work it
@@ -472,20 +467,20 @@ func (m *degradedMemo) replay(strat Strategy, b *budget.B) (*Result, error) {
 		Partial: m.partial, Memo: true, text: m.text}, nil
 }
 
-// answerPlanLocked runs §V's rewriting for a (possibly cached) plan
-// under s.mu (read). Refinement, the join and extraction re-run only
-// when a covered view's generation moved since the plan last remembered
-// their answers (Result.Memo); Result.Answers is then the plan's shared
-// slice, not a copy. A plan carrying a cached negative outcome returns
-// it immediately.
-func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co callObs) (*Result, error) {
+// answerPlanLocked runs §V's rewriting for a plan of e's query under
+// s.mu (read). Refinement, the join and extraction re-run only when a
+// covered view's generation moved since the plan last remembered their
+// answers (Result.Memo); Result.Answers is then the plan's shared slice.
+// Untraced, such a hit is a rewrite.JoinPlan.Replay: no rewrite.Result,
+// no stage clock. A cached negative outcome returns at once.
+func (s *System) answerPlanLocked(e *queryEntry, pl *queryPlan, strat Strategy, b *budget.B, co callObs) (*Result, error) {
 	// Feed the drift detector before the negative-plan check:
 	// unanswerable traffic is exactly the drift the design workload did
 	// not predict, so it must shape the recent sketch too. The hash was
 	// computed at plan time; disarmed detectors return after one load.
 	vs := s.vstats.Load()
 	if vs != nil {
-		if checked, ppm, crossed := vs.Drift.Observe(pl.patHash); checked && co.m != nil {
+		if checked, ppm, crossed := vs.Drift.Observe(e.patHash); checked && co.m != nil {
 			co.m.driftGauge.Set(ppm)
 			if crossed {
 				co.m.driftEvents.Inc()
@@ -503,13 +498,21 @@ func (s *System) answerPlanLocked(pl *queryPlan, strat Strategy, b *budget.B, co
 	if err := b.CtxErr(); err != nil {
 		return nil, err
 	}
-	res := &Result{Strategy: strat, CandidatesAfterFilter: pl.info.cand, HomsComputed: pl.sel.HomsComputed}
-	for _, c := range pl.sel.Covers {
-		res.ViewsUsed = append(res.ViewsUsed, c.View.ID)
-	}
+	res := &Result{Strategy: strat, ViewsUsed: pl.viewsUsed, CandidatesAfterFilter: pl.info.cand, HomsComputed: pl.sel.HomsComputed}
+	var replayed rewrite.Result // a replayed hit's outcome, on the stack
+	out := &replayed
 	rsp := co.child("rewrite")
-	out, err := runStage("rewrite", func() (*rewrite.Result, error) {
-		return rewrite.ExecuteOptions(pl.q, pl.sel, s.fst, b, rewrite.Options{Plan: pl.join})
+	_, err := runStage("rewrite", func() (struct{}, error) {
+		if rsp == nil {
+			text, ok, err := pl.join.Replay(b)
+			if ok {
+				out.Memo, out.Text, out.Answers = true, text, text.Answers()
+				return struct{}{}, err
+			}
+		}
+		var err error
+		out, err = rewrite.ExecuteOptions(e.q, pl.sel, s.fst, b, rewrite.Options{Plan: pl.join})
+		return struct{}{}, err
 	})
 	if err != nil {
 		rsp.Err(err)

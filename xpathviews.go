@@ -121,12 +121,13 @@ type System struct {
 	// load — no lock, no allocation.
 	rec atomic.Pointer[advisor.Recorder]
 
-	// plans memoizes query plans (see plan.go); planGen is the view-set
-	// generation — bumped under the write lock by every view-set change
-	// (not by document mutations), read under the read lock by queries,
-	// so a cached selection can never outlive the views it references.
-	plans   *plancache.Cache
-	planGen atomic.Uint64
+	// plans memoizes query plans (see plan.go), and planHits/planMisses
+	// count calls by their outcome; planGen is the view-set generation —
+	// bumped under the write lock by every view-set change (not by
+	// document mutations), read under the read lock by queries, so a
+	// cached selection can never outlive the views it references.
+	plans                         *plancache.Cache
+	planGen, planHits, planMisses atomic.Uint64
 
 	// obsPtr holds the system's pre-resolved serving metrics (see
 	// observe.go); nil disables metrics, and pendingDefault stands for
@@ -279,11 +280,11 @@ type Result struct {
 	// Answers are read-only. A view strategy's answers are shared with
 	// the cached plan that produced them and with every later call it
 	// serves while the covered views' generations hold; so are the
-	// contained and BN answers of a query a cached plan refused, until
+	// contained and BN answers its plan-cache entry remembers, until
 	// the next insert or delete. Copy the slice before modifying it.
 	Answers []Answer
 	// ViewsUsed lists the IDs of the selected views (view strategies)
-	// or of the contributing views (contained); read-only.
+	// or of the contributing views (contained); read-only and shared.
 	ViewsUsed []int
 	// CandidatesAfterFilter is |V'| (MV/HV only).
 	CandidatesAfterFilter int
@@ -311,19 +312,21 @@ type Result struct {
 	// view has changed since: refinement, the join and extraction did not
 	// run, and the refine/join times and join counters below (work done
 	// by this call) are zero. On the contained and BN rungs of a chain
-	// whose view rungs refused from a cached plan, it reports that the
-	// plan remembered this rung's answer and no insert or delete has run
-	// since: no fragment was read, no node visited, and the budget was
-	// charged what that work had cost.
+	// that read the query's plan-cache entry at a view rung, it reports
+	// that the entry remembered this rung's answer and no insert or
+	// delete has run since: no fragment was read, no node visited, and
+	// the budget was charged what that work had cost.
 	Memo bool
 	// Stage wall times, in nanoseconds, read off the call's meter on
-	// every call without tracing. ParseNanos covers parsing + minimization and is zero when
-	// the raw source hit the plan-cache alias; FilterNanos and SelectNanos cover §III filtering and §IV
+	// every call without tracing. ParseNanos covers parsing +
+	// minimization and is zero when the query text hit its plan-cache
+	// entry; FilterNanos and SelectNanos cover §III filtering and §IV
 	// selection and are zero on a plan-cache hit (the cached plan skips
 	// both — Explain still shows what the plan originally cost);
 	// RefineNanos/JoinNanos/ExtractNanos cover §V's rewriting stages;
-	// ExtractNanos is populated on every call, the other two whenever
-	// Memo is false. TotalNanos is the whole call.
+	// ExtractNanos is populated on every view-strategy call (on an
+	// untraced memo hit, the whole call but its parse), the other two
+	// whenever Memo is false. TotalNanos is the whole call.
 	ParseNanos   int64
 	FilterNanos  int64
 	SelectNanos  int64
