@@ -31,7 +31,9 @@ test:
 # the rewrite-memo tests (concurrent first executions of one plan, hits
 # interleaved with mutations, shared answer slices) with the two mutation
 # hammers (the memo's generation check is the one guard between a
-# mutation and a stale answer), the degraded-path memo tests (refused
+# mutation and a stale answer), the plan cache's mixed Get/Put/PutAlias/
+# GetOrCompute race over full shards (sketch and admission under the
+# shard locks), the degraded-path memo tests (refused
 # queries answered from their negative plan's contained and BN memos
 # beside a mutating writer), the plan-entry hammer (readers of several
 # spellings and strategies sharing one entry per query beside view-set
@@ -44,16 +46,19 @@ test:
 # Advise intern new paths.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestMemo|TestDegradedMemo|TestPlanEntryHammer|TestContainedDedup|TestJoinMutationHammer|TestMaintainHammer' . ./internal/rewrite
+	$(GO) test -race -count=10 -run 'TestMemo|TestDegradedMemo|TestPlanEntryHammer|TestContainedDedup|TestJoinMutationHammer|TestMaintainHammer|TestConcurrentMixedKeys' . ./internal/rewrite ./internal/plancache
 	$(GO) test -race -count=10 -run 'TestFilter(Differential|ScratchReuse|Concurrent)' ./internal/vfilter
 	$(GO) test -race -count=10 -run 'TestRefine(Differential|ScratchReuse)|TestLabelPath' ./internal/rewrite ./internal/views
 	$(GO) test -race -count=10 -run 'TestLabelPathHammer' .
 
-# fuzz-smoke fuzzes the XPath parser and the daemon's query-response
-# encoder (against encoding/json) for ten seconds each.
+# fuzz-smoke fuzzes the XPath parser, the daemon's query-response
+# encoder (against encoding/json) and the plan-cache oracle (scripts of
+# queries, mutations and view-set changes over a four-key cache, against
+# direct evaluation) for ten seconds each.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/xpath
 	$(GO) test -run='^$$' -fuzz=FuzzQueryResponse -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzPlanCacheOracle -fuzztime=10s .
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

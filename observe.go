@@ -253,7 +253,8 @@ func (s *System) SlowQueries() []SlowQuery { return s.slow.Snapshot() }
 // DumpMetrics writes the expvar-style text exposition: the metrics
 // registry (the system's current one, or the process default when
 // metrics are disabled), followed by the system's live gauges — plan
-// cache evictions, invalidations and size, and the view count.
+// cache evictions, invalidations, admission refusals and size, and the
+// view count.
 // Plan-cache hits and misses are the per-call
 // xpv_plan_cache_{hits,misses}_total counters of the registry, and
 // slow calls are xpv_slow_queries_total. Embedding HTTP servers can
@@ -268,8 +269,8 @@ func (s *System) DumpMetrics(w io.Writer) error {
 	}
 	st := s.plans.Stats()
 	_, err := fmt.Fprintf(w,
-		"xpv_plancache_evictions %d\nxpv_plancache_invalidations %d\nxpv_plancache_len %d\nxpv_views %d\n",
-		st.Evictions, st.Invalidations, s.PlanCacheLen(), s.NumViews())
+		"xpv_plancache_evictions %d\nxpv_plancache_invalidations %d\nxpv_plancache_rejected %d\nxpv_plancache_len %d\nxpv_views %d\n",
+		st.Evictions, st.Invalidations, st.Rejected, s.PlanCacheLen(), s.NumViews())
 	return err
 }
 

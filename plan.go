@@ -18,7 +18,11 @@ package xpathviews
 // A plan is a pattern-level object, checked once: §IV decides
 // answerability from the view and query patterns alone, and
 // rewrite.PlanJoin checks it when it builds the plan's join skeleton. An
-// entry is dropped only by LRU eviction or when the view SET changes:
+// entry leaves the cache only when its keys are evicted (the cache keeps
+// at most plancache.DefaultCapacity keys, and at a full shard a new key
+// displaces the least recently used one only if it was looked up more
+// often, so a scan of one-off queries cannot empty it; a refused entry
+// still serves the call that built it) or when the view SET changes:
 // AddView, RemoveView, CompactFilter and EnableAttributePruning (and
 // ApplyAdvice through AddView) bump a generation counter on System, and
 // an entry written under an older one is a miss on its next touch, so a
@@ -54,22 +58,30 @@ import (
 	"xpathviews/internal/viewstats"
 )
 
-// PlanCacheStats re-exports the plan cache's effectiveness counters:
-// Hits, Misses, Evictions, and Invalidations (keys dropped because the
-// view set changed under them).
-type PlanCacheStats = plancache.Stats
+// PlanCacheStats reports the plan cache's effectiveness. Hits and Misses
+// count calls that consult the cache, once each: a hit is a call whose
+// first view rung found its plan computed. The others count keys:
+// Evictions (an admitted key took the place of its shard's least
+// recently used one), Invalidations (keys dropped because the view set
+// changed under them) and Rejected (new keys the admission filter kept
+// out of a full shard; their call was answered all the same).
+type PlanCacheStats struct {
+	Hits, Misses                       uint64
+	Evictions, Invalidations, Rejected uint64
+}
 
-// PlanCacheStats returns a snapshot of the plan cache counters. Hits and
-// Misses count calls that consult the cache, once each: a hit is a call
-// whose first view rung found its plan computed. The others count keys.
+// PlanCacheStats returns a snapshot of the plan cache counters.
 func (s *System) PlanCacheStats() PlanCacheStats {
 	st := s.plans.Stats()
-	st.Hits, st.Misses = s.planHits.Load(), s.planMisses.Load()
-	return st
+	return PlanCacheStats{
+		Hits: s.planHits.Load(), Misses: s.planMisses.Load(),
+		Evictions: st.Evictions, Invalidations: st.Invalidations, Rejected: st.Rejected,
+	}
 }
 
 // PlanCacheLen returns the number of live cache keys (stale ones
-// included until their next touch): one or two per query entry.
+// included until their next touch): one or two per query entry, at most
+// plancache.DefaultCapacity.
 func (s *System) PlanCacheLen() int { return s.plans.Len() }
 
 // queryEntry is one query's plan-cache entry, shared by every key that
@@ -231,14 +243,25 @@ func (s *System) bumpPlanGen() { s.planGen.Add(1) }
 
 // addEntry returns the entry of q, the minimized pattern src parsed to:
 // the one cached under q's canonical spelling (concurrent callers get
-// one), or a new one stored there, which src then names too. Called
-// under s.mu (read): the generation cannot change while we hold it.
+// one), or a new one offered to the cache there, which src then names
+// too. A new entry's two keys share its admission verdict, so a query
+// spelled off its canonical form wins admission once, as one spelled on
+// it does. Called under s.mu (read): the generation cannot change
+// while we hold it.
 func (s *System) addEntry(src string, q *pattern.Pattern) *queryEntry {
 	gen := s.planGen.Load()
 	canon := q.String()
-	v, _, _ := s.plans.GetOrCompute(canon, gen, func() (any, error) { return newQueryEntry(q), nil })
+	computed := false
+	v, _, _ := s.plans.GetOrCompute(canon, gen, func() (any, error) {
+		computed = true
+		return newQueryEntry(q), nil
+	})
 	e := v.(*queryEntry)
-	if src != canon {
+	switch {
+	case src == canon:
+	case computed:
+		s.plans.PutAlias(src, canon, gen, e)
+	default:
 		s.plans.Put(src, gen, e)
 	}
 	return e
