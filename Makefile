@@ -43,22 +43,27 @@ test:
 # readers shows up in a few schedules, not in every one. The same goes for the label-path tests: refinement
 # against its decode-per-fragment oracle, pooled verdict scratch across
 # path tables, and 64 goroutines refining while AddView, mutations and
-# Advise intern new paths.
+# Advise intern new paths. And the join kernel's: the memoized joiner
+# against its backtracking oracle, one pooled joiner's verdict rows
+# reused across arenas, plans and aborted joins.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestMemo|TestDegradedMemo|TestPlanEntryHammer|TestContainedDedup|TestJoinMutationHammer|TestMaintainHammer|TestConcurrentMixedKeys' . ./internal/rewrite ./internal/plancache
 	$(GO) test -race -count=10 -run 'TestFilter(Differential|ScratchReuse|Concurrent)' ./internal/vfilter
-	$(GO) test -race -count=10 -run 'TestRefine(Differential|ScratchReuse)|TestLabelPath' ./internal/rewrite ./internal/views
+	$(GO) test -race -count=10 -run 'TestRefine(Differential|ScratchReuse)|TestLabelPath|TestJoin(Differential|ScratchReuse)' ./internal/rewrite ./internal/views
 	$(GO) test -race -count=10 -run 'TestLabelPathHammer' .
 
 # fuzz-smoke fuzzes the XPath parser, the daemon's query-response
-# encoder (against encoding/json) and the plan-cache oracle (scripts of
+# encoder (against encoding/json), the plan-cache oracle (scripts of
 # queries, mutations and view-set changes over a four-key cache, against
-# direct evaluation) for ten seconds each.
+# direct evaluation) and the holistic join (random upper patterns, pins
+# and fragment streams, against the backtracking oracle) for ten seconds
+# each.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/xpath
 	$(GO) test -run='^$$' -fuzz=FuzzQueryResponse -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzPlanCacheOracle -fuzztime=10s .
+	$(GO) test -run='^$$' -fuzz=FuzzJoinOracle -fuzztime=10s ./internal/rewrite
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

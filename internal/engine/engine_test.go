@@ -99,11 +99,11 @@ func TestAnswersAtRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := engine.AnswersAtRoot(tree, xpath.MustParse("//s//p"))
+	got := engine.AnswersAtRoot(tree, xpath.MustParse("//s//p").Spine())
 	if len(got) != 3 {
 		t.Fatalf("AnswersAtRoot(//s//p) = %d, want 3", len(got))
 	}
-	got = engine.AnswersAtRoot(tree, xpath.MustParse("//s/p"))
+	got = engine.AnswersAtRoot(tree, xpath.MustParse("//s/p").Spine())
 	if len(got) != 1 {
 		t.Fatalf("AnswersAtRoot(//s/p) = %d, want 1 (root-pinned)", len(got))
 	}

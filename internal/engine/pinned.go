@@ -15,12 +15,13 @@ func MatchesAtRoot(t *xmltree.Tree, q *pattern.Pattern) bool {
 	return labelOK(q.Root, t.Root()) && embedsAt(q.Root, t.Root(), nil)
 }
 
-// AnswersAtRoot returns the images of q's answer node over embeddings of
-// q in t with q's root pinned to t's root, in document order. It powers
-// final result extraction from the Δ-view's fragments (§V). Fragments
-// are small, so it navigates directly rather than building DP tables.
-func AnswersAtRoot(t *xmltree.Tree, q *pattern.Pattern) []*xmltree.Node {
-	spine := q.Spine()
+// AnswersAtRoot returns the images of a pattern's answer node over
+// embeddings of the pattern in t with its root pinned to t's root, in
+// document order; spine is the pattern's Spine(), which callers compute
+// once per pattern rather than once per tree. It powers final result
+// extraction from the Δ-view's fragments (§V). Fragments are small, so
+// it navigates directly rather than building DP tables.
+func AnswersAtRoot(t *xmltree.Tree, spine []*pattern.Node) []*xmltree.Node {
 	seen := make(map[*xmltree.Node]bool)
 	var out []*xmltree.Node
 	var down func(step int, dn *xmltree.Node)

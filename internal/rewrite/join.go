@@ -14,11 +14,12 @@ import (
 // JoinPlan is the data-independent skeleton of the holistic join for one
 // (query, selection) pair: the upper twig (Q restricted to the union of
 // the root→X_i paths), the Δ-path marking, the per-node landing views,
-// and the rigid-anchor pins with their targets resolved to dense query-
-// node indexes. Everything here depends only on the plan — never on
-// which fragments exist today — so the serving layer memoizes it in the
-// plan cache and every query that hits the plan skips the skeleton
-// rebuild (and its per-query map) entirely.
+// the rigid-anchor pins with their targets resolved to dense query-node
+// indexes, which nodes the embed may remember verdicts for, and each
+// cover's compensating pattern. Everything here depends only on the
+// plan — never on which fragments exist today — so the serving layer
+// memoizes it in the plan cache and every query that hits the plan
+// skips the skeleton rebuild (and its per-query map) entirely.
 type JoinPlan struct {
 	// q and covers are what the skeleton was computed against, and what
 	// PlanJoin checked answerable; ExecuteOptions recomputes the plan if
@@ -39,6 +40,22 @@ type JoinPlan struct {
 	landAt    [][]int32 // view indexes landing on the query node
 	keptKids  [][]int32 // kept children (as node indexes) per query node
 	pins      [][]pinRef
+
+	// memoRow numbers the local query nodes and is -1 elsewhere. A node
+	// is local when it is kept, off the Δ-path, and every pin of a view
+	// landing in its subtree targets a node inside that subtree: whether
+	// it embeds at an arena node then depends on that arena node alone,
+	// not on the Δ-fragment or on anything assigned above it, and the
+	// joiner remembers the verdict for the rest of the join.
+	memoRow []int32
+	nLocal  int
+
+	// cover[i] is covers[i]'s compensating pattern and root path, which
+	// refinement and extraction read on every execution, and deltaSpine
+	// the root→answer path of the Δ-cover's, which extraction walks in
+	// every joined fragment.
+	cover      []coverPlan
+	deltaSpine []*pattern.Node
 }
 
 // pinRef is a selection.Pin with its target resolved to a query-node
@@ -158,6 +175,30 @@ func PlanJoin(q *pattern.Pattern, covers []*selection.Cover) (*JoinPlan, error) 
 			}
 		}
 	}
+	// A pin of a view landing on X targets an ancestor-or-self Y of X:
+	// the nodes from X up to Y's child see an assignment above their own
+	// subtree, so they are not local (marked -1 first).
+	p.memoRow = make([]int32, n)
+	for _, c := range covers {
+		for _, pin := range c.Pins {
+			for qn := c.X; qn != nil && qn != pin.Y; qn = qn.Parent {
+				p.memoRow[idx[qn]] = -1
+			}
+		}
+	}
+	for i := range p.memoRow {
+		if p.memoRow[i] == 0 && p.keep[i] && !p.deltaPath[i] {
+			p.memoRow[i] = int32(p.nLocal)
+			p.nLocal++
+		} else {
+			p.memoRow[i] = -1
+		}
+	}
+	p.cover = make([]coverPlan, len(covers))
+	for i, c := range covers {
+		p.cover[i] = planCover(q, c.X)
+	}
+	p.deltaSpine = p.cover[deltaIdx].comp.Spine()
 	return p, nil
 }
 
@@ -168,50 +209,78 @@ func PlanJoin(q *pattern.Pattern, covers []*selection.Cover) (*JoinPlan, error) 
 // predicate branches discharged by rigid guarantees are enforced as pins
 // rather than matched structurally.
 //
-// The assignment array has one slot per query node (a minimized query
-// has a handful), so embed simply resets it before every fragment.
+// Once a query node is placed, its kept children embed independently of
+// one another: a pin reads only an ancestor-or-self of its view's
+// landing node, and that ancestor is assigned before any of its
+// descendants are tried. So each child is placed on its own, and no
+// placement of one sibling is ever retried for the sake of another. The
+// search is a memoized one besides: a local node's verdicts (see
+// JoinPlan.memoRow) depend only on the arena node, so they are computed
+// once per join rather than once per Δ-fragment, and a branch off the
+// Δ-path scans the children or the subtree of each arena node at most
+// once.
+//
 // Instances are pooled (joinerPool) so a steady-state join allocates
-// nothing, and the hot placement loops are plain methods: the
-// closure-per-node-visit of the old backtracker was one heap allocation
-// per candidate probe. The meter that aborts the search is passed down
-// the placement calls rather than kept on the pooled joiner, so a
-// caller's meter never escapes to the heap through it.
+// nothing, and the hot placement loops are plain methods. The meter
+// that aborts the search is passed down the placement calls rather than
+// kept on the pooled joiner, so a caller's meter never escapes to the
+// heap through it.
 type joiner struct {
 	p  *JoinPlan
 	vt *vtree
 
-	assign []int32 // arena node by query-node index; -1 when unassigned
+	// assign[qi] is the arena node query node qi is being tried at; a
+	// node's ancestors are always those of the placement in progress.
+	assign []int32
 
 	chain     []int32 // chain[d] = depth-d ancestor of the anchor
 	deltaFrag *views.Fragment
+
+	// verdicts holds two rows per local query node, each with one slot
+	// per arena node: row 2r remembers whether local node r embeds at
+	// the arena node, row 2r+1 whether it embeds under it along its
+	// axis (at a child, or strictly below). They are valid for one
+	// joinUpper call.
+	verdicts []embedVerdict
 
 	// err, the meter's verdict that aborted the search, sticks once set.
 	err error
 }
 
+// embedVerdict is one remembered answer of the search.
+type embedVerdict uint8
+
+const (
+	embedUnknown embedVerdict = iota
+	embedNo
+	embedYes
+)
+
 // joinerPool recycles joiners with their grown scratch arrays, like
 // vtPool does for the arena.
 var joinerPool = sync.Pool{New: func() any { return &joiner{} }}
 
-func acquireJoiner(p *JoinPlan, vt *vtree) *joiner {
-	j := joinerPool.Get().(*joiner)
-	j.p, j.vt, j.err = p, vt, nil
-	n := len(p.labels)
-	j.assign = slices.Grow(j.assign[:0], n)[:n]
-	return j
-}
-
-func releaseJoiner(j *joiner) {
-	j.p, j.vt, j.deltaFrag, j.err = nil, nil, nil, nil
-	joinerPool.Put(j)
-}
-
 // joinUpper returns the Δ-view fragments that participate in at least
 // one embedding of the upper pattern in the virtual tree, charging one
-// budget step per embedding attempt.
+// budget step per embedding attempt that runs (a remembered verdict
+// charges nothing).
 func joinUpper(p *JoinPlan, refined []refinedView, vt *vtree, anchors []int32, b *budget.B) ([]*views.Fragment, error) {
-	j := acquireJoiner(p, vt)
-	defer releaseJoiner(j)
+	j := joinerPool.Get().(*joiner)
+	defer joinerPool.Put(j)
+	return j.join(p, refined, vt, anchors, b)
+}
+
+// join is joinUpper on this joiner's scratch. Every verdict starts
+// unknown, and the joiner keeps no reference to the plan, the arena or
+// a fragment once it returns.
+func (j *joiner) join(p *JoinPlan, refined []refinedView, vt *vtree, anchors []int32, b *budget.B) ([]*views.Fragment, error) {
+	j.p, j.vt, j.err = p, vt, nil
+	defer func() { j.p, j.vt, j.deltaFrag, j.err = nil, nil, nil, nil }()
+	n := len(p.labels)
+	j.assign = slices.Grow(j.assign[:0], n)[:n]
+	n = 2 * p.nLocal * len(vt.nodes)
+	j.verdicts = slices.Grow(j.verdicts[:0], n)[:n]
+	clear(j.verdicts)
 	frags := refined[p.deltaIdx].frags
 	out := make([]*views.Fragment, 0, len(frags))
 	for fi, frag := range frags {
@@ -229,9 +298,6 @@ func joinUpper(p *JoinPlan, refined []refinedView, vt *vtree, anchors []int32, b
 // pinned to this fragment's anchor node.
 func (j *joiner) embed(b *budget.B, frag *views.Fragment, anchor int32) bool {
 	j.deltaFrag = frag
-	for i := range j.assign {
-		j.assign[i] = -1
-	}
 	// chain[d] = depth-d ancestor of anchor; chain[0] is the document
 	// root. Reuse the backing array.
 	depth := j.vt.depth(anchor)
@@ -245,9 +311,6 @@ func (j *joiner) embed(b *budget.B, frag *views.Fragment, anchor int32) bool {
 	// The query root is on the Δ-path, so it maps onto the anchor chain:
 	// a '/'-rooted query at chain[0], a '//'-rooted one anywhere on it.
 	rootIdx := j.p.rootIdx
-	if !j.p.keep[rootIdx] {
-		return false
-	}
 	if j.p.axes[rootIdx] == pattern.Child {
 		return j.try(b, rootIdx, j.chain[0])
 	}
@@ -259,15 +322,12 @@ func (j *joiner) embed(b *budget.B, frag *views.Fragment, anchor int32) bool {
 	return false
 }
 
-// pinsOK validates every pin of view vi whose target is already assigned
-// against the candidate fragment.
+// pinsOK validates every pin of view vi against the candidate fragment.
+// A pin targets an ancestor-or-self of the view's landing node, which is
+// assigned before the landing node's views are checked.
 func (j *joiner) pinsOK(vi int32, frag *views.Fragment) bool {
 	for _, p := range j.p.pins[vi] {
-		w := j.assign[p.y]
-		if w < 0 {
-			continue // ancestors are always assigned before descendants
-		}
-		wc := j.vt.nodes[w].code
+		wc := j.vt.nodes[j.assign[p.y]].code
 		want := len(frag.Code) - int(p.k)
 		if want < 1 || len(wc) != want || !isPrefixCode(wc, frag.Code) {
 			return false
@@ -307,9 +367,47 @@ func (j *joiner) pickFrag(at, vi int32) *views.Fragment {
 	return nil
 }
 
-// try assigns query node qi to arena node at and recursively places its
-// kept children; on failure all assignments made beneath are rolled back.
+// slot returns local query node qi's remembered verdict at arena node v
+// (with under set, whether qi embeds under v along its axis), or nil
+// when qi is not local.
+func (j *joiner) slot(qi int, v int32, under bool) *embedVerdict {
+	r := int(j.p.memoRow[qi])
+	if r < 0 {
+		return nil
+	}
+	r *= 2
+	if under {
+		r++
+	}
+	return &j.verdicts[r*len(j.vt.nodes)+int(v)]
+}
+
+// record leaves a verdict in its slot, unless the search was aborted
+// (an aborted search's negatives are not verdicts).
+func (j *joiner) record(s *embedVerdict, ok bool) {
+	if s == nil || j.err != nil {
+		return
+	}
+	*s = embedNo
+	if ok {
+		*s = embedYes
+	}
+}
+
+// try reports whether query node qi embeds at arena node at.
 func (j *joiner) try(b *budget.B, qi int, at int32) bool {
+	s := j.slot(qi, at, false)
+	if s != nil && *s != embedUnknown {
+		return *s == embedYes
+	}
+	ok := j.embedAt(b, qi, at)
+	j.record(s, ok)
+	return ok
+}
+
+// embedAt is one embedding attempt, charged one budget step: qi's label,
+// the views landing on it, then each kept child on its own.
+func (j *joiner) embedAt(b *budget.B, qi int, at int32) bool {
 	if j.err != nil {
 		return false
 	}
@@ -322,24 +420,24 @@ func (j *joiner) try(b *budget.B, qi int, at int32) bool {
 	j.assign[qi] = at
 	for _, vi := range j.p.landAt[qi] {
 		if j.pickFrag(at, vi) == nil {
-			j.assign[qi] = -1
 			return false
 		}
 	}
-	if !j.placeKids(b, qi, at, 0) {
-		j.assign[qi] = -1
-		return false
+	for _, ci := range j.p.keptKids[qi] {
+		if !j.place(b, int(ci), at) {
+			return false
+		}
 	}
 	return true
 }
 
-// placeKids places the kept children of qi starting from index k.
-func (j *joiner) placeKids(b *budget.B, qi int, at int32, k int) bool {
-	kids := j.p.keptKids[qi]
-	if k == len(kids) {
-		return true
-	}
-	ci := kids[k]
+// place reports whether kept child ci of a query node placed at arena
+// node at embeds where its axis allows: on the anchor chain for a
+// Δ-path child, else at a child of at or anywhere below it, scanned in
+// document order. For a local ci the verdict is remembered per arena
+// node, so one join scans the children or the subtree of an arena node
+// for it at most once.
+func (j *joiner) place(b *budget.B, ci int, at int32) bool {
 	if j.p.deltaPath[ci] {
 		// ci maps onto the anchor chain only; its parent must itself sit
 		// on the chain.
@@ -348,57 +446,24 @@ func (j *joiner) placeKids(b *budget.B, qi int, at int32, k int) bool {
 			return false
 		}
 		if j.p.axes[ci] == pattern.Child {
-			return d+1 < len(j.chain) && j.placeAt(b, ci, j.chain[d+1], qi, at, k)
+			return d+1 < len(j.chain) && j.try(b, ci, j.chain[d+1])
 		}
-		for dd := d + 1; dd < len(j.chain); dd++ {
-			if j.placeAt(b, ci, j.chain[dd], qi, at, k) {
+		for _, v := range j.chain[d+1:] {
+			if j.try(b, ci, v) {
 				return true
 			}
 		}
 		return false
 	}
-	if j.p.axes[ci] == pattern.Child {
-		for v := j.vt.nodes[at].firstChild; v >= 0; v = j.vt.nodes[v].nextSib {
-			if j.placeAt(b, ci, v, qi, at, k) {
-				return true
-			}
-		}
-		return false
+	s := j.slot(ci, at, true)
+	if s != nil && *s != embedUnknown {
+		return *s == embedYes
 	}
-	return j.placeDesc(b, ci, at, qi, at, k)
-}
-
-// placeAt tries child query node ci at arena node v, then continues with
-// the remaining siblings of the placement in progress.
-func (j *joiner) placeAt(b *budget.B, ci, v int32, qi int, at int32, k int) bool {
-	if !j.try(b, int(ci), v) {
-		return false
+	child := j.p.axes[ci] == pattern.Child
+	ok := false
+	for v := j.vt.nodes[at].firstChild; v >= 0 && !ok; v = j.vt.nodes[v].nextSib {
+		ok = j.try(b, ci, v) || !child && j.place(b, ci, v)
 	}
-	if j.placeKids(b, qi, at, k+1) {
-		return true
-	}
-	j.unassign(int(ci))
-	return false
-}
-
-// placeDesc scans the arena subtree below root for a placement of ci
-// (descendant axis).
-func (j *joiner) placeDesc(b *budget.B, ci, root int32, qi int, at int32, k int) bool {
-	for ch := j.vt.nodes[root].firstChild; ch >= 0; ch = j.vt.nodes[ch].nextSib {
-		if j.placeAt(b, ci, ch, qi, at, k) || j.placeDesc(b, ci, ch, qi, at, k) {
-			return true
-		}
-	}
-	return false
-}
-
-// unassign rolls back the subtree assignment rooted at query node qi.
-func (j *joiner) unassign(qi int) {
-	if !j.p.keep[qi] {
-		return
-	}
-	j.assign[qi] = -1
-	for _, ci := range j.p.keptKids[qi] {
-		j.unassign(int(ci))
-	}
+	j.record(s, ok)
+	return ok
 }

@@ -18,7 +18,10 @@ import (
 
 // joinShapes are the benchmarked selections over one scale-1.0 XMark
 // document, named by their width k. The workloads select 1–3 views per
-// answer; the 8-view case is kept as a wide stress shape.
+// answer; the 8-view case is kept as a wide stress shape. desc puts a
+// '//' predicate off the Δ-path of a '//'-rooted query over every bidder
+// time: the shape the backtracking embed rescanned the arena for once
+// per Δ-fragment.
 var joinShapes = []struct {
 	name  string
 	query string
@@ -28,6 +31,7 @@ var joinShapes = []struct {
 	{"k2", "//person[address/city]/name", 2},
 	{"k3", "//person[address/city][profile/age]/name", 3},
 	{"k8", "//person[emailaddress][phone][address/city][homepage][creditcard][profile/age][watches/watch]/name", 8},
+	{"desc", "//*[.//date]/time", 2},
 }
 
 // joinBenchEnv is one shape refined once; the refined streams are
@@ -57,6 +61,8 @@ func newJoinBenchEnvs(tb testing.TB) []*joinBenchEnv {
 		"//person/creditcard",
 		"//person/profile/age",
 		"//person/watches/watch",
+		"//date",
+		"//time",
 	} {
 		if _, err := reg.Add(xpath.MustParse(v), 0); err != nil {
 			tb.Fatal(err)
@@ -78,7 +84,7 @@ func newJoinBenchEnvs(tb testing.TB) []*joinBenchEnv {
 		}
 		refined := make([]refinedView, len(sel.Covers))
 		for i, c := range sel.Covers {
-			if err := refineView(q, c, &refined[i], nil); err != nil {
+			if err := refineView(&jp.cover[i], c, &refined[i], nil); err != nil {
 				tb.Fatal(err)
 			}
 		}

@@ -44,7 +44,7 @@ var streamLabels = []string{"r", "x", "x", "x", "x"}
 // randStreams builds k sorted code streams under the root code 0 with
 // skewed lengths (stream 0 gets runs of consecutive codes) and duplicate
 // codes both within and across streams.
-func randStreams(r *rand.Rand, k, maxLen int) []refinedView {
+func randStreams(r intner, k, maxLen int) []refinedView {
 	path := &dewey.LabelPath{Labels: streamLabels}
 	refined := make([]refinedView, k)
 	for vi := range refined {
@@ -173,7 +173,7 @@ func planFixture(t *testing.T) (*JoinPlan, *dewey.FST, []refinedView, func()) {
 	}
 	refined := make([]refinedView, len(sel.Covers))
 	for i, c := range sel.Covers {
-		if err := refineView(q, c, &refined[i], nil); err != nil {
+		if err := refineView(&jp.cover[i], c, &refined[i], nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,7 +25,7 @@ func ExecuteNaive(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) 
 	refined := make([]refinedView, len(covers))
 	defer releaseRefined(refined)
 	for i, c := range covers {
-		if err := refineView(q, c, &refined[i], nil); err != nil {
+		if err := refineView(&jp.cover[i], c, &refined[i], nil); err != nil {
 			return nil, err
 		}
 		res.FragmentsScanned += refined[i].scanned
@@ -58,7 +58,7 @@ func ExecuteNaive(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST) 
 		}
 	}
 	res.FragmentsJoined = len(joined)
-	if err := extract(q, covers[deltaIdx], joined, res, nil); err != nil {
+	if err := extract(jp, joined, res, nil); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -27,7 +27,7 @@ import (
 // against the root-path pattern, in fragment order, one budget step per
 // fragment.
 func refineViewReference(q *pattern.Pattern, c *selection.Cover, fst *dewey.FST, b *budget.B) (frags []*views.Fragment, labels [][]string, scanned int, err error) {
-	comp := compensating(q, c.X)
+	comp := q.SubtreeAt(c.X)
 	trivialComp := len(comp.Root.Children) == 0 && len(comp.Root.Attrs) == 0
 	rootPath := rootToNodePath(q, c.X)
 	for fi := range c.View.Fragments {
@@ -199,14 +199,14 @@ func TestRefineDifferential(t *testing.T) {
 					t.Fatalf("%s: reference: %v", tag, err)
 				}
 				anyEmpty = anyEmpty || len(refs[ci]) == 0
-				comp := compensating(q, c.X)
-				if len(comp.Root.Children) == 0 && len(comp.Root.Attrs) == 0 {
+				cp := planCover(q, c.X)
+				if cp.trivial {
 					trivial++
 				} else {
 					nonTrivial++
 				}
 				var out refinedView
-				if err := refineView(q, c, &out, nil); err != nil {
+				if err := refineView(&cp, c, &out, nil); err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
 				checkAgainstReference(t, tag, &out, refs[ci], refLabels[ci], refScanned[ci])
@@ -215,8 +215,12 @@ func TestRefineDifferential(t *testing.T) {
 				}
 				releaseRefined([]refinedView{out})
 			}
+			jp, err := PlanJoin(q, covers)
+			if err != nil {
+				t.Fatalf("%s %s: %v", f.name, q, err)
+			}
 			refined := make([]refinedView, len(covers))
-			empty, err := refineAll(q, covers, refined, nil)
+			empty, err := refineAll(jp, refined, nil)
 			if err != nil {
 				t.Fatalf("%s %s: %v", f.name, q, err)
 			}
@@ -279,6 +283,10 @@ func TestRefineExactBudget(t *testing.T) {
 		if len(covers) > 1 {
 			multi++
 		}
+		jp, err := PlanJoin(q, covers)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
 		total := 0
 		for _, c := range covers {
 			total += len(c.View.Fragments)
@@ -304,7 +312,7 @@ func TestRefineExactBudget(t *testing.T) {
 				}
 			}
 			refined := make([]refinedView, len(covers))
-			empty, err := refineAll(q, covers, refined, budget.New(nil, k, 0))
+			empty, err := refineAll(jp, refined, budget.New(nil, k, 0))
 			if (err == nil) != (refErr == nil) || (err != nil && !errors.Is(err, budget.ErrSteps)) {
 				t.Fatalf("%s cap %d/%d: err %v, reference %v", q, k, total, err, refErr)
 			}
@@ -371,7 +379,8 @@ func TestRefineScratchReuse(t *testing.T) {
 					}
 				}
 				var out refinedView
-				if err := sc.refine(j.q, j.c, &out, nil); err != nil {
+				cp := planCover(j.q, j.c.X)
+				if err := sc.refine(&cp, j.c, &out, nil); err != nil {
 					t.Fatal(err)
 				}
 				frags, labels, scanned, err := refineViewReference(j.q, j.c, j.fst, nil)
@@ -387,9 +396,8 @@ func TestRefineScratchReuse(t *testing.T) {
 }
 
 // TestRefineAllocsFlat: a warm refinement allocates the same handful of
-// objects (the compensating pattern and root path, built once per call)
-// whether the view holds a few dozen fragments or a few thousand —
-// nothing is allocated per fragment or per path class.
+// objects whether the view holds a few dozen fragments or a few
+// thousand — nothing is allocated per fragment or per path class.
 func TestRefineAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector distorts allocation counts")
@@ -408,9 +416,10 @@ func TestRefineAllocsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := sel.Covers[0]
+		cp := planCover(q, c.X)
 		run := func() {
 			var out refinedView
-			if err := refineView(q, c, &out, nil); err != nil {
+			if err := refineView(&cp, c, &out, nil); err != nil {
 				t.Fatal(err)
 			}
 			releaseRefined([]refinedView{out})

@@ -187,7 +187,7 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 	refined := make([]refinedView, len(covers))
 	defer releaseRefined(refined)
 	b.Mark()
-	empty, err := refineAll(q, covers, refined, b)
+	empty, err := refineAll(jp, refined, b)
 	b.Lap(budget.Refine)
 	for i := range refined {
 		res.FragmentsScanned += refined[i].scanned
@@ -232,7 +232,7 @@ func ExecuteOptions(q *pattern.Pattern, sel *selection.Selection, fst *dewey.FST
 
 	// Stage 4: extraction from the Δ-view's joined fragments; the stage
 	// clock runs on from the previous stage's lap.
-	err = extract(q, dc, joined, res, b)
+	err = extract(jp, joined, res, b)
 	if err == nil && publish {
 		jp.remember(&deltaMemo{text: CodeText{answers: res.Answers}, steps: len(joined)})
 	}
@@ -367,12 +367,12 @@ func releaseRefined(refined []refinedView) {
 	}
 }
 
-// refineAll runs stage 1+2 for every cover in order. It reports
-// empty=true as soon as some view refines to zero fragments (the
+// refineAll runs stage 1+2 for every cover of the plan in order. It
+// reports empty=true as soon as some view refines to zero fragments (the
 // rewriting's answer is empty); the remaining views are not refined.
-func refineAll(q *pattern.Pattern, covers []*selection.Cover, refined []refinedView, b *budget.B) (empty bool, err error) {
-	for i, c := range covers {
-		if err := refineView(q, c, &refined[i], b); err != nil {
+func refineAll(jp *JoinPlan, refined []refinedView, b *budget.B) (empty bool, err error) {
+	for i, c := range jp.covers {
+		if err := refineView(&jp.cover[i], c, &refined[i], b); err != nil {
 			return false, err
 		}
 		if len(refined[i].frags) == 0 {
@@ -383,25 +383,19 @@ func refineAll(q *pattern.Pattern, covers []*selection.Cover, refined []refinedV
 }
 
 // refineView applies the root-path filter and the compensating pattern
-// to every fragment of one cover, on pooled scratch that releaseRefined
-// returns.
-func refineView(q *pattern.Pattern, c *selection.Cover, out *refinedView, b *budget.B) error {
+// of cp, c's cover plan, to every fragment of c, on pooled scratch that
+// releaseRefined returns.
+func refineView(cp *coverPlan, c *selection.Cover, out *refinedView, b *budget.B) error {
 	sc := refineScratchPool.Get().(*refineScratch)
 	out.sc = sc
-	return sc.refine(q, c, out, b)
+	return sc.refine(cp, c, out, b)
 }
 
 // refine is refineView on the given scratch. The root-path filter runs
 // once per distinct root label-path (fragment class), not once per
 // fragment: a fragment costs one verdict lookup, its budget step and,
 // for a non-trivial compensating pattern, one match at its root.
-func (sc *refineScratch) refine(q *pattern.Pattern, c *selection.Cover, out *refinedView, b *budget.B) error {
-	comp := compensating(q, c.X)
-	// The root-path filter already certifies x's own label; when the
-	// compensating pattern has no predicates below x, refinement is a
-	// no-op.
-	trivialComp := len(comp.Root.Children) == 0 && len(comp.Root.Attrs) == 0
-	rootPath := rootToNodePath(q, c.X)
+func (sc *refineScratch) refine(cp *coverPlan, c *selection.Cover, out *refinedView, b *budget.B) error {
 	sc.begin()
 	out.frags = sc.frags[:0]
 	defer func() {
@@ -415,10 +409,10 @@ func (sc *refineScratch) refine(q *pattern.Pattern, c *selection.Cover, out *ref
 			return err
 		}
 		out.scanned++
-		if !sc.pathMatches(f.Path, rootPath, &out.paths) {
+		if !sc.pathMatches(f.Path, cp.rootPath, &out.paths) {
 			continue
 		}
-		if !trivialComp && !engine.MatchesAtRoot(f.Tree, comp) {
+		if !cp.trivial && !engine.MatchesAtRoot(f.Tree, cp.comp) {
 			continue
 		}
 		out.frags = append(out.frags, f)
@@ -463,11 +457,29 @@ func depthOf(n *pattern.Node) int {
 	return d
 }
 
-// compensating builds the pattern applied to each fragment of a view
-// landing on x: the query's subtree at x. The fragment root is pinned to
-// x, so the root axis is irrelevant.
-func compensating(q *pattern.Pattern, x *pattern.Node) *pattern.Pattern {
-	return q.SubtreeAt(x)
+// coverPlan is the data-independent part of refining and extracting the
+// fragments of a view whose answers land on query node x. PlanJoin builds
+// one per cover, so executions through a cached plan build none.
+type coverPlan struct {
+	// comp is the compensating pattern applied to each fragment: the
+	// query's subtree at x. The fragment root is pinned to x, so the root
+	// axis is irrelevant.
+	comp *pattern.Pattern
+	// trivial reports that comp has no predicate below x: the root-path
+	// filter already certifies x's own label, so refinement is that
+	// filter alone.
+	trivial bool
+	// rootPath is the path pattern from the query root down to x.
+	rootPath pattern.Path
+}
+
+func planCover(q *pattern.Pattern, x *pattern.Node) coverPlan {
+	comp := q.SubtreeAt(x)
+	return coverPlan{
+		comp:     comp,
+		trivial:  len(comp.Root.Children) == 0 && len(comp.Root.Attrs) == 0,
+		rootPath: rootToNodePath(q, x),
+	}
 }
 
 // rootToNodePath is the path pattern from the query root down to x.

@@ -9,7 +9,6 @@ import (
 	"xpathviews/internal/dewey"
 	"xpathviews/internal/engine"
 	"xpathviews/internal/pattern"
-	"xpathviews/internal/selection"
 	"xpathviews/internal/views"
 )
 
@@ -19,8 +18,13 @@ import (
 // data. It is stored as an index-linked arena: one slab
 // of nodes, no per-node allocations, built in a single merge scan of the
 // per-view code streams (which materialization keeps sorted). This is
-// the paper's "holistic join ... requires only one scan of all roots of
-// fragments and runs in linear time" (§V).
+// the "one scan of all roots of fragments" of the paper's holistic join,
+// which "requires only one scan ... and runs in linear time" (§V). The
+// embed that follows (join.go) is linear in the arena for the branches
+// off the Δ-path, which it places at most once per arena node and join;
+// per Δ-fragment it walks the fragment's ancestor chain. The exception
+// is a branch whose view is pinned to an ancestor outside the branch: it
+// is placed afresh for every placement of that ancestor.
 type vtree struct {
 	nodes []vnode
 	// fragEntries is the slab backing each node's fragment list.
@@ -183,17 +187,16 @@ func buildVirtual(fst *dewey.FST, refined []refinedView, delta int) (*vtree, []i
 	return t, anchors, gallop
 }
 
-// extract runs the answer-extraction compensating query on the Δ-view's
-// joined fragments (§V's final step), given in fragment order, and sets
-// res.Answers — sorted, duplicate-free and with cap == len, so that a
-// caller's append can never write into a slice the plan memo shares —
-// charging one budget step per fragment.
-func extract(q *pattern.Pattern, dc *selection.Cover, joined []*views.Fragment, res *Result, b *budget.B) error {
+// extract runs the answer-extraction compensating query of the plan's
+// Δ-view on its joined fragments (§V's final step), given in fragment
+// order, and sets res.Answers — sorted, duplicate-free and with cap ==
+// len, so that a caller's append can never write into a slice the plan
+// memo shares — charging one budget step per fragment.
+func extract(jp *JoinPlan, joined []*views.Fragment, res *Result, b *budget.B) error {
 	if err := fpExtract.Fire(); err != nil {
 		return err
 	}
-	comp := compensating(q, dc.X)
-	if dc.X == q.Ret && len(comp.Root.Children) == 0 && len(comp.Root.Attrs) == 0 {
+	if jp.covers[jp.deltaIdx].X == jp.q.Ret && jp.cover[jp.deltaIdx].trivial {
 		// The view's answers are the query's answers: no compensating
 		// work inside fragments. Fragment roots are distinct by
 		// construction and stored in code order, so walking joined yields
@@ -212,7 +215,7 @@ func extract(q *pattern.Pattern, dc *selection.Cover, joined []*views.Fragment, 
 		if err := b.Step(1); err != nil {
 			return err
 		}
-		out = appendFragAnswers(comp, f, out)
+		out = appendFragAnswers(jp.deltaSpine, f, out)
 	}
 	// Answers are appended in fragment order; the stable sort keeps that
 	// order among equal codes, so dropping adjacent duplicates keeps the
@@ -221,10 +224,10 @@ func extract(q *pattern.Pattern, dc *selection.Cover, joined []*views.Fragment, 
 	return nil
 }
 
-// appendFragAnswers runs the compensating query on one fragment and
-// appends its (not yet deduplicated) answers to out.
-func appendFragAnswers(comp *pattern.Pattern, f *views.Fragment, out []Answer) []Answer {
-	for _, a := range engine.AnswersAtRoot(f.Tree, comp) {
+// appendFragAnswers runs the compensating query, given by its spine, on
+// one fragment and appends its (not yet deduplicated) answers to out.
+func appendFragAnswers(spine []*pattern.Node, f *views.Fragment, out []Answer) []Answer {
+	for _, a := range engine.AnswersAtRoot(f.Tree, spine) {
 		ord := f.Tree.Ord(a)
 		var code dewey.Code
 		if ord < len(f.NodeCodes) {
