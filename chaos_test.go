@@ -185,3 +185,25 @@ func TestChaosResilientDegrades(t *testing.T) {
 		t.Fatalf("degraded answers differ: %d vs %d", len(res.Answers), len(base.Answers))
 	}
 }
+
+// TestChaosBNFaultIsInternal: an armed engine.bn point fails a BN call
+// with ErrInternal staged at engine.bn, in both modes, and BN answers
+// again once it is disarmed.
+func TestChaosBNFaultIsInternal(t *testing.T) {
+	sys := chaosSystem(t)
+	ctx := context.Background()
+	opts := xpathviews.Options{Strategy: xpathviews.BN}
+	defer faults.DisarmAll()
+	for _, mode := range []faults.Mode{faults.Error, faults.Panic} {
+		faults.Arm("engine.bn", mode)
+		_, err := sys.AnswerContext(ctx, paperdata.QueryE, opts)
+		var ie *xpathviews.InternalError
+		if !errors.Is(err, xpathviews.ErrInternal) || !errors.As(err, &ie) || ie.Stage != "engine.bn" {
+			t.Fatalf("mode %v: err = %v, want ErrInternal at engine.bn", mode, err)
+		}
+		faults.DisarmAll()
+		if res, err := sys.AnswerContext(ctx, paperdata.QueryE, opts); err != nil || len(res.Answers) != 5 {
+			t.Fatalf("mode %v, disarmed: err %v", mode, err)
+		}
+	}
+}

@@ -73,22 +73,9 @@ func main() {
 		}
 	}
 
-	var strat xpathviews.Strategy
-	switch strings.ToUpper(*strategy) {
-	case "BN":
-		strat = xpathviews.BN
-	case "BF":
-		strat = xpathviews.BF
-	case "MN":
-		strat = xpathviews.MN
-	case "MV":
-		strat = xpathviews.MV
-	case "HV":
-		strat = xpathviews.HV
-	case "CV":
-		strat = xpathviews.CV
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+	strat, err := xpathviews.ParseStrategy(strings.ToUpper(*strategy))
+	if err != nil {
+		fatal(err)
 	}
 
 	opts := xpathviews.Options{

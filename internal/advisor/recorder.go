@@ -121,9 +121,6 @@ func (r *Recorder) SetSampling(every int) {
 	r.every.Store(int64(every))
 }
 
-// Sampling returns the current sampling period (0 = disabled).
-func (r *Recorder) Sampling() int { return int(r.every.Load()) }
-
 // RecordPattern samples one served query. The pattern is canonicalized
 // (String of the already-minimized pattern) only when this call is
 // actually sampled, keeping the disabled/skipped path allocation-free.

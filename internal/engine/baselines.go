@@ -16,16 +16,18 @@ var (
 // This file implements the two direct-evaluation baselines of §VI.
 //
 // BN — "executing queries directly on the XML database with basic node
-// index support" — is a navigational evaluator: it walks the tree top
-// down, re-scanning subtrees for every descendant step. Its only index is
-// the label→nodes list, used to seed descendant steps at the root.
+// index support" — is the navigational walk of AnswersWithin over the
+// whole document: top down, each node visited once, predicates checked
+// by navigating below the candidate. It reads no index.
 //
 // BF — "full index support to accelerate query performance" — combines
 // the label index with a root-label-path index (every distinct root-to-
-// node label-path, pre-materialized) and falls back to the linear-time
-// matcher for patterns the path index cannot answer alone. The paper
-// observes BF's index is ~4× the size of BN's (635 MB vs 150 MB for a
-// 56 MB document); IndexBytes reports an equivalent accounting here.
+// node label-path, pre-materialized): a branch-free, wildcard-free,
+// child-only pattern is one path-index lookup, anything else runs the
+// structural-join evaluator AnswersFastBudget over the label index. The
+// paper observes BF's index is ~4× the size of BN's (635 MB vs 150 MB
+// for a 56 MB document); IndexBytes reports an equivalent accounting
+// here.
 
 // BN is the navigational baseline evaluator.
 type BN struct {
@@ -41,151 +43,15 @@ func (e *BN) Eval(q *pattern.Pattern) []*xmltree.Node {
 	return out
 }
 
-// EvalBudget is Eval under a cancellation/step budget: the navigational
-// walk charges one step per visited candidate node and aborts with the
-// budget's error. A nil budget never aborts.
+// EvalBudget is Eval under a cancellation/step budget: the walk charges
+// one step per visited node and aborts with the budget's error. A nil
+// budget never aborts.
 func (e *BN) EvalBudget(q *pattern.Pattern, b *budget.B) ([]*xmltree.Node, error) {
 	if err := fpBN.Fire(); err != nil {
 		return nil, err
 	}
-	// Navigational: maintain the set of data nodes matched by the
-	// current pattern node, found by walking, then check predicates by
-	// recursive exploration. Deliberately index-free.
-	seen := make(map[*xmltree.Node]bool)
-	var out []*xmltree.Node
-	var berr error
-	spine := q.Spine()
-	var walk func(step int, from *xmltree.Node, self bool)
-	walk = func(step int, from *xmltree.Node, self bool) {
-		pn := spine[step]
-		var try func(dn *xmltree.Node)
-		try = func(dn *xmltree.Node) {
-			if berr != nil {
-				return
-			}
-			if berr = b.Step(1); berr != nil {
-				return
-			}
-			if matchNodeNav(pn, dn, spine, step) {
-				if step == len(spine)-1 {
-					if !seen[dn] {
-						seen[dn] = true
-						out = append(out, dn)
-					}
-				} else {
-					walk(step+1, dn, false)
-				}
-			}
-		}
-		if pn.Axis == pattern.Child {
-			if self {
-				try(from)
-			} else {
-				for _, c := range from.Children {
-					try(c)
-				}
-			}
-		} else {
-			var rec func(dn *xmltree.Node)
-			rec = func(dn *xmltree.Node) {
-				for _, c := range dn.Children {
-					if berr != nil {
-						return
-					}
-					try(c)
-					rec(c)
-				}
-			}
-			if self {
-				try(from)
-			}
-			rec(from)
-		}
-	}
-	// The virtual document root: treat the real root as the only child.
-	virtual := &xmltree.Node{Children: []*xmltree.Node{e.t.Root()}}
-	walk(0, virtual, false)
-	if berr != nil {
-		return nil, berr
-	}
-	SortNodes(e.t, out)
-	return out, nil
-}
-
-// NodeTest checks pn's own constraints at dn: label and attribute
-// predicates, no structure.
-func NodeTest(pn *pattern.Node, dn *xmltree.Node) bool {
-	return labelOK(pn, dn) && attrsOK(pn, dn)
-}
-
-func labelOK(pn *pattern.Node, dn *xmltree.Node) bool {
-	return pn.Label == pattern.Wildcard || pn.Label == dn.Label
-}
-
-func attrsOK(pn *pattern.Node, dn *xmltree.Node) bool {
-	for _, a := range pn.Attrs {
-		v, ok := dn.Attr(a.Name)
-		if !ok || !pattern.CompareAttr(a.Op, v, a.Value) {
-			return false
-		}
-	}
-	return true
-}
-
-// matchNodeNav checks label, attributes and all off-spine predicate
-// branches of spine[step] at dn, navigationally.
-func matchNodeNav(pn *pattern.Node, dn *xmltree.Node, spine []*pattern.Node, step int) bool {
-	if !NodeTest(pn, dn) {
-		return false
-	}
-	for _, pc := range pn.Children {
-		if step+1 < len(spine) && pc == spine[step+1] {
-			continue // the spine continuation is handled by the walk
-		}
-		if !ExistsUnder(pc, dn, nil) {
-			return false
-		}
-	}
-	return true
-}
-
-// embedsAt reports whether the pattern subtree rooted at pn embeds with
-// image dn, whose label the caller has checked, by exhaustive
-// navigation that never enters the subtree rooted at mask.
-func embedsAt(pn *pattern.Node, dn, mask *xmltree.Node) bool {
-	if !attrsOK(pn, dn) {
-		return false
-	}
-	for _, pc := range pn.Children {
-		if !ExistsUnder(pc, dn, mask) {
-			return false
-		}
-	}
-	return true
-}
-
-// ExistsUnder reports whether the predicate branch pn has a witness
-// below dn — among dn's children for a Child-axis branch, among its
-// proper descendants otherwise — stopping at the first one. A non-nil
-// mask hides the subtree rooted there: the answer is the one the
-// document would give with that subtree detached, which is how view
-// maintenance asks whether a predicate's truth depends on a mutated
-// subtree (maintain.DirtyDepth).
-func ExistsUnder(pn *pattern.Node, dn, mask *xmltree.Node) bool {
-	deep := pn.Axis == pattern.Descendant
-	for _, c := range dn.Children {
-		if c == mask {
-			continue
-		}
-		// Most candidates fail on the label: test it before any call.
-		if labelOK(pn, c) && embedsAt(pn, c, mask) {
-			return true
-		}
-		if deep && ExistsUnder(pn, c, mask) {
-			return true
-		}
-	}
-	return false
+	out, _, err := AnswersWithin(q.Spine(), e.t.Root(), b)
+	return out, err
 }
 
 // BF is the fully indexed baseline evaluator.

@@ -1,8 +1,10 @@
 // Package engine evaluates tree patterns over XML trees. It provides the
 // two direct-evaluation baselines of the paper's §VI — BN ("basic node
-// index") and BF ("full index") — plus the shared embedding matcher that
-// view materialization, fragment refinement and the test-suite's ground
-// truth are built on.
+// index") and BF ("full index") — the one navigational walk that BN,
+// §V's extraction and view maintenance share (AnswersWithin), the
+// checks fragment refinement asks, the structural-join evaluator behind
+// BF and view materialization, and the DP matcher that is the
+// test-suite's ground truth.
 package engine
 
 import (
@@ -18,12 +20,6 @@ import (
 func Answers(t *xmltree.Tree, q *pattern.Pattern) []*xmltree.Node {
 	m := newMatcher(t, q)
 	return m.answers()
-}
-
-// Matches reports whether q has at least one embedding in t.
-func Matches(t *xmltree.Tree, q *pattern.Pattern) bool {
-	m := newMatcher(t, q)
-	return m.matches()
 }
 
 // matcher runs the embed DP between one pattern and one tree.
@@ -117,19 +113,6 @@ func (m *matcher) nodeFeasible(pn *pattern.Node, dn *xmltree.Node) bool {
 		}
 	}
 	return true
-}
-
-func (m *matcher) matches() bool {
-	rootRow := m.feas[0]
-	if m.q.Root.Axis == pattern.Child {
-		return rootRow[0]
-	}
-	for _, v := range rootRow {
-		if v {
-			return true
-		}
-	}
-	return false
 }
 
 // answers runs the top-down pass: reach[i][ord] reports that pattern node

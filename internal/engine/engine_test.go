@@ -94,21 +94,6 @@ func TestMatchesAtRoot(t *testing.T) {
 	}
 }
 
-func TestAnswersAtRoot(t *testing.T) {
-	tree, err := xmltree.ParseString(`<s><p/><s><p/><p/></s></s>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := engine.AnswersAtRoot(tree, xpath.MustParse("//s//p").Spine())
-	if len(got) != 3 {
-		t.Fatalf("AnswersAtRoot(//s//p) = %d, want 3", len(got))
-	}
-	got = engine.AnswersAtRoot(tree, xpath.MustParse("//s/p").Spine())
-	if len(got) != 1 {
-		t.Fatalf("AnswersAtRoot(//s/p) = %d, want 1 (root-pinned)", len(got))
-	}
-}
-
 func TestAttrPredicates(t *testing.T) {
 	tree, err := xmltree.ParseString(`<r><x id="1" price="20"/><x id="2" price="5"/><x price="100"/></r>`)
 	if err != nil {
@@ -165,7 +150,11 @@ func sameNodes(tr *xmltree.Tree, a, b []*xmltree.Node) bool {
 	return true
 }
 
-func randomTree(r *rand.Rand, n int, labels []string) *xmltree.Tree {
+// intn draws the random choices of the generators below: a *rand.Rand
+// or a fuzz input's byteChooser.
+type intn interface{ Intn(n int) int }
+
+func randomTree(r intn, n int, labels []string) *xmltree.Tree {
 	t := xmltree.New(labels[0])
 	nodes := []*xmltree.Node{t.Root()}
 	for len(nodes) < n {
@@ -180,7 +169,7 @@ func randomTree(r *rand.Rand, n int, labels []string) *xmltree.Tree {
 	return t
 }
 
-func randomPattern(r *rand.Rand, labels []string, maxNodes int) *pattern.Pattern {
+func randomPattern(r intn, labels []string, maxNodes int) *pattern.Pattern {
 	root := pattern.NewNode(labels[r.Intn(len(labels))], pattern.Axis(r.Intn(2)))
 	nodes := []*pattern.Node{root}
 	n := 1 + r.Intn(maxNodes)

@@ -62,7 +62,7 @@ func ApplyDelta(v *views.View, doc *xmltree.Tree, enc *dewey.Encoding, scope *xm
 	lo, hi := v.PrefixRange(scopeCode)
 	var answers []*xmltree.Node
 	if scope != nil {
-		answers, st.NodesScanned = engine.AnswersWithin(doc, v.Pattern, scope)
+		answers, st.NodesScanned, _ = engine.AnswersWithin(v.Pattern.Spine(), scope, nil)
 	}
 	old := v.Fragments[lo:hi]
 	fresh := make([]views.Fragment, 0, len(answers))

@@ -147,24 +147,6 @@ func (h *Hom) Exists() bool {
 	return false
 }
 
-// RootTargets returns the Q-nodes that P's root may map to under some
-// homomorphism, respecting the root-axis rule.
-func (h *Hom) RootTargets() []*Node {
-	var out []*Node
-	if h.P.Root.Axis == Child {
-		if h.Q.Root.Axis == Child && h.can[0][0] {
-			out = append(out, h.Q.Root)
-		}
-		return out
-	}
-	for j, qn := range h.qNodes {
-		if h.can[0][j] {
-			out = append(out, qn)
-		}
-	}
-	return out
-}
-
 // CanMap reports whether the subtree of P at pn can map with image qn.
 func (h *Hom) CanMap(pn, qn *Node) bool {
 	return h.can[h.pIdx[pn]][h.qIdx[qn]]

@@ -167,29 +167,6 @@ func (p *Pattern) Spine() []*Node {
 	return rev
 }
 
-// OnSpine reports whether n lies on the root-to-answer path.
-func (p *Pattern) OnSpine(n *Node) bool {
-	for m := p.Ret; m != nil; m = m.Parent {
-		if m == n {
-			return true
-		}
-	}
-	return false
-}
-
-// IsPath reports whether p is a path pattern (no branches).
-func (p *Pattern) IsPath() bool {
-	for n := p.Root; ; n = n.Children[0] {
-		switch len(n.Children) {
-		case 0:
-			return true
-		case 1:
-		default:
-			return false
-		}
-	}
-}
-
 // Depth returns the number of labelled steps on the longest root-to-leaf
 // path (the paper's max_depth knob counts steps, i.e. nodes).
 func (p *Pattern) Depth() int {

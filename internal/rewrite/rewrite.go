@@ -462,8 +462,8 @@ func depthOf(n *pattern.Node) int {
 // one per cover, so executions through a cached plan build none.
 type coverPlan struct {
 	// comp is the compensating pattern applied to each fragment: the
-	// query's subtree at x. The fragment root is pinned to x, so the root
-	// axis is irrelevant.
+	// query's subtree at x, its root axis set to Child because the
+	// fragment root is pinned to x.
 	comp *pattern.Pattern
 	// trivial reports that comp has no predicate below x: the root-path
 	// filter already certifies x's own label, so refinement is that
@@ -475,6 +475,7 @@ type coverPlan struct {
 
 func planCover(q *pattern.Pattern, x *pattern.Node) coverPlan {
 	comp := q.SubtreeAt(x)
+	comp.Root.Axis = pattern.Child
 	return coverPlan{
 		comp:     comp,
 		trivial:  len(comp.Root.Children) == 0 && len(comp.Root.Attrs) == 0,

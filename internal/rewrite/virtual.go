@@ -225,9 +225,13 @@ func extract(jp *JoinPlan, joined []*views.Fragment, res *Result, b *budget.B) e
 }
 
 // appendFragAnswers runs the compensating query, given by its spine, on
-// one fragment and appends its (not yet deduplicated) answers to out.
+// one fragment and appends its (not yet deduplicated) answers to out, in
+// the fragment's document order. The spine's root axis is Child
+// (planCover), so the walk pins it to the fragment root. Extraction
+// charges its step per fragment, so the walk runs unmetered.
 func appendFragAnswers(spine []*pattern.Node, f *views.Fragment, out []Answer) []Answer {
-	for _, a := range engine.AnswersAtRoot(f.Tree, spine) {
+	answers, _, _ := engine.AnswersWithin(spine, f.Tree.Root(), nil)
+	for _, a := range answers {
 		ord := f.Tree.Ord(a)
 		var code dewey.Code
 		if ord < len(f.NodeCodes) {

@@ -277,10 +277,6 @@ func upperPattern(q *pattern.Pattern, x *pattern.Node) (*pattern.Pattern, *patte
 	return &pattern.Pattern{Root: root, Ret: ux}, ux
 }
 
-// LF returns the universe LF(Q) = LEAF(Q) ∪ {Δ} as (leaves, hasDelta
-// placeholder); Δ is tracked separately by the selection routines.
-func LF(q *pattern.Pattern) []*pattern.Node { return q.Leaves() }
-
 // Answerable reports whether the covers jointly answer Q: some cover has
 // Δ and every leaf of Q is covered by some cover.
 func Answerable(q *pattern.Pattern, covers []*Cover) bool {

@@ -223,6 +223,3 @@ func (a *admission) inflight() int64 { return int64(len(a.sem)) }
 
 // idle reports that no request is running or queued.
 func (a *admission) idle() bool { return len(a.sem) == 0 && a.waiting.Load() == 0 }
-
-// beginDrain makes every subsequent acquire fail with ShedDraining.
-func (a *admission) beginDrain() { a.draining.Store(true) }

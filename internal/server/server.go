@@ -27,6 +27,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -477,9 +478,9 @@ func (s *Server) answerOne(ctx context.Context, t *Tenant, src, strat string, pr
 		if strat == "" || strat == "resilient" {
 			return t.sys.AnswerResilient(ctx, src, opts)
 		}
-		st, ok := parseStrategy(strat)
-		if !ok {
-			return nil, &badStrategyError{strat}
+		st, err := xpathviews.ParseStrategy(strat)
+		if err != nil {
+			return nil, &badStrategyError{err}
 		}
 		o := opts
 		o.Strategy = st
@@ -527,20 +528,12 @@ func (s *Server) answerOne(ctx context.Context, t *Tenant, src, strat string, pr
 	return qr
 }
 
-type badStrategyError struct{ name string }
+// badStrategyError is ParseStrategy's refusal of a strategy name, whose
+// list of accepted names gains the daemon's own "resilient" chain.
+type badStrategyError struct{ err error }
 
 func (e *badStrategyError) Error() string {
-	return fmt.Sprintf("unknown strategy %q (want resilient, BN, BF, MN, MV, HV or CV)", e.name)
-}
-
-func parseStrategy(name string) (xpathviews.Strategy, bool) {
-	for _, st := range []xpathviews.Strategy{xpathviews.BN, xpathviews.BF, xpathviews.MN,
-		xpathviews.MV, xpathviews.HV, xpathviews.CV} {
-		if st.String() == name {
-			return st, true
-		}
-	}
-	return 0, false
+	return strings.Replace(e.err.Error(), "(want ", "(want resilient, ", 1)
 }
 
 // statusForError maps a pipeline failure onto an HTTP status.
@@ -633,9 +626,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	strat := xpathviews.HV
 	if name := r.URL.Query().Get("strategy"); name != "" {
-		st, ok := parseStrategy(name)
-		if !ok {
-			s.writeError(w, http.StatusBadRequest, &badStrategyError{name})
+		st, err := xpathviews.ParseStrategy(name)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, &badStrategyError{err})
 			return
 		}
 		strat = st

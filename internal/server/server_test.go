@@ -481,3 +481,28 @@ func TestHealthAndReadiness(t *testing.T) {
 		t.Fatalf("query during drain = %d, want 503", rr.Code)
 	}
 }
+
+// TestStrategyNames: /v1/query and /v1/explain accept exactly the six
+// strategy names as String spells them (and "resilient" on /v1/query),
+// and refuse anything else with one 400 message naming them all.
+func TestStrategyNames(t *testing.T) {
+	srv := newBookServer(t, Config{}, TenantConfig{})
+	for _, name := range []string{"BN", "BF", "MN", "MV", "HV", "CV", "resilient"} {
+		rr, _ := postQuery(t, srv.Handler(), fmt.Sprintf(`{"query": %q, "strategy": %q}`, paperdata.QueryE, name))
+		if rr.Code != http.StatusOK {
+			t.Errorf("strategy %s: status = %d, body %s", name, rr.Code, rr.Body.String())
+		}
+	}
+	for _, name := range []string{"XX", "hv", "contained", "Resilient"} {
+		want := fmt.Sprintf("unknown strategy %q (want resilient, BN, BF, MN, MV, HV or CV)", name)
+		rr, qr := postQuery(t, srv.Handler(), fmt.Sprintf(`{"query": "//a", "strategy": %q}`, name))
+		if rr.Code != http.StatusBadRequest || qr.Error != want {
+			t.Errorf("query strategy %s: status %d error %q, want 400 %q", name, rr.Code, qr.Error, want)
+		}
+		rr = httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/v1/explain?query=//a&strategy="+name, nil))
+		if body := fmt.Sprintf("{\"error\":%q}\n", want); rr.Code != http.StatusBadRequest || rr.Body.String() != body {
+			t.Errorf("explain strategy %s: status %d body %q, want 400 %q", name, rr.Code, rr.Body.String(), body)
+		}
+	}
+}

@@ -75,15 +75,6 @@ func (d *Detector) SetClock(now func() time.Time) {
 	d.lastDecay = now()
 }
 
-// SetThresholdPPM sets the alarm threshold in parts per million of
-// total variation distance (0 restores the default).
-func (d *Detector) SetThresholdPPM(ppm int64) {
-	if ppm <= 0 {
-		ppm = DefaultDriftThresholdPPM
-	}
-	d.thresholdPPM.Store(ppm)
-}
-
 // ThresholdPPM returns the alarm threshold.
 func (d *Detector) ThresholdPPM() int64 { return d.thresholdPPM.Load() }
 

@@ -63,15 +63,6 @@ func (t *Tree) Root() *Node { return t.root }
 // Size returns the number of element nodes in the tree.
 func (t *Tree) Size() int { return t.size }
 
-// NodeAt returns the node with the given document-order ordinal,
-// or nil when out of range.
-func (t *Tree) NodeAt(ord int) *Node {
-	if ord < 0 || ord >= len(t.byOrd) {
-		return nil
-	}
-	return t.byOrd[ord]
-}
-
 // AddChild appends a new child with the given label under parent and
 // returns it. The tree is renumbered lazily: callers that add many nodes
 // should finish with Renumber; all read-side methods renumber on demand.

@@ -112,7 +112,7 @@ func (s *System) InsertSubtreeOpts(parentCode dewey.Code, xml string, opts Mutat
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.insertLocked(parentCode, sub, xml, co, true)
+	res, err := s.applyLocked(maintain.Record{Op: maintain.OpInsert, Code: parentCode, XML: xml}, sub, co, true)
 	s.finishMaintain(co, t0, "insert", parentCode, res, err)
 	return res, err
 }
@@ -139,7 +139,7 @@ func (s *System) DeleteSubtreeOpts(code dewey.Code, opts MutateOptions) (*Mainta
 	co, t0 := s.startMutObs(opts)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.deleteLocked(code, co, true)
+	res, err := s.applyLocked(maintain.Record{Op: maintain.OpDelete, Code: code}, nil, co, true)
 	s.finishMaintain(co, t0, "delete", code, res, err)
 	return res, err
 }
@@ -189,14 +189,12 @@ func (s *System) AttachWAL(st *storage.Store) (int, error) {
 		if err != nil {
 			return replayed, fmt.Errorf("xpathviews: wal %s: %w", k, err)
 		}
-		switch rec.Op {
-		case maintain.OpInsert:
-			var sub *xmltree.Node
-			if sub, err = parseSubtree(rec.XML); err == nil {
-				_, err = s.insertLocked(rec.Code, sub, rec.XML, callObs{}, false)
-			}
-		case maintain.OpDelete:
-			_, err = s.deleteLocked(rec.Code, callObs{}, false)
+		var sub *xmltree.Node
+		if rec.Op == maintain.OpInsert {
+			sub, err = parseSubtree(rec.XML)
+		}
+		if err == nil {
+			_, err = s.applyLocked(rec, sub, callObs{}, false)
 		}
 		if err != nil {
 			return replayed, fmt.Errorf("xpathviews: wal replay %s: %w", k, err)
@@ -221,44 +219,26 @@ func (s *System) DetachWAL() *storage.Store {
 	return st
 }
 
-// insertLocked applies one insert (sub parsed from xml) under the write
-// lock, optionally logging it. Panics and injected faults inside the
-// apply are contained as *InternalError; the fault point fires before
-// any state changes.
-func (s *System) insertLocked(parentCode dewey.Code, sub *xmltree.Node, xml string, co callObs, logWAL bool) (*MaintainResult, error) {
+// applyLocked applies one mutation under the write lock, optionally
+// logging it: an insert of sub (rec.XML parsed) under rec.Code, or a
+// delete of the subtree at rec.Code. Panics and injected faults inside
+// the apply are contained as *InternalError; the fault point fires
+// before any state changes.
+func (s *System) applyLocked(rec maintain.Record, sub *xmltree.Node, co callObs, logWAL bool) (*MaintainResult, error) {
 	res := &MaintainResult{Op: "insert"}
+	if rec.Op == maintain.OpDelete {
+		res.Op = "delete"
+	}
 	sp := co.child("apply")
 	_, err := runStage("maintain.apply", func() (struct{}, error) {
-		return struct{}{}, s.applyInsertLocked(parentCode, sub, res, co)
-	})
-	if sp != nil {
-		sp.SetAttr("op", "insert")
-		sp.SetAttr("nodes", res.NodesAdded)
-		sp.Err(err)
-		sp.End()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if logWAL {
-		if werr := s.logMutation(maintain.Record{Op: maintain.OpInsert, Code: parentCode, XML: xml}, res, co); werr != nil {
-			return res, werr
+		if rec.Op == maintain.OpDelete {
+			return struct{}{}, s.applyDeleteLocked(rec.Code, res, co)
 		}
-	}
-	return res, nil
-}
-
-// deleteLocked applies one delete under the write lock, optionally
-// logging it.
-func (s *System) deleteLocked(code dewey.Code, co callObs, logWAL bool) (*MaintainResult, error) {
-	res := &MaintainResult{Op: "delete"}
-	sp := co.child("apply")
-	_, err := runStage("maintain.apply", func() (struct{}, error) {
-		return struct{}{}, s.applyDeleteLocked(code, res, co)
+		return struct{}{}, s.applyInsertLocked(rec.Code, sub, res, co)
 	})
 	if sp != nil {
-		sp.SetAttr("op", "delete")
-		sp.SetAttr("nodes", res.NodesRemoved)
+		sp.SetAttr("op", res.Op)
+		sp.SetAttr("nodes", res.NodesAdded+res.NodesRemoved)
 		sp.Err(err)
 		sp.End()
 	}
@@ -266,7 +246,7 @@ func (s *System) deleteLocked(code dewey.Code, co callObs, logWAL bool) (*Mainta
 		return nil, err
 	}
 	if logWAL {
-		if werr := s.logMutation(maintain.Record{Op: maintain.OpDelete, Code: code}, res, co); werr != nil {
+		if werr := s.logMutation(rec, res, co); werr != nil {
 			return res, werr
 		}
 	}

@@ -88,6 +88,19 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
+// ParseStrategy returns the strategy whose String is name, one of BN,
+// BF, MN, MV, HV and CV, matched exactly. Contained is not accepted: it
+// runs only as a rung of an AnswerResilient chain. The error lists the
+// accepted names after "want ".
+func ParseStrategy(name string) (Strategy, error) {
+	for st := BN; st <= CV; st++ {
+		if strategyNames[st] == name {
+			return st, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want %s or %s)", name, strings.Join(strategyNames[:CV], ", "), strategyNames[CV])
+}
+
 // ErrNotAnswerable re-exports the selection failure.
 var ErrNotAnswerable = selection.ErrNotAnswerable
 

@@ -172,3 +172,18 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatalf("uncertifiable query: err = %v, want ErrNotAnswerable", err)
 	}
 }
+
+// TestParseStrategy: the six single strategies parse back from their
+// String, exactly; Contained and other spellings are refused.
+func TestParseStrategy(t *testing.T) {
+	for st := xpathviews.BN; st <= xpathviews.CV; st++ {
+		if got, err := xpathviews.ParseStrategy(st.String()); err != nil || got != st {
+			t.Errorf("ParseStrategy(%q) = %v, %v", st.String(), got, err)
+		}
+	}
+	for _, name := range []string{"contained", "hv", "resilient", ""} {
+		if _, err := xpathviews.ParseStrategy(name); err == nil || !strings.Contains(err.Error(), "(want BN, BF, MN, MV, HV or CV)") {
+			t.Errorf("ParseStrategy(%q): err = %v", name, err)
+		}
+	}
+}
