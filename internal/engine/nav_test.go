@@ -57,10 +57,9 @@ func checkWalkModes(t *testing.T, ctx string, tree *xmltree.Tree, q *pattern.Pat
 }
 
 // TestAnswersWithinMatchesAnswers: for random trees, patterns (each
-// also with a Child-axis root) and scopes, and for fixed root-pinned
-// cases, the walk returns exactly the reference answers that lie in the
-// scope's subtree, in document order, and reports the scope's size as
-// the nodes it visited.
+// also with a Child-axis root) and scopes, the walk returns exactly the
+// reference answers that lie in the scope's subtree, in document order,
+// and reports the scope's size as the nodes it visited.
 func TestAnswersWithinMatchesAnswers(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	labels := []string{"a", "b", "c", "d"}
@@ -76,7 +75,11 @@ func TestAnswersWithinMatchesAnswers(t *testing.T) {
 			}
 		}
 	}
-	// A pinned root only reaches what hangs below the fragment root.
+}
+
+// TestAnswersAtRoot: a pattern whose root axis is Child is pinned to the
+// walk's root, so it only reaches what hangs below that root.
+func TestAnswersAtRoot(t *testing.T) {
 	tree, err := xmltree.ParseString(`<s><p/><s><p/><p/></s></s>`)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +90,7 @@ func TestAnswersWithinMatchesAnswers(t *testing.T) {
 	}{{"//s//p", 3}, {"//s/p", 1}} {
 		q := xpath.MustParse(c.q)
 		q.Root.Axis = pattern.Child
-		checkWalk(t, "fixed", tree, q, tree.Root())
+		checkWalk(t, "pinned", tree, q, tree.Root())
 		if got, _, _ := engine.AnswersWithin(q.Spine(), tree.Root(), nil); len(got) != c.want {
 			t.Fatalf("%s pinned at the root: %d answers, want %d", c.q, len(got), c.want)
 		}
