@@ -57,16 +57,18 @@ race:
 # encoder (against encoding/json), the plan-cache oracle (scripts of
 # queries, mutations and view-set changes over a four-key cache, against
 # direct evaluation), the holistic join (random upper patterns, pins and
-# fragment streams, against the backtracking oracle) and the
+# fragment streams, against the backtracking oracle), the
 # navigational walk (random trees and patterns over the whole document,
-# a scope and a root-pinned copy, against the DP matcher) for ten
-# seconds each.
+# a scope and a root-pinned copy, against the DP matcher) and the
+# store's replay (scripts of Puts, then one cut or flipped byte in the
+# log, against the state the intact records hold) for ten seconds each.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/xpath
 	$(GO) test -run='^$$' -fuzz=FuzzQueryResponse -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzPlanCacheOracle -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz=FuzzJoinOracle -fuzztime=10s ./internal/rewrite
 	$(GO) test -run='^$$' -fuzz=FuzzNavWalk -fuzztime=10s ./internal/engine
+	$(GO) test -run='^$$' -fuzz=FuzzStoreReplay -fuzztime=10s ./internal/storage
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

@@ -1,27 +1,22 @@
 package xpathviews
 
-// This file is the view-advisor facade: a workload recorder hooked into
-// the serving layer, and Advise/ApplyAdvice, which close the
-// materialization loop the paper leaves open — observe traffic, advise
+// This file is the view-advisor facade: Advise/ApplyAdvice close the
+// materialization loop the paper leaves open — take a workload, advise
 // a view set under a space budget, re-materialize, serve faster. The
 // machinery lives in internal/advisor.
 
 import (
-	"errors"
 	"fmt"
 
 	"xpathviews/internal/advisor"
-	"xpathviews/internal/pattern"
+	"xpathviews/internal/workload"
 	"xpathviews/internal/xpath"
 )
 
-// Recorder is the workload recorder (see internal/advisor). Attach one
-// with SetRecorder and enable sampling to collect the served workload.
-type Recorder = advisor.Recorder
-
-// NewRecorder creates a recorder; see advisor.NewRecorder. The store
-// argument may be nil for in-memory tallies.
-var NewRecorder = advisor.NewRecorder
+// WorkloadEntry is one workload line: a query with its observed
+// frequency (see internal/workload). Advise and SetDesignWorkload take
+// a slice of them.
+type WorkloadEntry = workload.Entry
 
 // AdviceOptions re-exports the advisor's tuning knobs.
 type AdviceOptions = advisor.Options
@@ -29,52 +24,19 @@ type AdviceOptions = advisor.Options
 // Advice re-exports the advisor's result.
 type Advice = advisor.Advice
 
-// SetRecorder attaches (or, with nil, detaches) the workload recorder.
-// Recording costs one atomic load per Answer* call while the recorder
-// is absent or its sampling is disabled.
-func (s *System) SetRecorder(r *Recorder) { s.rec.Store(r) }
-
-// WorkloadRecorder returns the attached recorder, or nil.
-func (s *System) WorkloadRecorder() *Recorder { return s.rec.Load() }
-
-// observe samples one served query into the attached recorder, if any.
-// q must be the minimized pattern; err is the serving outcome.
-func (s *System) observe(q *pattern.Pattern, viewAnswered bool, err error) {
-	r := s.rec.Load()
-	if r == nil {
-		return
-	}
-	r.RecordPattern(q, classifyOutcome(viewAnswered, err))
-}
-
-// classifyOutcome maps a serving result onto the recorder's buckets.
-func classifyOutcome(viewAnswered bool, err error) advisor.Outcome {
-	switch {
-	case err == nil && viewAnswered:
-		return advisor.Answered
-	case err == nil:
-		return advisor.FellBack
-	case errors.Is(err, ErrBudgetExceeded):
-		return advisor.BudgetExhausted
-	default:
-		return advisor.Failed
-	}
-}
-
 // Advise proposes a view set for the workload under opts.ByteBudget,
-// using the system's document. The workload typically comes from
-// WorkloadRecorder().Snapshot() or a workload file
-// (advisor.StatsFromEntries). Advise only reads the document; it does
-// not change the materialized set — pass the result to ApplyAdvice.
-func (s *System) Advise(stats []advisor.QueryStat, opts AdviceOptions) (*Advice, error) {
+// using the system's document. The workload typically comes from a
+// workload file (internal/workload). Advise only reads the document; it
+// does not change the materialized set — pass the result to ApplyAdvice.
+func (s *System) Advise(entries []WorkloadEntry, opts AdviceOptions) (*Advice, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	adv, err := advisor.Advise(s.doc, s.enc, s.registry.Index, stats, opts)
+	adv, err := advisor.Advise(s.doc, s.enc, s.registry.Index, entries, opts)
 	if err == nil {
 		// The advised workload is, by definition, the distribution the
 		// next view set is designed for: arm the drift detector so
 		// serving can tell when live traffic stops looking like it.
-		s.SetDesignWorkload(stats)
+		s.SetDesignWorkload(entries)
 	}
 	return adv, err
 }

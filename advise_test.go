@@ -1,7 +1,6 @@
 package xpathviews_test
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -13,78 +12,9 @@ import (
 	"xpathviews/internal/xpath"
 )
 
-// canon is the recorder's tally key: the minimized pattern string.
+// canon is a query's minimized pattern string.
 func canon(src string) string {
 	return pattern.Minimize(xpath.MustParse(src)).String()
-}
-
-// TestRecorderHookClassification drives each serving path and checks
-// the recorder's outcome buckets.
-func TestRecorderHookClassification(t *testing.T) {
-	doc := xmark.Generate(xmark.Config{Scale: 0.05, Seed: 42})
-	sys, err := xpathviews.Open(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.AddView("//person/name", 0); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := xpathviews.NewRecorder(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.SetSampling(1)
-	sys.SetRecorder(rec)
-	ctx := context.Background()
-
-	const answerable, unanswerable = "//person/name", "//item/location"
-
-	// View strategy, served from the view: Answered.
-	if _, err := sys.AnswerContext(ctx, answerable, xpathviews.Options{Strategy: xpathviews.HV}); err != nil {
-		t.Fatal(err)
-	}
-	// Direct evaluation succeeds but no view was used: FellBack.
-	if _, err := sys.AnswerContext(ctx, answerable, xpathviews.Options{Strategy: xpathviews.BN}); err != nil {
-		t.Fatal(err)
-	}
-	// No view certifies the query: Failed.
-	if _, err := sys.AnswerContext(ctx, unanswerable, xpathviews.Options{Strategy: xpathviews.HV}); !errors.Is(err, xpathviews.ErrNotAnswerable) {
-		t.Fatalf("want ErrNotAnswerable, got %v", err)
-	}
-	// Starved step budget: BudgetExhausted.
-	if _, err := sys.AnswerContext(ctx, unanswerable, xpathviews.Options{Strategy: xpathviews.BN, MaxSteps: 1}); !errors.Is(err, xpathviews.ErrBudgetExceeded) {
-		t.Fatalf("want ErrBudgetExceeded, got %v", err)
-	}
-	// Resilient chain answering on a view rung: Answered.
-	if _, err := sys.AnswerResilient(ctx, answerable, xpathviews.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// Resilient chain degrading to direct evaluation: FellBack.
-	if _, err := sys.AnswerResilient(ctx, unanswerable, xpathviews.Options{}); err != nil {
-		t.Fatal(err)
-	}
-
-	byQuery := make(map[string]advisor.QueryStat)
-	for _, st := range rec.Snapshot() {
-		byQuery[st.Query] = st
-	}
-	a := byQuery[canon("//person/name")]
-	if a.Counts[advisor.Answered] != 2 || a.Counts[advisor.FellBack] != 1 {
-		t.Fatalf("answerable query tallies = %v", a.Counts)
-	}
-	u := byQuery[canon("//item/location")]
-	if u.Counts[advisor.Failed] != 1 || u.Counts[advisor.BudgetExhausted] != 1 || u.Counts[advisor.FellBack] != 1 {
-		t.Fatalf("unanswerable query tallies = %v", u.Counts)
-	}
-
-	// Detaching the recorder stops tallying.
-	sys.SetRecorder(nil)
-	if _, err := sys.AnswerContext(ctx, answerable, xpathviews.Options{Strategy: xpathviews.HV}); err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.Snapshot(); got[0].Freq()+got[1].Freq() != 6 {
-		t.Fatalf("detached recorder kept tallying: %v", got)
-	}
 }
 
 // TestAdviseApplyRoundTrip: advice applied to the live system makes the
@@ -95,11 +25,11 @@ func TestAdviseApplyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := advisor.StatsFromEntries([]workload.Entry{
+	entries := []xpathviews.WorkloadEntry{
 		{Freq: 5, Query: "//person/name"},
 		{Freq: 3, Query: "//open_auction[bidder]/seller"},
-	})
-	adv, err := sys.Advise(stats, xpathviews.AdviceOptions{ByteBudget: 1 << 20})
+	}
+	adv, err := sys.Advise(entries, xpathviews.AdviceOptions{ByteBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +55,7 @@ func TestAdviseApplyRoundTrip(t *testing.T) {
 // acceptanceWorkload builds a deterministic Zipf-weighted workload over
 // positive XMark queries and splits it into a training slice and a
 // held-out slice whose tail the training never saw.
-func acceptanceWorkload(t testing.TB, positives []*pattern.Pattern) (train, holdout []advisor.QueryStat) {
+func acceptanceWorkload(t testing.TB, positives []*pattern.Pattern) (train, holdout []workload.Entry) {
 	t.Helper()
 	seen := make(map[string]bool)
 	var distinct []string
@@ -140,7 +70,7 @@ func acceptanceWorkload(t testing.TB, positives []*pattern.Pattern) (train, hold
 		t.Fatalf("only %d distinct positive queries", len(distinct))
 	}
 	nTrain := len(distinct) * 2 / 3
-	zipf := func(qs []string) []advisor.QueryStat {
+	zipf := func(qs []string) []workload.Entry {
 		entries := make([]workload.Entry, len(qs))
 		for i, q := range qs {
 			f := 240 / (i + 1)
@@ -149,7 +79,7 @@ func acceptanceWorkload(t testing.TB, positives []*pattern.Pattern) (train, hold
 			}
 			entries[i] = workload.Entry{Freq: f, Query: q}
 		}
-		return advisor.StatsFromEntries(entries)
+		return entries
 	}
 	// Held-out slice: the middle third overlaps training, the last third
 	// is unseen; ranked in reverse so its hot queries differ from
@@ -163,15 +93,15 @@ func acceptanceWorkload(t testing.TB, positives []*pattern.Pattern) (train, hold
 
 // replayFraction replays the workload against the system and returns
 // the frequency-weighted fraction answered from views (HV, then MV).
-func replayFraction(t testing.TB, sys *xpathviews.System, stats []advisor.QueryStat) float64 {
+func replayFraction(t testing.TB, sys *xpathviews.System, entries []workload.Entry) float64 {
 	t.Helper()
 	answered, total := 0, 0
-	for _, st := range stats {
-		f := st.Freq()
+	for _, e := range entries {
+		f := e.Freq
 		total += f
-		_, err := sys.Answer(st.Query, xpathviews.HV)
+		_, err := sys.Answer(e.Query, xpathviews.HV)
 		if errors.Is(err, xpathviews.ErrNotAnswerable) {
-			_, err = sys.Answer(st.Query, xpathviews.MV)
+			_, err = sys.Answer(e.Query, xpathviews.MV)
 		}
 		switch {
 		case err == nil:

@@ -298,7 +298,10 @@ func BenchmarkAblationSelection(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					bytes = sel.TotalFragmentBytes()
+					bytes = 0
+					for _, c := range sel.Covers {
+						bytes += c.View.TotalBytes
+					}
 				}
 				b.ReportMetric(float64(bytes), "fragment-bytes")
 			})
@@ -330,12 +333,11 @@ func BenchmarkAdvise(b *testing.B) {
 		total += f
 		entries[i] = workload.Entry{Freq: f, Query: q.String()}
 	}
-	stats := advisor.StatsFromEntries(entries)
 	b.Logf("workload: %d distinct queries, %d calls", len(entries), total)
 	b.ResetTimer()
 	var adv *advisor.Advice
 	for i := 0; i < b.N; i++ {
-		adv, err = advisor.Advise(doc, enc, nil, stats, advisor.Options{ByteBudget: 256 << 10})
+		adv, err = advisor.Advise(doc, enc, nil, entries, advisor.Options{ByteBudget: 256 << 10})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -344,57 +346,8 @@ func BenchmarkAdvise(b *testing.B) {
 	b.ReportMetric(100*adv.Predicted.WeightedFraction, "coverage-%")
 }
 
-// BenchmarkRecorderOverhead measures the serving hot path without a
-// recorder, with a recorder attached but sampling disabled (the
-// acceptance criterion: one atomic load), and with full sampling.
-func BenchmarkRecorderOverhead(b *testing.B) {
-	doc := xmark.Generate(xmark.Config{Scale: 0.06, Seed: 41})
-	const q = "//person/name"
-	ctx := context.Background()
-	opts := xpathviews.Options{Strategy: xpathviews.HV}
-	newSys := func() *xpathviews.System {
-		sys, err := xpathviews.Open(doc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.AddView("//person/name", 0); err != nil {
-			b.Fatal(err)
-		}
-		return sys
-	}
-	run := func(b *testing.B, sys *xpathviews.System) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.AnswerContext(ctx, q, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("no-recorder", func(b *testing.B) {
-		run(b, newSys())
-	})
-	b.Run("recorder-disabled", func(b *testing.B) {
-		sys := newSys()
-		rec, err := xpathviews.NewRecorder(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys.SetRecorder(rec) // sampling stays 0: one atomic load per call
-		run(b, sys)
-	})
-	b.Run("recorder-sampling", func(b *testing.B) {
-		sys := newSys()
-		rec, err := xpathviews.NewRecorder(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec.SetSampling(1)
-		sys.SetRecorder(rec)
-		run(b, sys)
-	})
-}
-
-// BenchmarkDeweyDecode measures the FST decode hot path used by both the
-// rewriting join and BF.
+// BenchmarkDeweyDecode measures the FST decoding a code into its
+// label path.
 func BenchmarkDeweyDecode(b *testing.B) {
 	env := benchEnv(b)
 	enc := env.Sys.Encoding()
@@ -405,11 +358,11 @@ func BenchmarkDeweyDecode(b *testing.B) {
 		codes = append(codes, enc.MustCode(nodes[i]))
 	}
 	b.ResetTimer()
-	var buf []string
 	for i := 0; i < b.N; i++ {
-		buf = buf[:0]
 		for _, c := range codes {
-			buf, _ = fst.DecodeAppend(c, buf)
+			if _, err := fst.Decode(c); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -1,4 +1,4 @@
-// Command xpvadvise replays a recorded workload and advises which views
+// Command xpvadvise reads a workload file and advises which views
 // to materialize under a space budget.
 //
 // Usage:
@@ -66,7 +66,6 @@ func run(wlPath, docPath string, scale float64, seed int64, budget, perView, max
 	if len(entries) == 0 {
 		return fmt.Errorf("workload %s is empty", wlPath)
 	}
-	stats := advisor.StatsFromEntries(entries)
 
 	var sys *xpathviews.System
 	if docPath != "" {
@@ -86,7 +85,7 @@ func run(wlPath, docPath string, scale float64, seed int64, budget, perView, max
 		}
 	}
 
-	adv, err := sys.Advise(stats, xpathviews.AdviceOptions{
+	adv, err := sys.Advise(entries, xpathviews.AdviceOptions{
 		ByteBudget:     budget,
 		PerViewLimit:   perView,
 		MaxCandidates:  maxCand,
@@ -121,8 +120,8 @@ func run(wlPath, docPath string, scale float64, seed int64, budget, perView, max
 	}
 
 	if compare {
-		naive, naiveBytes := advisor.NaiveTopK(sys.Document(), sys.Encoding(), nil, stats, budget)
-		cov := advisor.Evaluate(naive, stats)
+		naive, naiveBytes := advisor.NaiveTopK(sys.Document(), sys.Encoding(), nil, entries, budget)
+		cov := advisor.Evaluate(naive, entries)
 		fmt.Printf("naive top-k baseline: %d views, %d bytes, %.1f%% of traffic (%d/%d calls)\n",
 			len(naive), naiveBytes, 100*cov.WeightedFraction, cov.FreqAnswerable, cov.TotalFreq)
 	}

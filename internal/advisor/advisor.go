@@ -1,14 +1,20 @@
-package advisor
-
-// Cost-based selection of a materialization set under a space budget.
+// Package advisor closes the materialization loop the paper leaves
+// open: §IV selects which *given* views answer one query, but never asks
+// which views are worth materializing in the first place. The advisor
+// takes a workload of (query, frequency) entries, generalizes the
+// queries into candidate view patterns (GenerateCandidates), and picks a
+// set to materialize under a byte budget by estimated benefit against
+// the §IV-B cost model (Advise).
+//
 // Benefit is estimated with the same leaf-cover machinery §IV uses at
 // query time (selection.ComputeCover / selection.Answerable), weighted
-// by recorded frequency; cost follows the §IV-B cost model
+// by frequency; cost follows the §IV-B cost model
 // (selection.CostParams: join width + scan volume). The greedy picks
 // the candidate with the best marginal benefit per cost until the byte
 // budget is exhausted; for small candidate pools an exact exponential
 // search is available (Options.ExactThreshold), mirroring the
 // exact-vs-heuristic split of §IV-B.
+package advisor
 
 import (
 	"fmt"
@@ -19,6 +25,7 @@ import (
 	"xpathviews/internal/pattern"
 	"xpathviews/internal/selection"
 	"xpathviews/internal/views"
+	"xpathviews/internal/workload"
 	"xpathviews/internal/xmltree"
 	"xpathviews/internal/xpath"
 )
@@ -86,7 +93,7 @@ type AdvisedView struct {
 type Coverage struct {
 	// Queries / QueriesAnswerable count distinct queries.
 	Queries, QueriesAnswerable int
-	// TotalFreq / FreqAnswerable weight them by recorded frequency.
+	// TotalFreq / FreqAnswerable weight them by workload frequency.
 	TotalFreq, FreqAnswerable int
 	// WeightedFraction = FreqAnswerable / TotalFreq (0 when empty).
 	WeightedFraction float64
@@ -117,20 +124,19 @@ type workQuery struct {
 	freq   int
 }
 
-// parseStats parses, minimizes and dedups the recorded queries;
-// unparseable entries are skipped (recorded strings are canonical, but
-// workload files may carry anything).
-func parseStats(stats []QueryStat) []*workQuery {
+// parseEntries parses, minimizes and dedups the workload's queries;
+// unparseable entries are skipped (workload files may carry anything).
+func parseEntries(entries []workload.Entry) []*workQuery {
 	var out []*workQuery
 	at := make(map[string]int)
-	for _, st := range stats {
-		p, err := xpath.Parse(st.Query)
+	for _, e := range entries {
+		p, err := xpath.Parse(e.Query)
 		if err != nil {
 			continue
 		}
 		p = pattern.Minimize(p)
 		key := p.String()
-		f := st.Freq()
+		f := e.Freq
 		if f < 1 {
 			f = 1
 		}
@@ -153,10 +159,10 @@ type candState struct {
 	bytes  int
 }
 
-// Advise proposes a view set to materialize for the recorded workload
-// under the byte budget. doc/enc/idx describe the document views would
-// be materialized over (idx may be nil).
-func Advise(doc *xmltree.Tree, enc *dewey.Encoding, idx *engine.LabelIndex, stats []QueryStat, opts Options) (*Advice, error) {
+// Advise proposes a view set to materialize for the workload under the
+// byte budget. doc/enc/idx describe the document views would be
+// materialized over (idx may be nil).
+func Advise(doc *xmltree.Tree, enc *dewey.Encoding, idx *engine.LabelIndex, entries []workload.Entry, opts Options) (*Advice, error) {
 	if opts.ByteBudget <= 0 {
 		return nil, fmt.Errorf("advisor: ByteBudget must be positive")
 	}
@@ -164,7 +170,7 @@ func Advise(doc *xmltree.Tree, enc *dewey.Encoding, idx *engine.LabelIndex, stat
 	if idx == nil {
 		idx = engine.BuildLabelIndex(doc)
 	}
-	qs := parseStats(stats)
+	qs := parseEntries(entries)
 	adv := &Advice{ByteBudget: opts.ByteBudget, PerViewLimit: opts.PerViewLimit}
 	if len(qs) == 0 {
 		return adv, nil
@@ -445,8 +451,8 @@ func coverageOf(set []int, pool []*candState, qs []*workQuery) Coverage {
 
 // Evaluate reports how much of the workload the given view set answers,
 // by the §IV answerability criterion (covers + Answerable).
-func Evaluate(viewSet []*views.View, stats []QueryStat) Coverage {
-	qs := parseStats(stats)
+func Evaluate(viewSet []*views.View, entries []workload.Entry) Coverage {
+	qs := parseEntries(entries)
 	var cov Coverage
 	cov.Queries = len(qs)
 	for _, q := range qs {
@@ -475,11 +481,11 @@ func Evaluate(viewSet []*views.View, stats []QueryStat) Coverage {
 // most frequent workload queries verbatim, most frequent first, skipping
 // what does not fit, until the byte budget is spent. Returns the views
 // and their total bytes.
-func NaiveTopK(doc *xmltree.Tree, enc *dewey.Encoding, idx *engine.LabelIndex, stats []QueryStat, budget int) ([]*views.View, int) {
+func NaiveTopK(doc *xmltree.Tree, enc *dewey.Encoding, idx *engine.LabelIndex, entries []workload.Entry, budget int) ([]*views.View, int) {
 	if idx == nil {
 		idx = engine.BuildLabelIndex(doc)
 	}
-	qs := parseStats(stats)
+	qs := parseEntries(entries)
 	sort.SliceStable(qs, func(i, j int) bool { return qs[i].freq > qs[j].freq })
 	var out []*views.View
 	total := 0

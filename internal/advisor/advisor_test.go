@@ -24,8 +24,13 @@ func testDoc(t *testing.T) (*xmltree.Tree, *dewey.Encoding) {
 	return doc, enc
 }
 
-func statsOf(entries ...workload.Entry) []advisor.QueryStat {
-	return advisor.StatsFromEntries(entries)
+func mustParse(t *testing.T, s string) *pattern.Pattern {
+	t.Helper()
+	p, err := xpath.Parse(s)
+	if err != nil {
+		t.Fatalf("parse %q: %v", s, err)
+	}
+	return p
 }
 
 // TestGenerateCandidatesNeverUniverse feeds the generator queries whose
@@ -68,11 +73,11 @@ func TestGenerateCandidatesNeverUniverse(t *testing.T) {
 // answer node.
 func TestAdviseRootOnlyQuery(t *testing.T) {
 	doc, enc := testDoc(t)
-	stats := statsOf(
-		workload.Entry{Freq: 10, Query: "//person"},
-		workload.Entry{Freq: 5, Query: "//person[address]"},
-	)
-	adv, err := advisor.Advise(doc, enc, nil, stats, advisor.Options{ByteBudget: 1 << 20})
+	entries := []workload.Entry{
+		{Freq: 10, Query: "//person"},
+		{Freq: 5, Query: "//person[address]"},
+	}
+	adv, err := advisor.Advise(doc, enc, nil, entries, advisor.Options{ByteBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +98,13 @@ func TestAdviseRootOnlyQuery(t *testing.T) {
 // spine node (Δ at the root).
 func TestAdviseDeltaLeafPlacement(t *testing.T) {
 	doc, enc := testDoc(t)
-	stats := statsOf(
+	entries := []workload.Entry{
 		// Δ = seller, second leaf = bidder branch.
-		workload.Entry{Freq: 8, Query: "//open_auction[bidder]/seller"},
+		{Freq: 8, Query: "//open_auction[bidder]/seller"},
 		// Δ = name at the spine leaf, no branches.
-		workload.Entry{Freq: 4, Query: "//person/name"},
-	)
-	adv, err := advisor.Advise(doc, enc, nil, stats, advisor.Options{ByteBudget: 1 << 20})
+		{Freq: 4, Query: "//person/name"},
+	}
+	adv, err := advisor.Advise(doc, enc, nil, entries, advisor.Options{ByteBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +130,11 @@ func TestAdviseDeltaLeafPlacement(t *testing.T) {
 // materialization or be advised.
 func TestAdviseUnsatisfiablePruned(t *testing.T) {
 	doc, enc := testDoc(t)
-	stats := statsOf(
-		workload.Entry{Freq: 10, Query: "//zzz/yyy"},
-		workload.Entry{Freq: 3, Query: "//nosuchlabel[zzz]/yyy"},
-	)
-	adv, err := advisor.Advise(doc, enc, nil, stats, advisor.Options{ByteBudget: 1 << 20})
+	entries := []workload.Entry{
+		{Freq: 10, Query: "//zzz/yyy"},
+		{Freq: 3, Query: "//nosuchlabel[zzz]/yyy"},
+	}
+	adv, err := advisor.Advise(doc, enc, nil, entries, advisor.Options{ByteBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +153,8 @@ func TestAdviseUnsatisfiablePruned(t *testing.T) {
 // candidates rather than blow the budget.
 func TestAdvisePerViewLimitPrunes(t *testing.T) {
 	doc, enc := testDoc(t)
-	stats := statsOf(workload.Entry{Freq: 10, Query: "//person/name"})
-	adv, err := advisor.Advise(doc, enc, nil, stats, advisor.Options{
+	entries := []workload.Entry{{Freq: 10, Query: "//person/name"}}
+	adv, err := advisor.Advise(doc, enc, nil, entries, advisor.Options{
 		ByteBudget:   1 << 20,
 		PerViewLimit: 8, // nothing real fits in 8 bytes
 	})
@@ -166,13 +171,13 @@ func TestAdvisePerViewLimitPrunes(t *testing.T) {
 // typically via a generalized (prefix/lgg/widen) view.
 func TestAdviseGeneralizes(t *testing.T) {
 	doc, enc := testDoc(t)
-	stats := statsOf(
-		workload.Entry{Freq: 6, Query: "//person/name"},
-		workload.Entry{Freq: 5, Query: "//person/emailaddress"},
-		workload.Entry{Freq: 4, Query: "//person/address/city"},
-		workload.Entry{Freq: 3, Query: "//person/address/country"},
-	)
-	adv, err := advisor.Advise(doc, enc, nil, stats, advisor.Options{ByteBudget: 1 << 20})
+	entries := []workload.Entry{
+		{Freq: 6, Query: "//person/name"},
+		{Freq: 5, Query: "//person/emailaddress"},
+		{Freq: 4, Query: "//person/address/city"},
+		{Freq: 3, Query: "//person/address/country"},
+	}
+	adv, err := advisor.Advise(doc, enc, nil, entries, advisor.Options{ByteBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,19 +191,19 @@ func TestAdviseGeneralizes(t *testing.T) {
 // as the greedy one at the same budget.
 func TestExactSelectorNotWorse(t *testing.T) {
 	doc, enc := testDoc(t)
-	stats := statsOf(
-		workload.Entry{Freq: 7, Query: "//person/name"},
-		workload.Entry{Freq: 5, Query: "//open_auction/seller"},
-		workload.Entry{Freq: 2, Query: "//item/location"},
-	)
+	entries := []workload.Entry{
+		{Freq: 7, Query: "//person/name"},
+		{Freq: 5, Query: "//open_auction/seller"},
+		{Freq: 2, Query: "//item/location"},
+	}
 	budget := 24 << 10
-	greedy, err := advisor.Advise(doc, enc, nil, stats, advisor.Options{
+	greedy, err := advisor.Advise(doc, enc, nil, entries, advisor.Options{
 		ByteBudget: budget, MaxCandidates: 12,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := advisor.Advise(doc, enc, nil, stats, advisor.Options{
+	exact, err := advisor.Advise(doc, enc, nil, entries, advisor.Options{
 		ByteBudget: budget, MaxCandidates: 12, ExactThreshold: 12,
 	})
 	if err != nil {
@@ -218,15 +223,15 @@ func TestExactSelectorNotWorse(t *testing.T) {
 // the CLI and the acceptance benchmark.
 func TestEvaluateAgainstNaive(t *testing.T) {
 	doc, enc := testDoc(t)
-	stats := statsOf(
-		workload.Entry{Freq: 9, Query: "//person/name"},
-		workload.Entry{Freq: 1, Query: "//item/location"},
-	)
-	naive, bytes := advisor.NaiveTopK(doc, enc, nil, stats, 1<<20)
+	entries := []workload.Entry{
+		{Freq: 9, Query: "//person/name"},
+		{Freq: 1, Query: "//item/location"},
+	}
+	naive, bytes := advisor.NaiveTopK(doc, enc, nil, entries, 1<<20)
 	if len(naive) == 0 || bytes <= 0 {
 		t.Fatalf("naive baseline empty: %d views, %d bytes", len(naive), bytes)
 	}
-	cov := advisor.Evaluate(naive, stats)
+	cov := advisor.Evaluate(naive, entries)
 	if cov.WeightedFraction != 1 {
 		t.Fatalf("naive baseline with full budget should cover everything: %+v", cov)
 	}
@@ -241,16 +246,16 @@ func TestEvaluateAgainstNaive(t *testing.T) {
 // their codes, exactly like registry-built fragments.
 func TestAdvisorCandidatePaths(t *testing.T) {
 	doc, enc := testDoc(t)
-	stats := statsOf(
-		workload.Entry{Freq: 7, Query: "//person/name"},
-		workload.Entry{Freq: 5, Query: "//open_auction[bidder]/seller"},
-		workload.Entry{Freq: 2, Query: "//item/description//text"},
-	)
-	adv, err := advisor.Advise(doc, enc, nil, stats, advisor.Options{ByteBudget: 1 << 20})
+	entries := []workload.Entry{
+		{Freq: 7, Query: "//person/name"},
+		{Freq: 5, Query: "//open_auction[bidder]/seller"},
+		{Freq: 2, Query: "//item/description//text"},
+	}
+	adv, err := advisor.Advise(doc, enc, nil, entries, advisor.Options{ByteBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, _ := advisor.NaiveTopK(doc, enc, nil, stats, 1<<20)
+	naive, _ := advisor.NaiveTopK(doc, enc, nil, entries, 1<<20)
 	for _, av := range adv.Views {
 		v, err := views.Materialize(0, mustParse(t, av.XPath), doc, enc, nil, adv.PerViewLimit)
 		if err != nil {

@@ -1,6 +1,6 @@
 package advisor
 
-// Candidate generation: from recorded queries to view patterns worth
+// Candidate generation: from workload queries to view patterns worth
 // trial-materializing. Each generalization makes the candidate contain
 // more queries (a homomorphism from the view into the query is what
 // selection needs, §IV-A), at the price of materializing more bytes:

@@ -154,12 +154,6 @@ func IsPrefix(a, b Code) bool {
 	return true
 }
 
-// IsAncestor reports whether a encodes a proper ancestor of b's node.
-func IsAncestor(a, b Code) bool { return len(a) < len(b) && IsPrefix(a, b) }
-
-// IsParent reports whether a encodes the parent of b's node.
-func IsParent(a, b Code) bool { return len(a)+1 == len(b) && IsPrefix(a, b) }
-
 // CommonPrefixLen returns the number of leading components a and b
 // share. The virtual-tree build uses it to pop its rightmost-path stack
 // in one O(min depth) scan per merged code instead of re-checking
@@ -174,20 +168,6 @@ func CommonPrefixLen(a, b Code) int {
 		i++
 	}
 	return i
-}
-
-// CommonPrefix returns the longest common prefix of a and b, i.e. the code
-// of the lowest common ancestor.
-func CommonPrefix(a, b Code) Code {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return a[:i]
 }
 
 // FST is the finite state transducer of the encoding. State identity is an
@@ -262,10 +242,6 @@ func BuildFSTFromSchema(rootLabel string, childAlphabets map[string][]string) *F
 // RootLabel returns the label of the document root the FST was built from.
 func (f *FST) RootLabel() string { return f.root }
 
-// ChildAlphabet returns the ordered child alphabet of the given label; the
-// returned slice must not be modified.
-func (f *FST) ChildAlphabet(label string) []string { return f.children[label] }
-
 // ChildIndex returns childLabel's position in parentLabel's child
 // alphabet together with the alphabet size m. ok is false when the FST
 // has never seen childLabel under parentLabel — the schema constraint
@@ -300,39 +276,6 @@ func (f *FST) Decode(c Code) ([]string, error) {
 		path = append(path, label)
 	}
 	return path, nil
-}
-
-// DecodeAppend appends the label-path of c to buf and returns the
-// extended slice. It lets hot paths decode thousands of codes into one
-// shared slab instead of allocating per call.
-func (f *FST) DecodeAppend(c Code, buf []string) ([]string, error) {
-	if len(c) == 0 {
-		return buf, fmt.Errorf("dewey: decode empty code")
-	}
-	if c[0] != 0 {
-		return buf, fmt.Errorf("dewey: code %s does not start at the root", c)
-	}
-	label := f.root
-	buf = append(buf, label)
-	for _, comp := range c[1:] {
-		alpha := f.children[label]
-		m := len(alpha)
-		if m == 0 {
-			return buf, fmt.Errorf("dewey: label %q has no children in FST, cannot decode %s", label, c)
-		}
-		label = alpha[int(comp)%m]
-		buf = append(buf, label)
-	}
-	return buf, nil
-}
-
-// DecodeString is Decode joined with "/" — handy for tests and debugging.
-func (f *FST) DecodeString(c Code) (string, error) {
-	p, err := f.Decode(c)
-	if err != nil {
-		return "", err
-	}
-	return strings.Join(p, "/"), nil
 }
 
 // Encoding maps every node of a tree to its extended Dewey code, and

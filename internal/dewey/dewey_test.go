@@ -19,11 +19,11 @@ func TestPaperExample21(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fst.DecodeString(code)
+	path, err := fst.Decode(code)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != "b/s/s" {
+	if got := strings.Join(path, "/"); got != "b/s/s" {
 		t.Fatalf("decode 0.8.6 = %q, want b/s/s", got)
 	}
 }
@@ -105,7 +105,8 @@ func TestCodesUniqueAndOrdered(t *testing.T) {
 	}
 }
 
-// TestPrefixIsAncestor: IsPrefix ⇔ ancestor-or-self; IsParent ⇔ parent.
+// TestPrefixIsAncestor: IsPrefix ⇔ ancestor-or-self, and a prefix one
+// component shorter ⇔ parent.
 func TestPrefixIsAncestor(t *testing.T) {
 	tree := randomTree(rand.New(rand.NewSource(13)), 200, 4)
 	enc, _, err := dewey.EncodeTree(tree)
@@ -116,19 +117,23 @@ func TestPrefixIsAncestor(t *testing.T) {
 	for _, a := range nodes {
 		for _, b := range nodes {
 			ca, cb := enc.MustCode(a), enc.MustCode(b)
-			wantPrefix := a == b || a.IsAncestorOf(b)
+			wantPrefix := false
+			for n := b; n != nil; n = n.Parent {
+				wantPrefix = wantPrefix || n == a
+			}
 			if got := dewey.IsPrefix(ca, cb); got != wantPrefix {
 				t.Fatalf("IsPrefix(%s,%s)=%v want %v", ca, cb, got, wantPrefix)
 			}
 			wantParent := b.Parent == a
-			if got := dewey.IsParent(ca, cb); got != wantParent {
-				t.Fatalf("IsParent(%s,%s)=%v want %v", ca, cb, got, wantParent)
+			if got := len(ca)+1 == len(cb) && dewey.IsPrefix(ca, cb); got != wantParent {
+				t.Fatalf("parent(%s,%s)=%v want %v", ca, cb, got, wantParent)
 			}
 		}
 	}
 }
 
-// TestCommonPrefixIsLCA.
+// TestCommonPrefixIsLCA: the common prefix of two codes is the code of
+// the nodes' lowest common ancestor.
 func TestCommonPrefixIsLCA(t *testing.T) {
 	tree := paperdata.BookTree()
 	enc, _, err := dewey.EncodeTree(tree)
@@ -150,10 +155,11 @@ func TestCommonPrefixIsLCA(t *testing.T) {
 	}
 	for _, a := range nodes {
 		for _, b := range nodes {
-			got := dewey.CommonPrefix(enc.MustCode(a), enc.MustCode(b))
+			ca, cb := enc.MustCode(a), enc.MustCode(b)
+			got := ca[:dewey.CommonPrefixLen(ca, cb)]
 			want := enc.MustCode(lca(a, b))
 			if got.String() != want.String() {
-				t.Fatalf("CommonPrefix(%v,%v)=%s want %s", a.Label, b.Label, got, want)
+				t.Fatalf("CommonPrefixLen(%v,%v) gives %s want %s", a.Label, b.Label, got, want)
 			}
 		}
 	}

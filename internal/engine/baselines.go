@@ -26,8 +26,7 @@ var (
 // child-only pattern is one path-index lookup, anything else runs the
 // structural-join evaluator AnswersFastBudget over the label index. The
 // paper observes BF's index is ~4× the size of BN's (635 MB vs 150 MB
-// for a 56 MB document); IndexBytes reports an equivalent accounting
-// here.
+// for a 56 MB document).
 
 // BN is the navigational baseline evaluator.
 type BN struct {
@@ -61,7 +60,6 @@ type BF struct {
 	// paths maps a root label-path (joined with '/') to its nodes in
 	// document order.
 	paths map[string][]*xmltree.Node
-	bytes int
 }
 
 // NewBF builds all BF indexes for t.
@@ -83,18 +81,8 @@ func NewBF(t *xmltree.Tree) *BF {
 		path = path[:mark]
 	}
 	walk(t.Root())
-	for k, v := range e.paths {
-		e.bytes += len(k) + 8*len(v)
-	}
-	for k, v := range e.label.byLabel {
-		e.bytes += len(k) + 8*len(v)
-	}
 	return e
 }
-
-// IndexBytes reports an accounting of the index footprint, the analogue
-// of the paper's 635 MB full-index figure.
-func (e *BF) IndexBytes() int { return e.bytes }
 
 // Eval answers q. Branch-free, wildcard-free, child-only patterns are
 // answered straight from the path index; everything else uses the

@@ -20,8 +20,11 @@ func checkWalk(t *testing.T, ctx string, tree *xmltree.Tree, q *pattern.Pattern,
 	t.Helper()
 	var want []*xmltree.Node
 	for _, a := range engine.Answers(tree, q) {
-		if a == scope || scope.IsAncestorOf(a) {
-			want = append(want, a)
+		for n := a; n != nil; n = n.Parent {
+			if n == scope {
+				want = append(want, a)
+				break
+			}
 		}
 	}
 	got, visited, err := engine.AnswersWithin(q.Spine(), scope, nil)

@@ -11,6 +11,34 @@ import (
 	"xpathviews/internal/xpath"
 )
 
+// childAlphabets maps each parent label of tree to its child alphabet
+// under fst, in the FST's order.
+func childAlphabets(tree *xmltree.Tree, fst *dewey.FST) map[string][]string {
+	out := map[string][]string{}
+	tree.Walk(func(n *xmltree.Node) bool {
+		for _, c := range n.Children {
+			if i, m, ok := fst.ChildIndex(n.Label, c.Label); ok {
+				if out[n.Label] == nil {
+					out[n.Label] = make([]string, m)
+				}
+				out[n.Label][i] = c.Label
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// isAncestor reports whether a is a proper ancestor of b.
+func isAncestor(a, b *xmltree.Node) bool {
+	for p := b.Parent; p != nil; p = p.Parent {
+		if p == a {
+			return true
+		}
+	}
+	return false
+}
+
 func bookFixture(t *testing.T) (*xmltree.Tree, *dewey.Encoding) {
 	t.Helper()
 	tree := paperdata.BookTree()
@@ -96,6 +124,7 @@ func TestGapReuseAdversarial(t *testing.T) {
 func TestGapAllocProperty(t *testing.T) {
 	tree, enc := bookFixture(t)
 	fst := enc.FST()
+	alphabets := childAlphabets(tree, fst)
 	rng := rand.New(rand.NewSource(42))
 
 	// Snapshot the seed document's codes: stability means these strings
@@ -113,13 +142,13 @@ func TestGapAllocProperty(t *testing.T) {
 			// coded node that admits children.
 			var parents []*xmltree.Node
 			tree.Walk(func(n *xmltree.Node) bool {
-				if len(fst.ChildAlphabet(n.Label)) > 0 {
+				if len(alphabets[n.Label]) > 0 {
 					parents = append(parents, n)
 				}
 				return true
 			})
 			p := parents[rng.Intn(len(parents))]
-			alpha := fst.ChildAlphabet(p.Label)
+			alpha := alphabets[p.Label]
 			label := alpha[rng.Intn(len(alpha))]
 			code, err := maintain.ChildCode(enc, p, label)
 			if err != nil {
@@ -181,7 +210,8 @@ func TestGapAllocProperty(t *testing.T) {
 		for _, a := range nodes {
 			for _, b := range nodes {
 				ca, cb := enc.MustCode(a), enc.MustCode(b)
-				if got, want := dewey.IsAncestor(ca, cb), a.IsAncestorOf(b); got != want {
+				got := len(ca) < len(cb) && dewey.IsPrefix(ca, cb)
+				if want := isAncestor(a, b); got != want {
 					t.Fatalf("step %d: IsAncestor(%s,%s)=%v but tree ancestry=%v", step, ca, cb, got, want)
 				}
 			}

@@ -32,11 +32,18 @@ func TestBookTreeShape(t *testing.T) {
 
 func TestBookFSTOrders(t *testing.T) {
 	fst := paperdata.BookFST()
-	if got := fst.ChildAlphabet(paperdata.Book); len(got) != 3 || got[0] != paperdata.Title || got[2] != paperdata.Section {
-		t.Fatalf("b alphabet = %v, want [t a s]", got)
-	}
-	if got := fst.ChildAlphabet(paperdata.Section); len(got) != 4 || got[1] != paperdata.Paragraph || got[3] != paperdata.Figure {
-		t.Fatalf("s alphabet = %v, want [t p s f]", got)
+	for _, c := range []struct {
+		parent, child string
+		idx, m        int
+	}{
+		{paperdata.Book, paperdata.Title, 0, 3},
+		{paperdata.Book, paperdata.Section, 2, 3},
+		{paperdata.Section, paperdata.Paragraph, 1, 4},
+		{paperdata.Section, paperdata.Figure, 3, 4},
+	} {
+		if idx, m, ok := fst.ChildIndex(c.parent, c.child); !ok || idx != c.idx || m != c.m {
+			t.Fatalf("%s under %s: index %d of %d (%v), want %d of %d", c.child, c.parent, idx, m, ok, c.idx, c.m)
+		}
 	}
 }
 

@@ -159,12 +159,6 @@ func Contains(v, q *Pattern) bool {
 	return NewHom(v, q).Exists()
 }
 
-// PathContains reports whether path pattern vp contains path pattern qp
-// (qp ⊑ vp). Complete per Theorem 3.1.
-func PathContains(vp, qp Path) bool {
-	return Contains(vp.Pattern(), qp.Pattern())
-}
-
 // SpineMapping is an assignment of the spine of P (root → RET(P)) to a
 // descending chain of nodes in Q, forming part of a full homomorphism:
 // off-spine subtrees of each spine node are guaranteed mappable below the

@@ -162,7 +162,7 @@ func TestPathContainmentCompleteness(t *testing.T) {
 			}
 		}
 		qp := randomPath(r, 1+r.Intn(5))
-		hom := pattern.PathContains(vp, qp)
+		hom := pattern.Contains(vp.Pattern(), qp.Pattern())
 		exact := pattern.ContainsExact(qp.Pattern(), vp.Pattern())
 		if hom != exact {
 			t.Fatalf("path containment mismatch for %s ⊑ %s: hom=%v exact=%v", qp, vp, hom, exact)

@@ -339,6 +339,3 @@ func (c *Cache) Stats() Stats {
 	}
 	return out
 }
-
-// NumShards reports the rounded shard count (for tests).
-func (c *Cache) NumShards() int { return len(c.shards) }

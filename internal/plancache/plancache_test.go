@@ -227,10 +227,10 @@ func TestGetHitAllocs(t *testing.T) {
 }
 
 func TestShardRounding(t *testing.T) {
-	if got := plancache.New(0, 5).NumShards(); got != 8 {
+	if got := plancache.NumShards(plancache.New(0, 5)); got != 8 {
 		t.Fatalf("shards for 5 = %d, want 8", got)
 	}
-	if got := plancache.New(0, 16).NumShards(); got != 16 {
+	if got := plancache.NumShards(plancache.New(0, 16)); got != 16 {
 		t.Fatalf("shards for 16 = %d, want 16", got)
 	}
 }

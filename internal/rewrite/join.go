@@ -117,10 +117,6 @@ func (p *JoinPlan) remember(m *deltaMemo) {
 	p.memo.Store(m)
 }
 
-// DeltaIndex exposes the chosen Δ-view's position in the selection's
-// cover list (Explain and the bench harness report it).
-func (p *JoinPlan) DeltaIndex() int { return p.deltaIdx }
-
 // PlanJoin computes the join skeleton for q under the selection's
 // covers, choosing the Δ-view. It returns selection.ErrNotAnswerable when
 // the covers do not answer q (no Δ-cover, or a query leaf no cover

@@ -187,7 +187,7 @@ func TestMemoRecomputesOnGenChange(t *testing.T) {
 
 	// Remove the fragment behind the first answer from the Δ-view, the way
 	// a delete's splice would, and bump its generation.
-	dv := fx.sel.Covers[jp.DeltaIndex()].View
+	dv := fx.sel.Covers[rewrite.DeltaIndex(jp)].View
 	at := dv.FindCode(before.Answers[0].Code)
 	if at < 0 {
 		t.Fatalf("answer %v is not a Δ-view fragment root", before.Answers[0].Code)
@@ -209,7 +209,7 @@ func TestMemoRecomputesOnGenChange(t *testing.T) {
 	}
 
 	// Any cover counts, not only the Δ-view.
-	other := fx.sel.Covers[1-jp.DeltaIndex()].View
+	other := fx.sel.Covers[1-rewrite.DeltaIndex(jp)].View
 	other.Gen++
 	if r := run(); r.Memo || !sameCodes(r, after) {
 		t.Fatalf("a non-Δ cover's Gen bump did not invalidate: memo=%v codes=%v", r.Memo, r.Codes())

@@ -354,7 +354,7 @@ func TestExecuteExactBudget(t *testing.T) {
 				t.Fatalf("%s: Memo = %v", tag, ref.Memo)
 			}
 			if !tc.memo {
-				if kept := ref.ViewKept[jp.DeltaIndex()]; kept < 128 || ref.JoinPartitions != 1 {
+				if kept := ref.ViewKept[rewrite.DeltaIndex(jp)]; kept < 128 || ref.JoinPartitions != 1 {
 					t.Fatalf("%s: Δ-view kept %d fragments, join ran %d times; want >= 128 and 1", tag, kept, ref.JoinPartitions)
 				}
 			}

@@ -326,16 +326,6 @@ func (s *Selection) Views() []*views.View {
 	return out
 }
 
-// TotalFragmentBytes sums the selected views' materialized sizes — the
-// quantity the heuristic method optimizes indirectly.
-func (s *Selection) TotalFragmentBytes() int {
-	total := 0
-	for _, c := range s.Covers {
-		total += c.View.TotalBytes
-	}
-	return total
-}
-
 // MinimumBudget performs exact minimum selection over the given
 // candidate views: the smallest set whose covers answer Q (§IV-B's
 // "naive method", O(2^n) worst case, implemented as an element-driven

@@ -1,14 +1,16 @@
 // Package storage is a small embedded key-value store standing in for the
 // Berkeley DB / Berkeley DB XML pair the paper's experiments used as byte
 // containers for the VFilter automaton and the materialized XML fragments
-// (§VI). It is an append-only log with an in-memory index:
+// (§VI). It is an append-only log with an in-memory index, written by the
+// mutation WAL (one unique key per mutation) and by vfilter.PersistTo:
 //
-//   - Put/Get/Delete over []byte keys and values;
+//   - Put/Get over []byte keys and values; a Put of an existing key
+//     appends a new version, and nothing is ever rewritten in place;
 //   - crash-safe reads: every record carries a length header and a
-//     checksum, and Open truncates a torn tail instead of failing;
-//   - Compact rewrites the log dropping stale versions, either on demand
-//     or automatically when the garbage ratio crosses a configured
-//     threshold (SetAutoCompact);
+//     checksum, and Open truncates a torn or corrupt tail instead of
+//     failing;
+//   - a failed append leaves no partial record behind, so the records
+//     appended after it survive a reopen;
 //   - Size reports stored bytes — the measurement behind Figure 11.
 //
 // The store is safe for concurrent use.
@@ -16,6 +18,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -28,29 +31,35 @@ import (
 var magic = [4]byte{'x', 'p', 'v', '1'}
 
 const (
-	opPut    = byte(1)
+	opPut = byte(1)
+	// opDelete marks a key removed. The store never writes it, but logs
+	// written by earlier versions carry it, and replay applies it so
+	// that they recover the same keys.
 	opDelete = byte(2)
 )
+
+// headerSize is a record's fixed header: op(1) keyLen(4) valLen(4).
+const headerSize = 9
+
+// writeLog appends b to the log file. It is a variable so that a test
+// can fail a write part-way through.
+var writeLog = (*os.File).Write
 
 // Store is an open key-value store.
 type Store struct {
 	mu   sync.RWMutex
 	path string
 	f    *os.File
-	// index maps key → (offset, length) of the live value in the log;
-	// values are also cached in memory (the working sets here are small:
-	// automata and capped fragments).
+	// mem holds every live value (the working sets here are small:
+	// automata and mutation records).
 	mem  map[string][]byte
 	size int64
-	// liveSize is the on-disk size (headers included) the live records
-	// would occupy alone; size-len(magic)-liveSize is the garbage the log
-	// carries in stale versions and delete markers.
-	liveSize int64
-	// autoRatio > 0 arms auto-compaction: Put/Delete trigger a compaction
-	// once the garbage ratio crosses it and the log is at least autoMin
-	// bytes.
-	autoRatio float64
-	autoMin   int64
+	// buf is the scratch one record is encoded into before its single
+	// write.
+	buf []byte
+	// broken is set when a failed append could not be rolled back; the
+	// log's tail is then unknown, and every later Put returns it.
+	broken error
 }
 
 // Open opens or creates the store at path. A corrupt or torn tail is
@@ -68,8 +77,8 @@ func Open(path string) (*Store, error) {
 	return s, nil
 }
 
-// OpenMemory creates a purely in-memory store (no file); Close and
-// Compact are no-ops. Used by tests and benchmarks that only need Size
+// OpenMemory creates a purely in-memory store (no file); Sync and Close
+// are no-ops. Used by tests and benchmarks that only need Size
 // accounting.
 func OpenMemory() *Store {
 	return &Store{mem: make(map[string][]byte)}
@@ -94,7 +103,7 @@ func (s *Store) replay() error {
 	off := int64(len(magic))
 	buf := make([]byte, 0, 4096)
 	for {
-		rec, n, err := readRecord(s.f, &buf)
+		rec, n, err := readRecord(s.f, info.Size()-off, &buf)
 		if err == io.EOF {
 			break
 		}
@@ -108,15 +117,8 @@ func (s *Store) replay() error {
 		off += int64(n)
 		switch rec.op {
 		case opPut:
-			if old, ok := s.mem[string(rec.key)]; ok {
-				s.liveSize -= recordSize(len(rec.key), len(old))
-			}
-			s.liveSize += recordSize(len(rec.key), len(rec.val))
 			s.mem[string(rec.key)] = append([]byte(nil), rec.val...)
 		case opDelete:
-			if old, ok := s.mem[string(rec.key)]; ok {
-				s.liveSize -= recordSize(len(rec.key), len(old))
-			}
 			delete(s.mem, string(rec.key))
 		}
 	}
@@ -133,10 +135,14 @@ type record struct {
 	val []byte
 }
 
+// readRecord reads the next record; remain is the number of bytes left
+// in the file. A record whose lengths reach past the end of the file is
+// a torn tail, so no body larger than the file is ever allocated.
+//
 // record layout: op(1) keyLen(4) valLen(4) key val crc32(4 over all prior
 // bytes of the record).
-func readRecord(r io.Reader, scratch *[]byte) (record, int, error) {
-	var fixed [9]byte
+func readRecord(r io.Reader, remain int64, scratch *[]byte) (record, int, error) {
+	var fixed [headerSize]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return record{}, 0, fmt.Errorf("storage: torn header")
@@ -146,11 +152,11 @@ func readRecord(r io.Reader, scratch *[]byte) (record, int, error) {
 	op := fixed[0]
 	kl := binary.LittleEndian.Uint32(fixed[1:5])
 	vl := binary.LittleEndian.Uint32(fixed[5:9])
-	if kl > 1<<28 || vl > 1<<30 {
-		return record{}, 0, fmt.Errorf("storage: implausible record size")
+	need := int64(kl) + int64(vl) + 4
+	if need > remain-headerSize {
+		return record{}, 0, fmt.Errorf("storage: record runs past the end of the file")
 	}
-	need := int(kl) + int(vl) + 4
-	if cap(*scratch) < need {
+	if int64(cap(*scratch)) < need {
 		*scratch = make([]byte, need)
 	}
 	body := (*scratch)[:need]
@@ -163,54 +169,54 @@ func readRecord(r io.Reader, scratch *[]byte) (record, int, error) {
 	if binary.LittleEndian.Uint32(body[kl+vl:]) != sum.Sum32() {
 		return record{}, 0, fmt.Errorf("storage: checksum mismatch")
 	}
-	return record{op: op, key: body[:kl], val: body[kl : kl+vl]}, 9 + need, nil
+	return record{op: op, key: body[:kl], val: body[kl : kl+vl]}, headerSize + int(need), nil
 }
 
-// recordSize is the on-disk footprint of one record: fixed header (9),
-// key, value, checksum (4).
-func recordSize(klen, vlen int) int64 { return int64(9 + klen + vlen + 4) }
-
-func writeRecord(w io.Writer, op byte, key, val []byte) (int, error) {
-	var fixed [9]byte
-	fixed[0] = op
-	binary.LittleEndian.PutUint32(fixed[1:5], uint32(len(key)))
-	binary.LittleEndian.PutUint32(fixed[5:9], uint32(len(val)))
-	sum := crc32.NewIEEE()
-	sum.Write(fixed[:])
-	sum.Write(key)
-	sum.Write(val)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], sum.Sum32())
-	n := 0
-	for _, b := range [][]byte{fixed[:], key, val, crc[:]} {
-		m, err := w.Write(b)
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+// appendPut appends the encoding of one put record to buf.
+func appendPut(buf []byte, key, val []byte) []byte {
+	start := len(buf)
+	buf = append(buf, opPut)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
+	buf = append(buf, key...)
+	buf = append(buf, val...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
-// Put stores value under key, overwriting any previous version.
+// Put stores value under key, overwriting any previous version. The
+// record goes to the log in one write; if that write fails, the log is
+// cut back to where the record began, and if that fails too, the store
+// refuses every later Put.
 func (s *Store) Put(key, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.broken != nil {
+		return s.broken
+	}
+	n := int64(headerSize + len(key) + len(value) + 4)
 	if s.f != nil {
-		n, err := writeRecord(s.f, opPut, key, value)
-		s.size += int64(n)
-		if err != nil {
-			return fmt.Errorf("storage: put: %w", err)
+		s.buf = appendPut(s.buf[:0], key, value)
+		if _, err := writeLog(s.f, s.buf); err != nil {
+			err = fmt.Errorf("storage: put: %w", err)
+			if rerr := s.rollbackLocked(); rerr != nil {
+				s.broken = fmt.Errorf("storage: log unusable after a failed append: %w", errors.Join(err, rerr))
+			}
+			return err
 		}
-	} else {
-		s.size += recordSize(len(key), len(value))
 	}
-	if old, ok := s.mem[string(key)]; ok {
-		s.liveSize -= recordSize(len(key), len(old))
-	}
-	s.liveSize += recordSize(len(key), len(value))
+	s.size += n
 	s.mem[string(key)] = append([]byte(nil), value...)
-	return s.maybeCompactLocked()
+	return nil
+}
+
+// rollbackLocked cuts the log back to its last complete record after a
+// failed append. Caller holds s.mu.
+func (s *Store) rollbackLocked() error {
+	if err := s.f.Truncate(s.size); err != nil {
+		return err
+	}
+	_, err := s.f.Seek(s.size, io.SeekStart)
+	return err
 }
 
 // Get returns the value stored under key; ok reports presence. The
@@ -220,25 +226,6 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 	defer s.mu.RUnlock()
 	v, ok := s.mem[string(key)]
 	return v, ok
-}
-
-// Delete removes key; deleting a missing key is a no-op.
-func (s *Store) Delete(key []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.mem[string(key)]; !ok {
-		return nil
-	}
-	if s.f != nil {
-		n, err := writeRecord(s.f, opDelete, key, nil)
-		s.size += int64(n)
-		if err != nil {
-			return fmt.Errorf("storage: delete: %w", err)
-		}
-	}
-	s.liveSize -= recordSize(len(key), len(s.mem[string(key)]))
-	delete(s.mem, string(key))
-	return s.maybeCompactLocked()
 }
 
 // Keys returns all live keys, sorted.
@@ -266,123 +253,6 @@ func (s *Store) Size() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.size
-}
-
-// LiveBytes returns the total size of live keys and values, excluding
-// log overhead and stale versions.
-func (s *Store) LiveBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for k, v := range s.mem {
-		n += int64(len(k) + len(v))
-	}
-	return n
-}
-
-// GarbageBytes returns the log bytes occupied by stale versions and
-// delete markers — what a Compact would reclaim.
-func (s *Store) GarbageBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.garbageLocked()
-}
-
-func (s *Store) garbageLocked() int64 {
-	g := s.size - int64(len(magic)) - s.liveSize
-	if g < 0 {
-		g = 0
-	}
-	return g
-}
-
-// SetAutoCompact arms (or, with ratio <= 0, disarms) automatic
-// compaction: after a Put or Delete, when the log is at least minBytes
-// long and garbage makes up more than ratio of it, the log is compacted
-// in place. minBytes <= 0 defaults to 4096, so small hot stores are not
-// rewritten on every overwrite.
-func (s *Store) SetAutoCompact(ratio float64, minBytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if minBytes <= 0 {
-		minBytes = 4096
-	}
-	s.autoRatio = ratio
-	s.autoMin = minBytes
-}
-
-// maybeCompactLocked runs a compaction when the auto-compact threshold
-// is crossed. Caller holds s.mu.
-func (s *Store) maybeCompactLocked() error {
-	if s.autoRatio <= 0 || s.f == nil || s.size < s.autoMin {
-		return nil
-	}
-	if float64(s.garbageLocked()) <= s.autoRatio*float64(s.size) {
-		return nil
-	}
-	if err := s.compactLocked(); err != nil {
-		return fmt.Errorf("storage: auto-compact: %w", err)
-	}
-	return nil
-}
-
-// Compact rewrites the log keeping only live records.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
-}
-
-// compactLocked is Compact's body; caller holds s.mu.
-func (s *Store) compactLocked() error {
-	if s.f == nil {
-		return nil
-	}
-	tmp := s.path + ".compact"
-	out, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	size := int64(0)
-	if _, err := out.Write(magic[:]); err != nil {
-		out.Close()
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	size += int64(len(magic))
-	keys := make([]string, 0, len(s.mem))
-	for k := range s.mem {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		n, err := writeRecord(out, opPut, []byte(k), s.mem[k])
-		if err != nil {
-			out.Close()
-			return fmt.Errorf("storage: compact: %w", err)
-		}
-		size += int64(n)
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	if err := out.Close(); err != nil {
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	f, err := os.OpenFile(s.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: compact reopen: %w", err)
-	}
-	s.f = f
-	s.size = size
-	s.liveSize = size - int64(len(magic))
-	return nil
 }
 
 // Sync flushes the log to stable storage.

@@ -2,9 +2,12 @@ package storage_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -21,9 +24,30 @@ func openTemp(t *testing.T) (*storage.Store, string) {
 	return s, path
 }
 
+// appendDelete appends a delete record for key to the log at path:
+// op 2, keyLen, valLen 0, key, crc32. The store never writes these,
+// but older logs carry them and replay must still apply them.
+func appendDelete(t *testing.T, path string, key string) {
+	t.Helper()
+	rec := []byte{2}
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(key)))
+	rec = binary.LittleEndian.AppendUint32(rec, 0)
+	rec = append(rec, key...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPutGetDelete(t *testing.T) {
-	s, _ := openTemp(t)
-	defer s.Close()
+	s, path := openTemp(t)
 
 	if _, ok := s.Get([]byte("k")); ok {
 		t.Fatal("empty store returned a value")
@@ -38,14 +62,21 @@ func TestPutGetDelete(t *testing.T) {
 	if !ok || string(v) != "v2" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
-	if err := s.Delete([]byte("k")); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get([]byte("k")); ok {
+	appendDelete(t, path, "k")
+	appendDelete(t, path, "missing")
+	s2, err := storage.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, ok := s2.Get([]byte("k")); ok {
 		t.Fatal("deleted key still present")
 	}
-	if err := s.Delete([]byte("missing")); err != nil {
-		t.Fatal("deleting a missing key must be a no-op")
+	if s2.Len() != 0 {
+		t.Fatalf("a delete record for a missing key must be a no-op: %v", s2.Keys())
 	}
 }
 
@@ -56,10 +87,10 @@ func TestReopenRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Delete([]byte("key07"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	appendDelete(t, path, "key07")
 
 	s2, err := storage.Open(path)
 	if err != nil {
@@ -147,34 +178,7 @@ func TestNotAStoreFile(t *testing.T) {
 	}
 }
 
-func TestCompactShrinksAndPreserves(t *testing.T) {
-	s, _ := openTemp(t)
-	defer s.Close()
-	for i := 0; i < 20; i++ {
-		s.Put([]byte("same"), bytes.Repeat([]byte("x"), 100))
-	}
-	s.Put([]byte("other"), []byte("y"))
-	before := s.Size()
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Size() >= before {
-		t.Fatalf("compact did not shrink: %d -> %d", before, s.Size())
-	}
-	v, ok := s.Get([]byte("same"))
-	if !ok || len(v) != 100 {
-		t.Fatal("compact lost data")
-	}
-	if _, ok := s.Get([]byte("other")); !ok {
-		t.Fatal("compact lost a key")
-	}
-	// Still writable.
-	if err := s.Put([]byte("after"), []byte("z")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKeysSortedAndLiveBytes(t *testing.T) {
+func TestKeysSorted(t *testing.T) {
 	s := storage.OpenMemory()
 	s.Put([]byte("b"), []byte("2"))
 	s.Put([]byte("a"), []byte("1"))
@@ -183,17 +187,40 @@ func TestKeysSortedAndLiveBytes(t *testing.T) {
 	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
 		t.Fatalf("Keys = %v", keys)
 	}
-	if s.LiveBytes() != 6 {
-		t.Fatalf("LiveBytes = %d", s.LiveBytes())
-	}
 	if s.Size() <= 0 {
 		t.Fatal("memory store must account size")
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatal("memory compact must be a no-op")
-	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOverwritesAppend: the log is append-only, so every overwrite adds
+// a record, and replay keeps the last version.
+func TestOverwritesAppend(t *testing.T) {
+	s, path := openTemp(t)
+	for i := 0; i < 50; i++ {
+		if err := s.Put([]byte("k"), bytes.Repeat([]byte{byte(i)}, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := s.Size()
+	if size < 50*128 {
+		t.Fatalf("log dropped versions: size %d", size)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := storage.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if v, ok := s2.Get([]byte("k")); !ok || len(v) != 128 || v[0] != 49 || s2.Len() != 1 {
+		t.Fatalf("replay kept %d keys, last value %v %v", s2.Len(), v, ok)
+	}
+	if s2.Size() != size {
+		t.Fatalf("reopened size %d, want %d", s2.Size(), size)
 	}
 }
 
@@ -209,7 +236,8 @@ func TestConcurrentAccess(t *testing.T) {
 				s.Put(key, []byte{byte(i)})
 				s.Get(key)
 				if i%3 == 0 {
-					s.Delete(key)
+					s.Keys()
+					s.Size()
 				}
 			}
 		}(g)
@@ -296,91 +324,41 @@ func TestPartialAppendRecovered(t *testing.T) {
 	}
 }
 
-func TestAutoCompact(t *testing.T) {
+// TestOpenBoundsRecordByFile: a header whose lengths reach past the end
+// of the file is a torn tail. Open must truncate it without allocating
+// the body the header claims.
+func TestOpenBoundsRecordByFile(t *testing.T) {
 	s, path := openTemp(t)
-	s.SetAutoCompact(0.5, 2048)
+	s.Put([]byte("alpha"), []byte("1"))
+	s.Close()
 
-	// Overwrite one key repeatedly: garbage accumulates until the ratio
-	// trips, then the log must shrink back to roughly the live set.
-	val := bytes.Repeat([]byte("v"), 256)
-	for i := 0; i < 200; i++ {
-		if err := s.Put([]byte("hot"), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Put([]byte("cold"), []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	final := s.Size()
-	// 200 overwrites of a 256-byte value append ~54 KB; compaction must
-	// have kept the file well under that.
-	if final > 8<<10 {
-		t.Fatalf("auto-compaction did not shrink the log: final size %d", final)
-	}
-	// Above the min size the ratio must be back under the threshold
-	// (below it, small logs are allowed to carry garbage by design).
-	if g := s.GarbageBytes(); final >= 2048 && float64(g) > 0.5*float64(final) {
-		t.Fatalf("garbage ratio still above threshold after compaction: %d of %d", g, final)
-	}
-
-	// The compacted log must replay cleanly with the live data intact.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := storage.Open(path)
+	hdr := []byte{1}
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1<<26)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		t.Fatalf("reopen after auto-compact: %v", err)
+		t.Fatal(err)
+	}
+	if _, err := f.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s2, err := storage.Open(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("torn header must not fail Open: %v", err)
 	}
 	defer s2.Close()
-	if v, ok := s2.Get([]byte("hot")); !ok || !bytes.Equal(v, val) {
-		t.Fatalf("hot key lost after compaction+replay: ok=%v len=%d", ok, len(v))
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("Open allocated %d bytes for a header claiming a 64 MiB value", got)
 	}
-	if v, ok := s2.Get([]byte("cold")); !ok || string(v) != "x" {
-		t.Fatalf("cold key lost after compaction+replay: %q %v", v, ok)
+	if _, ok := s2.Get([]byte("alpha")); !ok || s2.Len() != 1 {
+		t.Fatalf("intact record lost: keys %v", s2.Keys())
 	}
-	if s2.Len() != 2 {
-		t.Fatalf("replay found %d keys, want 2", s2.Len())
-	}
-
-	// Deletes count as garbage too and must also trigger compaction.
-	s2.SetAutoCompact(0.25, 1024)
-	for i := 0; i < 100; i++ {
-		k := []byte(fmt.Sprintf("tmp%03d", i))
-		if err := s2.Put(k, bytes.Repeat([]byte("d"), 64)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s2.Delete(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sz := s2.Size(); sz > 8<<10 {
-		t.Fatalf("delete churn not compacted: size %d", sz)
-	}
-	if s2.Len() != 2 {
-		t.Fatalf("churn damaged live keys: %d, want 2", s2.Len())
-	}
-}
-
-func TestAutoCompactDisabledByDefault(t *testing.T) {
-	s, _ := openTemp(t)
-	defer s.Close()
-	for i := 0; i < 50; i++ {
-		if err := s.Put([]byte("k"), bytes.Repeat([]byte("v"), 128)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Without SetAutoCompact the log must keep every version (seed
-	// behaviour: append-only until an explicit Compact).
-	if sz := s.Size(); sz < 50*128 {
-		t.Fatalf("log unexpectedly compacted without opt-in: size %d", sz)
-	}
-	if g := s.GarbageBytes(); g <= 0 {
-		t.Fatalf("GarbageBytes = %d, want positive after overwrites", g)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if g := s.GarbageBytes(); g != 0 {
-		t.Fatalf("GarbageBytes = %d after explicit Compact, want 0", g)
+	if info, err := os.Stat(path); err != nil || info.Size() != s2.Size() {
+		t.Fatalf("torn header not truncated: file %v, store %d", info, s2.Size())
 	}
 }

@@ -55,7 +55,6 @@ type SlowQuery struct {
 // NewSlowLog. A nil *SlowLog is a no-op.
 type SlowLog struct {
 	threshold atomic.Int64 // ns; 0 = disabled
-	logged    atomic.Int64 // total entries ever recorded
 	label     atomic.Value // string: tenant stamped on every entry
 
 	mu   sync.Mutex
@@ -127,7 +126,6 @@ func (l *SlowLog) Record(e SlowQuery) {
 			e.Tenant = v
 		}
 	}
-	l.logged.Add(1)
 	l.mu.Lock()
 	l.buf[l.next] = e
 	l.next++
@@ -136,15 +134,6 @@ func (l *SlowLog) Record(e SlowQuery) {
 		l.full = true
 	}
 	l.mu.Unlock()
-}
-
-// Logged returns how many entries have ever been recorded (including
-// ones the ring has since overwritten).
-func (l *SlowLog) Logged() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.logged.Load()
 }
 
 // Snapshot returns the retained entries, oldest first.

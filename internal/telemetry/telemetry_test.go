@@ -286,9 +286,6 @@ func TestSlowLogRing(t *testing.T) {
 			t.Fatalf("snapshot[%d] = %q, want %q", i, e.Query, want[i])
 		}
 	}
-	if l.Logged() != 6 {
-		t.Fatalf("logged = %d, want 6", l.Logged())
-	}
 }
 
 func TestSlowLogConcurrent(t *testing.T) {
@@ -304,9 +301,6 @@ func TestSlowLogConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.Logged() != 800 {
-		t.Fatalf("logged = %d", l.Logged())
-	}
 	if len(l.Snapshot()) != 8 {
 		t.Fatalf("snapshot len = %d", len(l.Snapshot()))
 	}

@@ -190,9 +190,9 @@ func TestFilterDifferential(t *testing.T) {
 			addFresh()
 		}
 		if p.f.NumViews() != len(p.ref.viewIDs) || p.f.NumStates() != len(p.ref.states) ||
-			p.f.NumTransitions() != p.ref.transitions {
+			p.f.transitions != p.ref.transitions {
 			t.Fatalf("shape: %d views %d states %d arcs, reference %d %d %d",
-				p.f.NumViews(), p.f.NumStates(), p.f.NumTransitions(),
+				p.f.NumViews(), p.f.NumStates(), p.f.transitions,
 				len(p.ref.viewIDs), len(p.ref.states), p.ref.transitions)
 		}
 		back := reload(t, p.f)

@@ -179,10 +179,6 @@ func (f *Filter) newState() int32 {
 // NumStates returns the number of NFA states.
 func (f *Filter) NumStates() int { return len(f.states) }
 
-// NumTransitions returns the number of stored arcs (skip self-loops count
-// once).
-func (f *Filter) NumTransitions() int { return f.transitions }
-
 // NumViews returns the number of views added and not removed.
 func (f *Filter) NumViews() int { return len(f.ordOf) }
 

@@ -83,7 +83,7 @@ func TestNodeCodesAlignment(t *testing.T) {
 			t.Fatalf("root code %s != fragment code %s", f.NodeCodes[0], f.Code)
 		}
 		for i := 1; i < len(nodes); i++ {
-			if !dewey.IsAncestor(f.Code, f.NodeCodes[i]) {
+			if c := f.NodeCodes[i]; len(c) <= len(f.Code) || !dewey.IsPrefix(f.Code, c) {
 				t.Fatalf("node %d code %s not under fragment root %s", i, f.NodeCodes[i], f.Code)
 			}
 		}

@@ -190,16 +190,6 @@ func (n *Node) Depth() int {
 	return d
 }
 
-// IsAncestorOf reports whether n is a proper ancestor of m.
-func (n *Node) IsAncestorOf(m *Node) bool {
-	for p := m.Parent; p != nil; p = p.Parent {
-		if p == n {
-			return true
-		}
-	}
-	return false
-}
-
 // LabelPath returns the sequence of labels from the root down to n,
 // inclusive.
 func (n *Node) LabelPath() []string {

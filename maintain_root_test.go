@@ -126,17 +126,38 @@ func answersAgree(t *testing.T, sys *xpathviews.System, queries []string, tag st
 type mutator struct {
 	rng      *rand.Rand
 	inserted []dewey.Code
+	// alphabets maps a label to its child alphabet under the system's
+	// FST, in the FST's order (see childAlphabets).
+	alphabets map[string][]string
 }
 
-func (m *mutator) emit(b *strings.Builder, fst *dewey.FST, label string, depth int) {
-	kids := fst.ChildAlphabet(label)
+// childAlphabets maps each parent label of sys's document to its child
+// alphabet under the system's FST, in the FST's order.
+func childAlphabets(sys *xpathviews.System) map[string][]string {
+	out := map[string][]string{}
+	sys.Document().Walk(func(n *xmltree.Node) bool {
+		for _, c := range n.Children {
+			if i, m, ok := sys.FST().ChildIndex(n.Label, c.Label); ok {
+				if out[n.Label] == nil {
+					out[n.Label] = make([]string, m)
+				}
+				out[n.Label][i] = c.Label
+			}
+		}
+		return true
+	})
+	return out
+}
+
+func (m *mutator) emit(b *strings.Builder, label string, depth int) {
+	kids := m.alphabets[label]
 	if depth == 0 || len(kids) == 0 || m.rng.Intn(2) == 0 {
 		fmt.Fprintf(b, "<%s/>", label)
 		return
 	}
 	fmt.Fprintf(b, "<%s>", label)
 	for i, n := 0, 1+m.rng.Intn(2); i < n; i++ {
-		m.emit(b, fst, kids[m.rng.Intn(len(kids))], depth-1)
+		m.emit(b, kids[m.rng.Intn(len(kids))], depth-1)
 	}
 	fmt.Fprintf(b, "</%s>", label)
 }
@@ -144,18 +165,21 @@ func (m *mutator) emit(b *strings.Builder, fst *dewey.FST, label string, depth i
 func (m *mutator) step(t *testing.T, sys *xpathviews.System) {
 	t.Helper()
 	if m.rng.Intn(2) == 0 || len(m.inserted) == 0 {
-		doc, enc, fst := sys.Document(), sys.Encoding(), sys.FST()
+		doc, enc := sys.Document(), sys.Encoding()
+		if m.alphabets == nil {
+			m.alphabets = childAlphabets(sys)
+		}
 		var parents []*xmltree.Node
 		doc.Walk(func(n *xmltree.Node) bool {
-			if len(fst.ChildAlphabet(n.Label)) > 0 {
+			if len(m.alphabets[n.Label]) > 0 {
 				parents = append(parents, n)
 			}
 			return true
 		})
 		p := parents[m.rng.Intn(len(parents))]
 		var b strings.Builder
-		alpha := fst.ChildAlphabet(p.Label)
-		m.emit(&b, fst, alpha[m.rng.Intn(len(alpha))], 2)
+		alpha := m.alphabets[p.Label]
+		m.emit(&b, alpha[m.rng.Intn(len(alpha))], 2)
 		res, err := sys.InsertSubtree(enc.MustCode(p), b.String())
 		if err != nil {
 			t.Fatalf("insert %s under %s: %v", b.String(), p.Label, err)

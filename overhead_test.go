@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"xpathviews"
-	"xpathviews/internal/advisor"
 	"xpathviews/internal/paperdata"
 )
 
@@ -65,7 +64,7 @@ func TestTelemetryOverheadAllocs(t *testing.T) {
 	sys.SetViewStats(nil)
 	statsOff := testing.AllocsPerRun(200, call)
 	sys.SetViewStats(xpathviews.NewViewStats())
-	sys.SetDesignWorkload([]advisor.QueryStat{{Query: paperdata.QueryE}})
+	sys.SetDesignWorkload([]xpathviews.WorkloadEntry{{Query: paperdata.QueryE}})
 	call() // grow the per-view slots once; steady state allocates nothing
 	statsOn := testing.AllocsPerRun(200, call)
 	if statsOn > statsOff {

@@ -7,10 +7,8 @@ import (
 	"testing"
 
 	"xpathviews"
-	"xpathviews/internal/advisor"
 	"xpathviews/internal/faults"
 	"xpathviews/internal/paperdata"
-	"xpathviews/internal/workload"
 	"xpathviews/internal/xmark"
 )
 
@@ -194,7 +192,7 @@ func TestPlanCacheInvalidationApplyAdvice(t *testing.T) {
 		t.Fatalf("negative plan was not cached: %+v -> %+v", before, after)
 	}
 
-	adv, err := sys.Advise(advisor.StatsFromEntries([]workload.Entry{{Freq: 5, Query: q}}),
+	adv, err := sys.Advise([]xpathviews.WorkloadEntry{{Freq: 5, Query: q}},
 		xpathviews.AdviceOptions{ByteBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)

@@ -18,10 +18,8 @@ import (
 	"testing"
 
 	"xpathviews"
-	"xpathviews/internal/advisor"
 	"xpathviews/internal/dewey"
 	"xpathviews/internal/maintain"
-	"xpathviews/internal/workload"
 	"xpathviews/internal/xmark"
 	"xpathviews/internal/xmltree"
 )
@@ -82,10 +80,10 @@ func TestLabelPathHammer(t *testing.T) {
 		b.WriteString("</description>")
 		return b.String()
 	}
-	stats := advisor.StatsFromEntries([]workload.Entry{
+	entries := []xpathviews.WorkloadEntry{
 		{Freq: 5, Query: "//listitem/text"},
 		{Freq: 3, Query: "//item[description]/name"},
-	})
+	}
 
 	seedMax := int32(0)
 	for _, n := range sys.Document().Nodes() {
@@ -146,7 +144,7 @@ func TestLabelPathHammer(t *testing.T) {
 		go func(a int) {
 			defer wg.Done()
 			for i := 0; i < 2; i++ {
-				if _, err := sys.Advise(stats, xpathviews.AdviceOptions{ByteBudget: 256 << 10, MaxCandidates: 6}); err != nil {
+				if _, err := sys.Advise(entries, xpathviews.AdviceOptions{ByteBudget: 256 << 10, MaxCandidates: 6}); err != nil {
 					t.Errorf("adviser %d: %v", a, err)
 					return
 				}

@@ -254,12 +254,10 @@ func (s *System) answerChain(ctx context.Context, src string, opts Options, chai
 			}
 			res.ParseNanos = parseNanos
 			truncate(res, opts.MaxAnswers)
-			s.observe(q, view, nil)
 			s.finishCall(co, b, t0, src, label, res, nil)
 			return res, nil
 		}
 		if !resilient || !degradable(err) {
-			s.observe(q, false, err)
 			s.finishCall(co, b, t0, src, label, nil, err)
 			return nil, err
 		}
@@ -272,7 +270,6 @@ func (s *System) answerChain(ctx context.Context, src string, opts Options, chai
 		}
 		reasons = append(reasons, fmt.Sprintf("%s: %v", strat, err))
 	}
-	s.observe(q, false, lastErr)
 	err = fmt.Errorf("xpathviews: all fallback rungs failed (%s): %w",
 		strings.Join(reasons, "; "), lastErr)
 	s.finishCall(co, nil, t0, src, label, nil, err)

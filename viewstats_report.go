@@ -9,7 +9,6 @@ package xpathviews
 // the CLI -viewstats flags all render from.
 
 import (
-	"xpathviews/internal/advisor"
 	"xpathviews/internal/viewstats"
 )
 
@@ -32,17 +31,17 @@ func (s *System) SetViewStats(st *ViewStatsStore) { s.vstats.Store(st) }
 // the current view set was designed for: recent traffic is compared
 // against this distribution and xpv_workload_drift reports the distance.
 // Advise calls this automatically; call it directly when the view set
-// was built from a workload file. Empty stats disarm the detector.
-func (s *System) SetDesignWorkload(stats []advisor.QueryStat) {
+// was built from a workload file. An empty workload disarms the detector.
+func (s *System) SetDesignWorkload(entries []WorkloadEntry) {
 	vs := s.vstats.Load()
 	if vs == nil {
 		return
 	}
-	hashes := make([]uint64, len(stats))
-	weights := make([]int64, len(stats))
-	for i, st := range stats {
-		hashes[i] = viewstats.HashQuery(st.Query)
-		weights[i] = int64(st.Freq())
+	hashes := make([]uint64, len(entries))
+	weights := make([]int64, len(entries))
+	for i, e := range entries {
+		hashes[i] = viewstats.HashQuery(e.Query)
+		weights[i] = int64(e.Freq)
 	}
 	vs.Drift.SetDesign(hashes, weights)
 }

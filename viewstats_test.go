@@ -15,10 +15,8 @@ import (
 	"time"
 
 	"xpathviews"
-	"xpathviews/internal/advisor"
 	"xpathviews/internal/dewey"
 	"xpathviews/internal/paperdata"
-	"xpathviews/internal/workload"
 	"xpathviews/internal/xmark"
 )
 
@@ -246,7 +244,7 @@ func TestViewStatsMetricsExposition(t *testing.T) {
 // driftFixture advises an XMark system on a two-query design workload
 // (which arms the detector), applies the advice, and pins the
 // detector's decay clock so the test is deterministic.
-func driftFixture(t testing.TB) (*xpathviews.System, []advisor.QueryStat) {
+func driftFixture(t testing.TB) (*xpathviews.System, []xpathviews.WorkloadEntry) {
 	t.Helper()
 	doc := xmark.Generate(xmark.Config{Scale: 0.05, Seed: 42})
 	sys, err := xpathviews.Open(doc)
@@ -254,11 +252,11 @@ func driftFixture(t testing.TB) (*xpathviews.System, []advisor.QueryStat) {
 		t.Fatal(err)
 	}
 	sys.SetMetricsRegistry(xpathviews.NewMetricsRegistry())
-	stats := advisor.StatsFromEntries([]workload.Entry{
+	entries := []xpathviews.WorkloadEntry{
 		{Freq: 5, Query: "//person/name"},
 		{Freq: 3, Query: "//open_auction[bidder]/seller"},
-	})
-	adv, err := sys.Advise(stats, xpathviews.AdviceOptions{ByteBudget: 1 << 20})
+	}
+	adv, err := sys.Advise(entries, xpathviews.AdviceOptions{ByteBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,17 +268,17 @@ func driftFixture(t testing.TB) (*xpathviews.System, []advisor.QueryStat) {
 	}
 	fixed := time.Unix(1_200_000_000, 0)
 	sys.ViewStats().Drift.SetClock(func() time.Time { return fixed })
-	return sys, stats
+	return sys, entries
 }
 
-// replayMix serves the design workload in its recorded proportions for
+// replayMix serves the design workload in its proportions for
 // `rounds` full passes, ignoring per-call errors (drift observes
 // unanswerable traffic too).
-func replayMix(sys *xpathviews.System, stats []advisor.QueryStat, rounds int) {
+func replayMix(sys *xpathviews.System, entries []xpathviews.WorkloadEntry, rounds int) {
 	for r := 0; r < rounds; r++ {
-		for _, st := range stats {
-			for i := 0; i < st.Freq(); i++ {
-				sys.Answer(st.Query, xpathviews.HV)
+		for _, e := range entries {
+			for i := 0; i < e.Freq; i++ {
+				sys.Answer(e.Query, xpathviews.HV)
 			}
 		}
 	}
@@ -289,8 +287,8 @@ func replayMix(sys *xpathviews.System, stats []advisor.QueryStat, rounds int) {
 func TestWorkloadDriftSteadyAndShifted(t *testing.T) {
 	// Steady: live traffic replays the design mix exactly — the distance
 	// stays at zero and no threshold event fires.
-	sys, stats := driftFixture(t)
-	replayMix(sys, stats, 32) // 256 calls >= several check cadences
+	sys, entries := driftFixture(t)
+	replayMix(sys, entries, 32) // 256 calls >= several check cadences
 	rep := sys.ViewStatsReport()
 	if rep.DriftRecentN == 0 {
 		t.Fatal("steady replay reached the detector not at all")

@@ -31,7 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xpathviews/internal/advisor"
 	"xpathviews/internal/budget"
 	"xpathviews/internal/dewey"
 	"xpathviews/internal/engine"
@@ -128,11 +127,6 @@ type System struct {
 	// invalidate the index (see resetEvalLocked in mutate.go).
 	bfOnce *sync.Once
 	bf     *engine.BF
-
-	// rec is the optional workload recorder (see advise.go). An atomic
-	// pointer keeps the recorder-absent answering path at one atomic
-	// load — no lock, no allocation.
-	rec atomic.Pointer[advisor.Recorder]
 
 	// plans memoizes query plans (see plan.go), and planHits/planMisses
 	// count calls by their outcome; planGen is the view-set generation —
